@@ -23,12 +23,13 @@ from .models import (Ar1Model, Dataset, IsomerizationModel, LinearModel,
                      LogisticGroupModel, LogisticIndividualModel, MeanModel,
                      load_fumigant, load_isomerization, simulate_ar1,
                      simulate_glm, simulate_linear)
-from .solver import (RootSet, Solution, SolveOptions, solve_multistart,
-                     solve_weighted, weighted_jacobian, weighted_score)
+from .solver import (BatchSolution, RootSet, Solution, SolveOptions,
+                     solve_multistart, solve_weighted, solve_weighted_batch,
+                     weighted_jacobian, weighted_score)
 from .weights import (WeightScheme, check_conditions, constant,
                       delete_d_jackknife, dirichlet, downweight_d_jackknife,
                       empirical_moments, enumerate_support, iid_exponential,
-                      iid_uniform, m_out_of_n, multinomial, parse_scheme,
+                      iid_uniform, iter_support, m_out_of_n, multinomial, parse_scheme,
                       sample, sample_many, theoretical_moments)
 
 __version__ = "0.1.0"

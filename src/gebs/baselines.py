@@ -13,7 +13,7 @@ import numpy as np
 from . import models as M
 from .engine import (BootstrapSample, DegenerateRunError, MAX_FALLBACK_FRAC,
                      STATUS_CONVERGED, STATUS_FALLBACK, draw_rng)
-from .errors import ParameterError, UnsupportedModelError
+from .errors import SOLVER_ERRORS, ParameterError, UnsupportedModelError
 from .solver import SolveOptions, solve_weighted
 
 RESIDUAL_BOOTSTRAP = "rb"
@@ -58,7 +58,7 @@ def _refit(model, data, init):
     try:
         sol = solve_weighted(model, data, np.ones(model.weight_count(data)), opts)
         return sol.beta, STATUS_CONVERGED
-    except Exception:
+    except SOLVER_ERRORS:
         return np.atleast_1d(np.asarray(init, float)).copy(), STATUS_FALLBACK
 
 
@@ -190,7 +190,7 @@ def wild_bootstrap(model, data, beta_hat, n_boot, seed, spec=None):
             try:
                 sol = solve_weighted(ind, boot, ones, opts)
                 return sol.beta, STATUS_CONVERGED
-            except Exception:
+            except SOLVER_ERRORS:
                 return beta_hat.copy(), STATUS_FALLBACK
 
         return _finish(beta_hat, [one(b) for b in range(n_boot)], "wild bootstrap")

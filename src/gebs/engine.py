@@ -1,8 +1,10 @@
 """Generalized-bootstrap driver: resample loops, variance and distribution
 estimates, percentile intervals, studentized statistics, enumeration oracles."""
 
+import itertools
 import math
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -10,13 +12,16 @@ import numpy as np
 from scipy.stats import norm
 
 from . import weights as wmod
-from .errors import (DegenerateRunError, EvaluationError, InsufficientSampleError,
-                     NonConvergenceError, ParameterError, SingularSystemError)
-from .solver import SolveOptions, solve_weighted
+from .errors import (SOLVER_ERRORS, DegenerateRunError, InsufficientSampleError,
+                     ParameterError)
+from .solver import solve_weighted_batch
+from .solver import solve_weighted  # noqa: F401  (public name; tracers patch it here)
 
 STATUS_CONVERGED = "converged"
 STATUS_FALLBACK = "fallback"
 MAX_FALLBACK_FRAC = 0.2
+# draws (or support atoms) solved together; bounds the (block, n) working set
+BLOCK_DRAWS = 128
 
 
 def worker_count():
@@ -43,6 +48,8 @@ class BootstrapSample:
     sigma2: float
     fallback_count: int
     weight_draws: np.ndarray = None   # (B, n) when retained
+    iterations: np.ndarray = None     # (B,) Newton steps per draw, batched solves only
+    failures: dict = field(default_factory=dict)   # fallback count by error class
 
     @property
     def n_draws(self):
@@ -90,12 +97,47 @@ class StudentizedStats:
     undefined: np.ndarray      # mask of draws with degenerate g_hat_b
 
 
-def _solve_draw(model, data, w, beta_hat, options):
-    try:
-        sol = solve_weighted(model, data, w, options)
-        return sol.beta, STATUS_CONVERGED
-    except (NonConvergenceError, SingularSystemError, EvaluationError):
-        return beta_hat.copy(), STATUS_FALLBACK
+def _hook_draws(model, data, beta_hat, scheme, n_boot, seed, solve_fn):
+    """One ``solve_fn`` call per draw; returns betas, failure classes, weights."""
+    def one(b):
+        w = wmod.sample(scheme, draw_rng(seed, b))
+        try:
+            beta, failure = solve_fn(model, data, w, beta_hat), ""
+        except SOLVER_ERRORS as exc:
+            beta, failure = beta_hat, type(exc).__name__
+        return np.atleast_1d(np.asarray(beta, float)), failure, w
+
+    workers = worker_count()
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(one, range(n_boot)))
+    else:
+        results = [one(b) for b in range(n_boot)]
+    return (np.stack([r[0] for r in results]),
+            np.array([r[1] for r in results], dtype=object),
+            np.stack([r[2] for r in results]))
+
+
+def _batched_draws(model, data, beta_hat, scheme, n_boot, seed, options,
+                   store_weights):
+    """Blocks of draws through the batched Newton solve.
+
+    Returns betas (failed rows still hold their last iterate), failure
+    classes, iterations and, if ``store_weights``, the weights.
+    """
+    betas, failures, iterations, weights = [], [], [], []
+    for start in range(0, n_boot, BLOCK_DRAWS):
+        W = np.stack([wmod.sample(scheme, draw_rng(seed, b))
+                      for b in range(start, min(start + BLOCK_DRAWS, n_boot))])
+        sol = solve_weighted_batch(model, data, W, beta_hat, options)
+        betas.append(sol.betas)
+        failures.append(sol.failures)
+        iterations.append(sol.iterations)
+        if store_weights:
+            weights.append(W)
+    return (np.concatenate(betas), np.concatenate(failures),
+            np.concatenate(iterations),
+            np.concatenate(weights) if store_weights else None)
 
 
 def run_bootstrap(model, data, beta_hat, scheme, n_boot, seed,
@@ -113,35 +155,21 @@ def run_bootstrap(model, data, beta_hat, scheme, n_boot, seed,
     if n_boot < 1:
         raise ParameterError("need n_boot >= 1")
     beta_hat = np.atleast_1d(np.asarray(beta_hat, float))
-    opts = options or SolveOptions()
-    base_opts = SolveOptions(tol=opts.tol, max_iter=opts.max_iter,
-                             max_halvings=opts.max_halvings, init=beta_hat)
-
-    def one(b):
-        w = wmod.sample(scheme, draw_rng(seed, b))
-        if solve_fn is not None:
-            try:
-                beta, status = solve_fn(model, data, w, beta_hat), STATUS_CONVERGED
-            except (NonConvergenceError, SingularSystemError, EvaluationError):
-                beta, status = beta_hat.copy(), STATUS_FALLBACK
-        else:
-            beta, status = _solve_draw(model, data, w, beta_hat, base_opts)
-        return np.atleast_1d(np.asarray(beta, float)), status, w
-
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(n_boot)))
+    if solve_fn is not None:
+        betas, failures, weights = _hook_draws(model, data, beta_hat, scheme,
+                                               n_boot, seed, solve_fn)
+        iterations = None
     else:
-        results = [one(b) for b in range(n_boot)]
-
-    betas = np.stack([r[0] for r in results])
-    statuses = [r[1] for r in results]
-    weight_draws = np.stack([r[2] for r in results]) if store_weights else None
-    fallback = statuses.count(STATUS_FALLBACK)
+        betas, failures, iterations, weights = _batched_draws(
+            model, data, beta_hat, scheme, n_boot, seed, options, store_weights)
+    fell = failures != ""
+    betas[fell] = beta_hat
+    statuses = [STATUS_FALLBACK if f else STATUS_CONVERGED for f in fell]
+    fallback = int(np.count_nonzero(fell))
     sigma2 = wmod.theoretical_moments(scheme).sigma2
     sample = BootstrapSample(beta_hat, betas, statuses, scheme, sigma2,
-                             fallback, weight_draws)
+                             fallback, weights if store_weights else None,
+                             iterations, dict(sorted(Counter(failures[fell]).items())))
     if fallback > max_fallback_frac * n_boot:
         raise DegenerateRunError(
             f"{fallback}/{n_boot} resamples fell back to the full-data root",
@@ -189,19 +217,19 @@ def exact_variance_enumeration(model, data, beta_hat, scheme, scale=1.0,
         zero = 0.0 if p == 1 else np.zeros((p, p))
         return VarianceEstimate(zero, "degenerate scheme (sigma_n^2 = 0)",
                                 zero, degenerate=True)
-    opts = options or SolveOptions()
-    base_opts = SolveOptions(tol=opts.tol, max_iter=opts.max_iter,
-                             max_halvings=opts.max_halvings, init=beta_hat)
-    acc = 0.0 if p == 1 else np.zeros((p, p))
-    for w, prob in wmod.enumerate_support(scheme, max_atoms=max_atoms):
-        beta, status = _solve_draw(model, data, w, beta_hat, base_opts)
-        if status == STATUS_FALLBACK:
-            continue  # definitional fallback contributes zero
-        d = beta - beta_hat
-        acc = acc + prob * (d[0] ** 2 if p == 1 else np.outer(d, d))
-    factor = scale / mom.sigma2
+    acc = np.zeros((p, p))
+    atoms = wmod.iter_support(scheme, max_atoms=max_atoms)
+    while block := list(itertools.islice(atoms, BLOCK_DRAWS)):
+        W = np.stack([w for w, _ in block])
+        probs = np.array([prob for _, prob in block])
+        sol = solve_weighted_batch(model, data, W, beta_hat, options)
+        ok = sol.converged   # definitional fallback contributes zero
+        d = sol.betas[ok] - beta_hat
+        acc += (probs[ok, None] * d).T @ d
+    v = scale / mom.sigma2 * acc
     zero = 0.0 if p == 1 else np.zeros((p, p))
-    return VarianceEstimate(factor * acc, "exact enumeration variance", zero)
+    return VarianceEstimate(float(v[0, 0]) if p == 1 else v,
+                            "exact enumeration variance", zero)
 
 
 def empirical_distribution(model, data, sample, contrast=None):
@@ -227,7 +255,7 @@ def empirical_distribution(model, data, sample, contrast=None):
         raise ParameterError("contrast must have unit norm")
     scores = model.score_all(data, beta_hat)
     v = np.linalg.solve(J_total, c)
-    s_hat2 = float(v @ (scores.T @ scores) @ v) / p ** 2
+    s_hat2 = float(v @ (scores.T @ scores) @ v)
     vals = (deltas @ c) / (math.sqrt(s_hat2) * math.sqrt(sample.sigma2))
     return EmpiricalDistribution(vals)
 

@@ -71,3 +71,7 @@ class InsufficientSampleError(GebsError, ValueError):
 
 class ConfigError(GebsError, ValueError):
     """Invalid experiment configuration."""
+
+
+# the failures a resample may fall back from; anything else is a bug
+SOLVER_ERRORS = (NonConvergenceError, SingularSystemError, EvaluationError)

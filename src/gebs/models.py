@@ -4,6 +4,13 @@ A model evaluates a vector score phi_i(beta) for each of its weight slots,
 together with the analytic Jacobian (d phi / d beta, one p x p matrix per
 slot, row a = gradient of component a) and the symmetric Hessians of each
 score component. Everything is vectorized over slots.
+
+For the batched solver a model also evaluates the weighted score and Jacobian
+of B reweighted systems at once: ``weighted_score_batch(data, W, betas)``
+maps a (B, n) weight matrix and (B, p) parameters to (B, p) scores, and
+``weighted_jacobian_batch`` to (B, p, p) Jacobians. A row outside the domain
+is NaN. The base class builds both row by row from ``score_all`` and
+``jacobian_all``; the closed-form models override them with array algebra.
 """
 
 import csv
@@ -21,6 +28,18 @@ ISO_SCALE = 1.632    # stoichiometric constant in the isomerization rate model
 
 def _sigmoid(t):
     return 1.0 / (1.0 + np.exp(-np.clip(t, -LOGIT_CLAMP, LOGIT_CLAMP)))
+
+
+def _nan_outside(betas, out):
+    """NaN rows where the parameter is not finite (the default domain)."""
+    out[~np.all(np.isfinite(betas), axis=1)] = np.nan
+    return out
+
+
+def _weighted_outer(V, D):
+    """(B, p, p) stack of sum_i V[b, i] D_i D_i' without a (B, n, p, p) tensor."""
+    n, p = D.shape
+    return (V @ (D[:, :, None] * D[:, None, :]).reshape(n, p * p)).reshape(-1, p, p)
 
 
 @dataclass
@@ -59,6 +78,29 @@ class Model:
         n = self.weight_count(data)
         return np.zeros((n, self.p, self.p, self.p))
 
+    def weighted_score_batch(self, data, W, betas):
+        """Row b: sum_i W[b, i] phi_i(betas[b]); NaN outside the domain."""
+        out = np.full(np.shape(betas), np.nan)
+        for b, (w, beta) in enumerate(zip(W, betas)):
+            if self.in_domain(data, beta):
+                try:
+                    out[b] = w @ self.score_all(data, beta)
+                except EvaluationError:
+                    pass
+        return out
+
+    def weighted_jacobian_batch(self, data, W, betas):
+        """Row b: sum_i W[b, i] d phi_i / d beta at betas[b]; NaN outside the domain."""
+        p = np.shape(betas)[1]
+        out = np.full((len(betas), p, p), np.nan)
+        for b, (w, beta) in enumerate(zip(W, betas)):
+            if self.in_domain(data, beta):
+                try:
+                    out[b] = np.tensordot(w, self.jacobian_all(data, beta), axes=(0, 0))
+                except EvaluationError:
+                    pass
+        return out
+
     def score(self, i, data, beta):
         return self.score_all(data, np.atleast_1d(np.asarray(beta, float)))[i]
 
@@ -84,6 +126,13 @@ class MeanModel(Model):
     def jacobian_all(self, data, beta):
         return np.full((data.n, 1, 1), -1.0)
 
+    def weighted_score_batch(self, data, W, betas):
+        R = data["z"][None, :] - betas[:, :1]
+        return _nan_outside(betas, np.sum(W * R, axis=1)[:, None])
+
+    def weighted_jacobian_batch(self, data, W, betas):
+        return _nan_outside(betas, -np.sum(W, axis=1)[:, None, None])
+
     def default_init(self, data):
         return np.array([float(np.mean(data["z"]))])
 
@@ -102,6 +151,14 @@ class LinearModel(Model):
     def jacobian_all(self, data, beta):
         X = data["X"]
         return -X[:, :, None] * X[:, None, :]
+
+    def weighted_score_batch(self, data, W, betas):
+        X = data["X"]
+        R = data["y"][None, :] - betas @ X.T
+        return _nan_outside(betas, (W * R) @ X)
+
+    def weighted_jacobian_batch(self, data, W, betas):
+        return _nan_outside(betas, -_weighted_outer(W, data["X"]))
 
     def objective(self, data, weights, beta):
         resid = data["y"] - data["X"] @ beta
@@ -122,6 +179,16 @@ class Ar1Model(Model):
         lag = data["x"][:-1]
         return (-lag ** 2)[:, None, None]
 
+    def weighted_score_batch(self, data, W, betas):
+        x = data["x"]
+        lag, cur = x[:-1], x[1:]
+        R = cur[None, :] - betas[:, :1] * lag[None, :]
+        return _nan_outside(betas, ((W * R) @ lag)[:, None])
+
+    def weighted_jacobian_batch(self, data, W, betas):
+        lag = data["x"][:-1]
+        return _nan_outside(betas, -(W @ lag ** 2)[:, None, None])
+
     def objective(self, data, weights, beta):
         x = data["x"]
         resid = x[1:] - beta[0] * x[:-1]
@@ -137,23 +204,42 @@ class LogisticGroupModel(Model):
         X = data["X"]
         return np.column_stack([np.ones_like(X), X])
 
+    def _outcomes(self, data):
+        """Successes and trials per weight slot."""
+        return data["Y"], data["N"]
+
     def score_all(self, data, beta):
         D = self._design(data)
+        Y, N = self._outcomes(data)
         p = _sigmoid(D @ beta)
-        return D * (data["Y"] - data["N"] * p)[:, None]
+        return D * (Y - N * p)[:, None]
 
     def jacobian_all(self, data, beta):
         D = self._design(data)
+        _, N = self._outcomes(data)
         p = _sigmoid(D @ beta)
-        v = data["N"] * p * (1.0 - p)
+        v = N * p * (1.0 - p)
         return -v[:, None, None] * D[:, :, None] * D[:, None, :]
 
     def hessian_all(self, data, beta):
         D = self._design(data)
+        _, N = self._outcomes(data)
         p = _sigmoid(D @ beta)
-        v = data["N"] * p * (1.0 - p) * (1.0 - 2.0 * p)
+        v = N * p * (1.0 - p) * (1.0 - 2.0 * p)
         return (-v[:, None, None, None]
                 * D[:, :, None, None] * D[:, None, :, None] * D[:, None, None, :])
+
+    def weighted_score_batch(self, data, W, betas):
+        D = self._design(data)
+        Y, N = self._outcomes(data)
+        P = _sigmoid(betas @ D.T)
+        return _nan_outside(betas, (W * (Y - N * P)) @ D)
+
+    def weighted_jacobian_batch(self, data, W, betas):
+        D = self._design(data)
+        _, N = self._outcomes(data)
+        P = _sigmoid(betas @ D.T)
+        return _nan_outside(betas, -_weighted_outer(W * (N * P * (1.0 - P)), D))
 
 
 class LogisticIndividualModel(LogisticGroupModel):
@@ -166,23 +252,8 @@ class LogisticIndividualModel(LogisticGroupModel):
         X = data["x_ind"]
         return np.column_stack([np.ones_like(X), X])
 
-    def score_all(self, data, beta):
-        D = self._design(data)
-        p = _sigmoid(D @ beta)
-        return D * (data["y_ind"] - p)[:, None]
-
-    def jacobian_all(self, data, beta):
-        D = self._design(data)
-        p = _sigmoid(D @ beta)
-        v = p * (1.0 - p)
-        return -v[:, None, None] * D[:, :, None] * D[:, None, :]
-
-    def hessian_all(self, data, beta):
-        D = self._design(data)
-        p = _sigmoid(D @ beta)
-        v = p * (1.0 - p) * (1.0 - 2.0 * p)
-        return (-v[:, None, None, None]
-                * D[:, :, None, None] * D[:, None, :, None] * D[:, None, None, :])
+    def _outcomes(self, data):
+        return data["y_ind"], 1.0
 
 
 class IsomerizationModel(Model):

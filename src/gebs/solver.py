@@ -4,8 +4,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (EmptyRootSetError, EvaluationError, NonConvergenceError,
-                     ParameterError, ShapeError, SingularSystemError)
+from .errors import (SOLVER_ERRORS, EmptyRootSetError, EvaluationError,
+                     NonConvergenceError, ParameterError, ShapeError,
+                     SingularSystemError)
 
 COND_LIMIT = 1e12
 
@@ -31,6 +32,19 @@ class Solution:
     iterations: int
     jacobian_at_root: np.ndarray
     converged: bool
+
+
+@dataclass
+class BatchSolution:
+    """Roots of B reweighted systems solved together."""
+
+    betas: np.ndarray          # (B, p); a failed draw keeps its last iterate
+    iterations: np.ndarray     # (B,) accepted Newton steps per draw
+    failures: np.ndarray       # (B,) error class name per draw, "" if converged
+
+    @property
+    def converged(self):
+        return self.failures == ""
 
 
 @dataclass
@@ -106,6 +120,77 @@ def solve_weighted(model, data, weights, options=None):
                               last_beta=beta, residual_norm=res)
 
 
+def solve_weighted_batch(model, data, W, init=None, options=None):
+    """``solve_weighted`` for every row of the (B, n) weight matrix ``W`` at once.
+
+    Each draw follows the per-draw rules: the same stopping rule,
+    conditioning guard and step-halving line search, with an active mask so a
+    draw leaves the iteration where ``solve_weighted`` would stop. Only the
+    summation order of the weighted sums differs. Failures are recorded per
+    draw by error class instead of raised.
+    """
+    opts = options or SolveOptions()
+    W = np.asarray(W, float)
+    if W.ndim != 2 or W.shape[1] != model.weight_count(data):
+        raise ShapeError(f"weight matrix shape {W.shape} != (B, "
+                         f"{model.weight_count(data)} score slots)")
+    if init is None:
+        init = opts.init if opts.init is not None else model.default_init(data)
+    init = np.atleast_1d(np.asarray(init, float))
+    B = W.shape[0]
+    betas = np.tile(init, (B, 1))
+    iterations = np.zeros(B, int)
+    failures = np.full(B, "", dtype=object)
+    if not model.in_domain(data, init):
+        failures[:] = EvaluationError.__name__
+        return BatchSolution(betas, iterations, failures)
+    try:
+        # every draw starts at ``init``: one score evaluation serves all B
+        F = W @ model.score_all(data, init)
+    except EvaluationError:
+        failures[:] = EvaluationError.__name__
+        return BatchSolution(betas, iterations, failures)
+    tol = opts.tol * (1.0 + np.max(np.abs(F), axis=1))
+
+    active = np.arange(B)
+    for _ in range(opts.max_iter):
+        active = active[~(np.max(np.abs(F[active]), axis=1) <= tol[active])]
+        if active.size == 0:
+            break
+        J = model.weighted_jacobian_batch(data, W[active], betas[active])
+        ok = np.all(np.isfinite(J), axis=(1, 2))
+        ok[ok] = np.linalg.cond(J[ok]) <= COND_LIMIT
+        failures[active[~ok]] = SingularSystemError.__name__
+        active, J = active[ok], J[ok]
+        if active.size == 0:
+            break
+        step = np.linalg.solve(J, -F[active][:, :, None])[:, :, 0]
+
+        # step-halving line search on ||F||^2; all pending draws share lam
+        base = np.sum(F[active] ** 2, axis=1)
+        pending = np.arange(active.size)
+        lam = 1.0
+        for _ in range(opts.max_halvings + 1):
+            rows = active[pending]
+            trial = betas[rows] + lam * step[pending]
+            F_trial = model.weighted_score_batch(data, W[rows], trial)
+            good = (np.all(np.isfinite(F_trial), axis=1)
+                    & (np.sum(F_trial ** 2, axis=1) < base[pending]))
+            betas[rows[good]] = trial[good]
+            F[rows[good]] = F_trial[good]
+            pending = pending[~good]
+            if pending.size == 0:
+                break
+            lam *= 0.5
+        failures[active[pending]] = NonConvergenceError.__name__
+        active = np.delete(active, pending)
+        iterations[active] += 1
+
+    unconverged = active[~(np.max(np.abs(F[active]), axis=1) <= tol[active])]
+    failures[unconverged] = NonConvergenceError.__name__
+    return BatchSolution(betas, iterations, failures)
+
+
 def solve_multistart(model, data, weights, starts, options=None):
     """Run the solver from several starts; deduplicate the converged roots."""
     if len(starts) == 0:
@@ -118,7 +203,7 @@ def solve_multistart(model, data, weights, starts, options=None):
                              init=np.asarray(start, float))
         try:
             sol = solve_weighted(model, data, weights, trial)
-        except (NonConvergenceError, SingularSystemError, EvaluationError):
+        except SOLVER_ERRORS:
             continue
         radius = max(1e-6, 1e-6 * float(np.linalg.norm(sol.beta)))
         if any(np.linalg.norm(sol.beta - r.beta) <= radius for r in roots):

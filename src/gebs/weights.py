@@ -424,17 +424,28 @@ def support_size(scheme):
 
 def enumerate_support(scheme, max_atoms=10 ** 6):
     """All (weight vector, probability) atoms of a finite-support scheme."""
+    return list(iter_support(scheme, max_atoms))
+
+
+def iter_support(scheme, max_atoms=10 ** 6):
+    """Stream the (weight vector, probability) atoms of a finite-support scheme.
+
+    The scheme is checked here, before the first atom is drawn.
+    """
     size = support_size(scheme)
     if size is None:
         raise UnsupportedSchemeError(f"{scheme.label()} has infinite support")
     if size > max_atoms:
         raise UnsupportedSchemeError(
             f"{scheme.label()} support has {size} atoms, above cap {max_atoms}")
+    return _atoms(scheme)
+
+
+def _atoms(scheme):
     n = scheme.n
     kind = scheme.kind
-    atoms = []
     if kind == CONSTANT:
-        atoms.append((np.ones(n), 1.0))
+        yield np.ones(n), 1.0
     elif kind in (MULTINOMIAL, M_OUT_OF_N):
         trials = n if kind == MULTINOMIAL else scheme.params["m"]
         scale = 1.0 if kind == MULTINOMIAL else n / scheme.params["m"]
@@ -443,7 +454,7 @@ def enumerate_support(scheme, max_atoms=10 ** 6):
             logp = log_t_fact - trials * math.log(n)
             for k in counts:
                 logp -= math.lgamma(k + 1)
-            atoms.append((np.array(counts, float) * scale, math.exp(logp)))
+            yield np.array(counts, float) * scale, math.exp(logp)
     else:
         d = scheme.params["d"]
         if kind == DELETE_D_JACKKNIFE:
@@ -454,8 +465,7 @@ def enumerate_support(scheme, max_atoms=10 ** 6):
         for idx in itertools.combinations(range(n), d):
             w = np.full(n, hi)
             w[list(idx)] = lo
-            atoms.append((w, prob))
-    return atoms
+            yield w, prob
 
 
 def _compositions(total, parts):
@@ -471,6 +481,7 @@ def _compositions(total, parts):
 # Condition checking
 
 SLOPE_TOL = 0.2
+MEAN_TOL = 1e-12   # |E[w_i] - 1| allowed by the unit-mean clause
 
 # exponent bounds for the third- and fourth-moment decay clauses; the
 # sigma^{-1} factor in the third-moment clause is added per scheme
@@ -531,8 +542,10 @@ def check_conditions(scheme_factory, n_grid, p_rule=None, mc_draws=200, seed=0):
         p_rule = lambda n: 1
 
     table = []
+    mean_one = True
     for n in n_grid:
         scheme = scheme_factory(n)
+        mean_one = mean_one and abs(raw_moment(scheme, (1,)) - 1.0) <= MEAN_TOL
         mom = theoretical_moments(scheme)
         row = {"n": n, "p": p_rule(n), "sigma2": mom.sigma2, "c11": mom.c11}
         for pat in THIRD_ORDER_PATTERNS:
@@ -553,8 +566,8 @@ def check_conditions(scheme_factory, n_grid, p_rule=None, mc_draws=200, seed=0):
     bw_growth = sigma_positive and _slope_ok(
         sigma_slope if sigma_positive else None, growth_bound - 2 * SLOPE_TOL)
     bw_c11 = _slope_ok(slopes["c11"], -1.0)
-    bw = ClauseVerdict(sigma_positive and bw_growth and bw_c11, {
-        "mean_one": True,
+    bw = ClauseVerdict(mean_one and sigma_positive and bw_growth and bw_c11, {
+        "mean_one": mean_one,
         "sigma2_positive": sigma_positive,
         "sigma2_slope": sigma_slope if sigma_positive else None,
         "sigma2_growth_bound": growth_bound - 2 * SLOPE_TOL,

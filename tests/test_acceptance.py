@@ -197,6 +197,23 @@ def test_criterion_6_distribution_consistency():
              f"{ks_sim:.4f} < 0.1")
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_criterion_6_contrast_distribution(p):
+    # p > 1: a unit contrast through the plug-in studentizer must also be
+    # close to N(0, 1), at criterion 6's KS threshold
+    n, B = 400, 2000
+    data = M.simulate_linear(np.linspace(1.0, -1.0, p), n, rng(50 + p))
+    beta_hat = np.linalg.lstsq(data["X"], data["y"], rcond=None)[0]
+    model = M.LinearModel(p=p)
+    sample = run_bootstrap(model, data, beta_hat, W.multinomial(n), B,
+                           seed=8, store_weights=False)
+    contrast = np.ones(p) / math.sqrt(p)
+    dist = empirical_distribution(model, data, sample, contrast=contrast)
+    ks_norm = ks_distance(dist)
+    _verdict(6, f"normalized contrast law, p={p}", ks_norm < 0.08,
+             f"KS vs normal {ks_norm:.4f} < 0.08, sd {dist.values.std():.3f}")
+
+
 # ---------------------------------------------------------------------------
 # 7. Analytic derivatives vs central finite differences
 

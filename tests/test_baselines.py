@@ -127,3 +127,14 @@ def test_wild_bootstrap_glm_synthetic_binary_refits():
     assert sample.fallback_count <= 12
     # draws genuinely vary
     assert np.std(sample.betas[:, 1]) > 0.01
+
+
+def test_refit_bugs_are_not_fallbacks():
+    # only solver failures fall back; any other exception is a bug and surfaces
+    class Broken(M.LinearModel):
+        def score_all(self, data, beta):
+            raise TypeError("bug in the score")
+
+    model, data, beta_hat = linear_setup()
+    with pytest.raises(TypeError):
+        residual_bootstrap(Broken(p=1), data, beta_hat, 5, seed=1)

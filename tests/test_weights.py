@@ -246,3 +246,19 @@ def test_constant_scheme_fails_basic_condition():
     assert not report.cltw
     assert not report.vw_a
     assert not report.vw_b
+
+
+def test_off_mean_scheme_fails_basic_condition():
+    def off_mean(n):
+        # a uniform law on [0.5, 2.0] has mean 1.25; built past the validator
+        scheme = W.iid_uniform(n, 0.5, 1.5)
+        object.__setattr__(scheme, "params", {"lo": 0.5, "hi": 2.0})
+        return scheme
+
+    report = W.check_conditions(off_mean, [10, 20, 40, 80], mc_draws=20)
+    assert report.bw.evidence["mean_one"] is False
+    assert not report.bw
+    good = W.check_conditions(lambda n: W.iid_uniform(n, 0.5, 1.5), [10, 20, 40, 80],
+                              mc_draws=20)
+    assert good.bw.evidence["mean_one"] is True
+    assert good.bw
