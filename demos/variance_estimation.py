@@ -41,7 +41,7 @@ est = exact_variance_enumeration(model, data, beta_hat,
                                  W.delete_d_jackknife(n, 1))
 X, y = data["X"], data["y"]
 loo = np.array([
-    float(np.linalg.lstsq(np.delete(X, i, axis=0), np.delete(y, i), rcond=None)[0])
+    np.linalg.lstsq(np.delete(X, i, axis=0), np.delete(y, i), rcond=None)[0][0]
     for i in range(n)])
 classical = (n - 1) / n * np.sum((loo - beta_hat[0]) ** 2)
 print(f"enumeration:          {est.v_gbs:.12f}")

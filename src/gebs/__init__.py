@@ -13,7 +13,7 @@ from .engine import (BootstrapSample, EmpiricalDistribution, VarianceEstimate,
                      draw_rng, empirical_distribution,
                      exact_variance_enumeration, ks_distance, percentile_ci,
                      percentile_cis_batch, run_bootstrap, studentized_stats,
-                     variance_estimate, worker_count)
+                     variance_estimate)
 from .errors import (ConfigError, DegenerateRunError, EmptyRootSetError,
                      EvaluationError, GebsError, InsufficientSampleError,
                      NonConvergenceError, ParameterError, ParseError,
@@ -23,9 +23,8 @@ from .models import (Ar1Model, Dataset, IsomerizationModel, LinearModel,
                      LogisticGroupModel, LogisticIndividualModel, MeanModel,
                      load_fumigant, load_isomerization, simulate_ar1,
                      simulate_glm, simulate_linear)
-from .solver import (BatchSolution, RootSet, Solution, SolveOptions,
-                     solve_multistart, solve_weighted, solve_weighted_batch,
-                     weighted_jacobian, weighted_score)
+from .solver import (BatchSolution, Solution, SolveOptions, solve_weighted,
+                     solve_weighted_batch, weighted_jacobian, weighted_score)
 from .weights import (WeightScheme, check_conditions, constant,
                       delete_d_jackknife, dirichlet, downweight_d_jackknife,
                       empirical_moments, enumerate_support, iid_exponential,

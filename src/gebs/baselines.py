@@ -5,7 +5,6 @@ the same BootstrapSample record as the generalized bootstrap (with unit
 weight variance, so the shared variance estimator applies unscaled).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,13 +15,9 @@ from .engine import (BootstrapSample, DegenerateRunError, MAX_FALLBACK_FRAC,
 from .errors import SOLVER_ERRORS, ParameterError, UnsupportedModelError
 from .solver import SolveOptions, solve_weighted
 
-RESIDUAL_BOOTSTRAP = "rb"
-WILD_BOOTSTRAP = "wb"
-
 
 @dataclass
 class BaselineSpec:
-    kind: str = WILD_BOOTSTRAP
     multiplier: str = "normal"   # "normal" | "zero" (degenerate, for testing)
     delta: float = 0.001         # logit-residual guard for grouped binary data
     block: int = 2               # like-response trials sharing one multiplier
@@ -65,58 +60,20 @@ def _refit(model, data, init):
 def residual_bootstrap(model, data, beta_hat, n_boot, seed, refit=None):
     """Resample centered residuals i.i.d. and refit.
 
-    Linear/NLS responses are rebuilt as fit + resampled residual; the AR(1)
-    series is rebuilt recursively from X_0 = 0. ``refit(model, data, init)``
+    ``model.residual_resampler`` supplies the residuals and rebuilds each
+    synthetic dataset: fit + resampled residual for regression responses, the
+    AR(1) series recursively from X_0 = 0. ``refit(model, data, init)``
     overrides the default Newton refit and must return (beta, status).
     """
     beta_hat = np.atleast_1d(np.asarray(beta_hat, float))
-    if refit is None:
-        refit = _refit
-    if isinstance(model, M.Ar1Model):
-        x = data["x"]
-        resid = x[1:] - beta_hat[0] * x[:-1]
-        resid = resid - resid.mean()
-        n = data.n
-
-        def one(b):
-            rng = draw_rng(seed, b)
-            e = rng.choice(resid, size=n, replace=True)
-            xs = np.zeros(n + 1)
-            for t in range(1, n + 1):
-                xs[t] = beta_hat[0] * xs[t - 1] + e[t - 1]
-            return refit(model, M.Dataset(n=n, meta="rb", arrays={"x": xs}), beta_hat)
-
-        return _finish(beta_hat, [one(b) for b in range(n_boot)], "residual bootstrap")
-
-    if isinstance(model, M.LinearModel):
-        fit = data["X"] @ beta_hat
-        resid = data["y"] - fit
-        resid = resid - resid.mean()
-
-        def one(b):
-            rng = draw_rng(seed, b)
-            ys = fit + rng.choice(resid, size=data.n, replace=True)
-            boot = M.Dataset(n=data.n, meta="rb", arrays={"X": data["X"], "y": ys})
-            return refit(model, boot, beta_hat)
-
-        return _finish(beta_hat, [one(b) for b in range(n_boot)], "residual bootstrap")
-
-    if isinstance(model, M.IsomerizationModel):
-        fit = model.f(data, beta_hat)
-        resid = data["y"] - fit
-        resid = resid - resid.mean()
-
-        def one(b):
-            rng = draw_rng(seed, b)
-            ys = fit + rng.choice(resid, size=data.n, replace=True)
-            boot = M.Dataset(n=data.n, meta="rb", arrays={
-                "H": data["H"], "P": data["P"], "I": data["I"], "y": ys})
-            return refit(model, boot, beta_hat)
-
-        return _finish(beta_hat, [one(b) for b in range(n_boot)], "residual bootstrap")
-
-    raise UnsupportedModelError(
-        f"residual bootstrap undefined for {type(model).__name__}")
+    refit = refit or _refit
+    resid, rebuild = model.residual_resampler(data, beta_hat)
+    resid = resid - resid.mean()
+    results = []
+    for b in range(n_boot):
+        e = draw_rng(seed, b).choice(resid, size=len(resid))
+        results.append(refit(model, rebuild(e), beta_hat))
+    return _finish(beta_hat, results, "residual bootstrap")
 
 
 def wild_bootstrap(model, data, beta_hat, n_boot, seed, spec=None):
@@ -128,7 +85,7 @@ def wild_bootstrap(model, data, beta_hat, n_boot, seed, spec=None):
     logit is mapped back to a success probability, a synthetic binary response
     is drawn from it, and the logistic fit is recomputed.
     """
-    spec = spec or BaselineSpec(kind=WILD_BOOTSTRAP)
+    spec = spec or BaselineSpec()
     beta_hat = np.atleast_1d(np.asarray(beta_hat, float))
 
     if isinstance(model, M.Ar1Model):

@@ -8,7 +8,6 @@ weight-condition verdict rows.
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,15 +170,6 @@ def _method_sample(method, model, data, beta_hat, boots, seed, n_weights,
 # ---------------------------------------------------------------------------
 # Experiments
 
-def _map_indexed(fn, count):
-    """Outer-replicate map; results keyed by index so threading cannot reorder."""
-    workers = emod.worker_count()
-    if workers > 1 and count > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, range(count)))
-    return [fn(k) for k in range(count)]
-
-
 def _run_ar1(config):
     model = mmod.Ar1Model()
     n = config.n
@@ -198,7 +188,7 @@ def _run_ar1(config):
             cells.append((float(est.v_gbs), sample.fallback_count, bad))
         return n * (beta_hat[0] - AR1_PHI) ** 2, cells
 
-    results = _map_indexed(one, config.sims)
+    results = [one(k) for k in range(config.sims)]
     sq_devs = np.array([r[0] for r in results])
     per_method = {m: [r[1][i][0] for r in results]
                   for i, m in enumerate(config.methods)}
@@ -250,7 +240,7 @@ def _run_glm(config):
                           hi - lo, sample.fallback_count, bad))
         return cells
 
-    results = _map_indexed(one, config.sims)
+    results = [one(k) for k in range(config.sims)]
     coverage, lengths, fallbacks, flagged = {}, {}, {}, {}
     for i, m in enumerate(config.methods):
         coverage[m] = np.sum([r[i][0] for r in results], axis=0)
@@ -354,12 +344,6 @@ def nls_roots(model, data, weights, starts=NLS_STARTS):
     if not fits:
         raise EmptyRootSetError("no start converged")
     return fits
-
-
-def multistart_root(model, data, weights, starts=NLS_STARTS):
-    """Best fit over the start set by weighted objective value."""
-    fits = nls_roots(model, data, weights, starts)
-    return min(fits, key=lambda f: f[1])[0]
 
 
 def _run_nls(config):

@@ -3,9 +3,7 @@ estimates, percentile intervals, studentized statistics, enumeration oracles."""
 
 import itertools
 import math
-import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,14 +20,6 @@ STATUS_FALLBACK = "fallback"
 MAX_FALLBACK_FRAC = 0.2
 # draws (or support atoms) solved together; bounds the (block, n) working set
 BLOCK_DRAWS = 128
-
-
-def worker_count():
-    raw = os.environ.get("GEBS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def draw_rng(seed, *path):
@@ -107,12 +97,7 @@ def _hook_draws(model, data, beta_hat, scheme, n_boot, seed, solve_fn):
             beta, failure = beta_hat, type(exc).__name__
         return np.atleast_1d(np.asarray(beta, float)), failure, w
 
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(n_boot)))
-    else:
-        results = [one(b) for b in range(n_boot)]
+    results = [one(b) for b in range(n_boot)]
     return (np.stack([r[0] for r in results]),
             np.array([r[1] for r in results], dtype=object),
             np.stack([r[2] for r in results]))

@@ -11,6 +11,10 @@ maps a (B, n) weight matrix and (B, p) parameters to (B, p) scores, and
 ``weighted_jacobian_batch`` to (B, p, p) Jacobians. A row outside the domain
 is NaN. The base class builds both row by row from ``score_all`` and
 ``jacobian_all``; the closed-form models override them with array algebra.
+
+For the residual bootstrap a model says how its data is regenerated from
+errors: ``residual_resampler(data, beta)`` returns the residuals at ``beta``
+and a function that rebuilds a synthetic dataset from resampled residuals.
 """
 
 import csv
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EvaluationError, ParseError, ShapeError
+from .errors import EvaluationError, ParseError, ShapeError, UnsupportedModelError
 
 LOGIT_CLAMP = 500.0  # exponent clamp; extreme resample weights can push |t| huge
 ISO_SCALE = 1.632    # stoichiometric constant in the isomerization rate model
@@ -28,6 +32,22 @@ ISO_SCALE = 1.632    # stoichiometric constant in the isomerization rate model
 
 def _sigmoid(t):
     return 1.0 / (1.0 + np.exp(-np.clip(t, -LOGIT_CLAMP, LOGIT_CLAMP)))
+
+
+def _response_resampler(data, fit):
+    """Residual resampler for data whose response ``y`` is ``fit`` plus error."""
+    def rebuild(e):
+        return Dataset(n=data.n, meta="rb", arrays={**data.arrays, "y": fit + e})
+
+    return data["y"] - fit, rebuild
+
+
+def _ar1_series(phi, e):
+    """X_0 = 0 and X_t = phi X_{t-1} + e_t."""
+    x = np.zeros(len(e) + 1)
+    for t in range(1, len(e) + 1):
+        x[t] = phi * x[t - 1] + e[t - 1]
+    return x
 
 
 def _nan_outside(betas, out):
@@ -101,18 +121,19 @@ class Model:
                     pass
         return out
 
-    def score(self, i, data, beta):
-        return self.score_all(data, np.atleast_1d(np.asarray(beta, float)))[i]
-
-    def score_jacobian(self, i, data, beta):
-        return self.jacobian_all(data, np.atleast_1d(np.asarray(beta, float)))[i]
-
-    def score_hessians(self, i, data, beta):
-        return self.hessian_all(data, np.atleast_1d(np.asarray(beta, float)))[i]
-
     def objective(self, data, weights, beta):
         """Weighted least-squares objective, where one exists."""
         return None
+
+    def residual_resampler(self, data, beta):
+        """How the residual bootstrap regenerates this model's data.
+
+        Returns ``(resid, rebuild)``: the uncentered per-slot residuals at
+        ``beta``, and ``rebuild(e)``, which returns the synthetic Dataset
+        whose residuals at ``beta`` are ``e``.
+        """
+        raise UnsupportedModelError(
+            f"residual bootstrap undefined for {type(self).__name__}")
 
 
 class MeanModel(Model):
@@ -164,6 +185,9 @@ class LinearModel(Model):
         resid = data["y"] - data["X"] @ beta
         return float(np.sum(weights * resid ** 2))
 
+    def residual_resampler(self, data, beta):
+        return _response_resampler(data, data["X"] @ beta)
+
 
 class Ar1Model(Model):
     """AR(1) least squares: score_t = X_{t-1} (X_t - beta X_{t-1})."""
@@ -193,6 +217,14 @@ class Ar1Model(Model):
         x = data["x"]
         resid = x[1:] - beta[0] * x[:-1]
         return float(np.sum(weights * resid ** 2))
+
+    def residual_resampler(self, data, beta):
+        x, phi = data["x"], beta[0]
+
+        def rebuild(e):
+            return Dataset(n=len(e), meta="rb", arrays={"x": _ar1_series(phi, e)})
+
+        return x[1:] - phi * x[:-1], rebuild
 
 
 class LogisticGroupModel(Model):
@@ -355,6 +387,9 @@ class IsomerizationModel(Model):
         resid = data["y"] - self.f(data, np.asarray(beta, float))
         return float(np.sum(weights * resid ** 2))
 
+    def residual_resampler(self, data, beta):
+        return _response_resampler(data, self.f(data, beta))
+
     def default_init(self, data):
         return np.array([30.0, 0.1, 0.05, 0.2])
 
@@ -369,10 +404,7 @@ def simulate_ar1(phi, sigma1_sq, sigma2_sq, n, rng):
     sd = np.where(np.arange(1, n + 1) % 2 == 1,
                   math.sqrt(sigma1_sq), math.sqrt(sigma2_sq))
     e = rng.standard_normal(n) * sd
-    x = np.zeros(n + 1)
-    for t in range(1, n + 1):
-        x[t] = phi * x[t - 1] + e[t - 1]
-    return Dataset(n=n, meta="ar1-sim", arrays={"x": x})
+    return Dataset(n=n, meta="ar1-sim", arrays={"x": _ar1_series(phi, e)})
 
 
 def simulate_glm(beta, N, X, rng):

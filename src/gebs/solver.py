@@ -1,12 +1,11 @@
 """Damped Newton solver for weighted estimating equations."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (SOLVER_ERRORS, EmptyRootSetError, EvaluationError,
-                     NonConvergenceError, ParameterError, ShapeError,
-                     SingularSystemError)
+from .errors import (EvaluationError, NonConvergenceError, ParameterError,
+                     ShapeError, SingularSystemError)
 
 COND_LIMIT = 1e12
 
@@ -45,12 +44,6 @@ class BatchSolution:
     @property
     def converged(self):
         return self.failures == ""
-
-
-@dataclass
-class RootSet:
-    roots: list
-    objectives: list = field(default_factory=list)
 
 
 def weighted_score(model, data, weights, beta):
@@ -190,26 +183,3 @@ def solve_weighted_batch(model, data, W, init=None, options=None):
     failures[unconverged] = NonConvergenceError.__name__
     return BatchSolution(betas, iterations, failures)
 
-
-def solve_multistart(model, data, weights, starts, options=None):
-    """Run the solver from several starts; deduplicate the converged roots."""
-    if len(starts) == 0:
-        raise ParameterError("need at least one start")
-    opts = options or SolveOptions()
-    roots, objectives = [], []
-    for start in starts:
-        trial = SolveOptions(tol=opts.tol, max_iter=opts.max_iter,
-                             max_halvings=opts.max_halvings,
-                             init=np.asarray(start, float))
-        try:
-            sol = solve_weighted(model, data, weights, trial)
-        except SOLVER_ERRORS:
-            continue
-        radius = max(1e-6, 1e-6 * float(np.linalg.norm(sol.beta)))
-        if any(np.linalg.norm(sol.beta - r.beta) <= radius for r in roots):
-            continue
-        roots.append(sol)
-        objectives.append(model.objective(data, np.asarray(weights, float), sol.beta))
-    if not roots:
-        raise EmptyRootSetError("no start converged")
-    return RootSet(roots, objectives)

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from gebs import bench, models as M, weights as W
+from gebs import bench, engine, models as M, weights as W
 from gebs.engine import (empirical_distribution, exact_variance_enumeration,
                          ks_distance, run_bootstrap, variance_estimate)
 
@@ -286,26 +286,29 @@ def test_criterion_7_derivative_suite():
 
 
 # ---------------------------------------------------------------------------
-# 8. Byte-identical reports across worker counts
+# 8. Byte-identical reports across solve block sizes
+
+def _renderings(kwargs):
+    report = bench.run_experiment(bench.ExperimentConfig(**kwargs))
+    texts = (bench.render_report(report, "csv"), bench.render_report(report, "json"))
+    json.loads(texts[1])  # rendered JSON must parse
+    return texts
+
 
 def test_criterion_8_determinism(monkeypatch):
-    configs = [
-        dict(experiment="ar1", sims=5, boots=20, n=30, seed=9),
-        dict(experiment="nls", seed=9),
-    ]
     ok = True
-    for kwargs in configs:
-        texts = {}
-        for workers in ("1", "8"):
-            monkeypatch.setenv("GEBS_THREADS", workers)
-            report = bench.run_experiment(bench.ExperimentConfig(**kwargs))
-            texts[workers] = (bench.render_report(report, "csv"),
-                              bench.render_report(report, "json"))
-        ok = ok and texts["1"] == texts["8"]
-        json.loads(texts["1"][1])  # rendered JSON must parse
-    _verdict(8, "determinism across worker counts", ok,
-             "csv and json renderings byte-identical for 1 vs 8 workers "
-             "on ar1 and nls")
+    for kwargs in (dict(experiment="ar1", sims=5, boots=20, n=30, seed=9),
+                   dict(experiment="glm", sims=2, boots=50, seed=9)):
+        texts = set()
+        for block in (1, 7, 128):
+            monkeypatch.setattr(engine, "BLOCK_DRAWS", block)
+            texts.add(_renderings(kwargs))
+        ok = ok and len(texts) == 1
+    nls = dict(experiment="nls", seed=9)
+    ok = ok and _renderings(nls) == _renderings(nls)
+    _verdict(8, "determinism across solve block sizes", ok,
+             "csv and json renderings byte-identical for blocks of 1, 7 and "
+             "128 draws on ar1 and glm, and over two nls runs")
 
 
 # ---------------------------------------------------------------------------

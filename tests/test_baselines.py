@@ -77,6 +77,32 @@ def test_residual_bootstrap_isomerization_uses_refit_hook():
     assert not np.array_equal(seen[0], data["y"])
 
 
+def test_residual_resampler_rebuild_reproduces_the_data():
+    # rebuilding from the uncentered residuals must give back the observed data
+    model, data, beta_hat = linear_setup()
+    iso = M.load_isomerization()
+    for model, data, beta in ((model, data, beta_hat),
+                              (M.IsomerizationModel(), iso,
+                               np.array([35.0, 0.07, 0.04, 0.17]))):
+        resid, rebuild = model.residual_resampler(data, beta)
+        boot = rebuild(resid)
+        assert boot.meta == "rb" and boot.n == data.n
+        assert np.allclose(boot["y"], data["y"], rtol=0, atol=1e-12)
+        assert boot["y"] is not data["y"]
+    series = M.simulate_ar1(0.4, 1.0, 9.0, 30, rng(15))
+    resid, rebuild = M.Ar1Model().residual_resampler(series, np.array([0.3]))
+    boot = rebuild(resid)
+    assert boot.meta == "rb" and boot.n == series.n
+    assert np.allclose(boot["x"], series["x"], rtol=0, atol=1e-12)
+
+    glm = M.simulate_glm([-1.0, 2.0], np.full(4, 5), np.linspace(0, 1, 4), rng(16))
+    for model, data in ((M.MeanModel(), M.Dataset(n=4, arrays={"z": np.arange(4.0)})),
+                        (M.LogisticGroupModel(), glm),
+                        (M.LogisticIndividualModel(), glm)):
+        with pytest.raises(UnsupportedModelError):
+            model.residual_resampler(data, np.zeros(model.p))
+
+
 def test_unsupported_models_raise():
     data = M.Dataset(n=4, arrays={"z": np.arange(4.0)})
     with pytest.raises(UnsupportedModelError):

@@ -7,7 +7,7 @@ import pytest
 
 from gebs import bench
 from gebs import cli
-from gebs.errors import ConfigError, ParameterError
+from gebs.errors import ConfigError, EmptyRootSetError, ParameterError
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +130,13 @@ def test_nls_multistart_finds_two_roots():
     model = M.IsomerizationModel()
     fits = bench.nls_roots(model, data, np.ones(24))
     assert len(fits) == 2
+
+
+def test_nls_roots_without_starts_is_empty():
+    from gebs import models as M
+    with pytest.raises(EmptyRootSetError):
+        bench.nls_roots(M.IsomerizationModel(), M.load_isomerization(),
+                        np.ones(24), starts=())
 
 
 # ---------------------------------------------------------------------------

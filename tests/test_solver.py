@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from gebs import models as M
-from gebs.errors import (EmptyRootSetError, EvaluationError, NonConvergenceError,
-                         ParameterError, ShapeError, SingularSystemError)
-from gebs.solver import (SolveOptions, solve_multistart, solve_weighted,
-                         weighted_jacobian, weighted_score)
+from gebs.errors import (EvaluationError, NonConvergenceError, ParameterError,
+                         ShapeError, SingularSystemError)
+from gebs.solver import SolveOptions, solve_weighted, weighted_jacobian, weighted_score
 
 
 def rng(seed=0):
@@ -87,26 +86,6 @@ def test_initial_point_outside_domain():
     bad = np.array([35.0, -1.0 / float(data["H"][0]), 0.0, 0.0])
     with pytest.raises(EvaluationError):
         solve_weighted(model, data, np.ones(24), SolveOptions(init=bad))
-
-
-def test_multistart_deduplicates():
-    data = M.Dataset(n=6, arrays={"z": np.arange(6.0)})
-    starts = [np.array([0.0]), np.array([100.0]), np.array([-7.0])]
-    roots = solve_multistart(M.MeanModel(), data, np.ones(6), starts)
-    assert len(roots.roots) == 1
-    assert roots.roots[0].beta[0] == pytest.approx(2.5)
-    assert roots.objectives == [None]  # mean model has no LS objective
-
-
-def test_multistart_empty():
-    with pytest.raises(ParameterError):
-        solve_multistart(M.MeanModel(), M.Dataset(n=2, arrays={"z": np.zeros(2)}),
-                         np.ones(2), [])
-    # every start outside the domain leaves no roots
-    data = M.load_isomerization()
-    bad = np.array([35.0, -1.0 / float(data["H"][0]), 0.0, 0.0])
-    with pytest.raises(EmptyRootSetError):
-        solve_multistart(M.IsomerizationModel(), data, np.ones(24), [bad])
 
 
 def test_weighted_jacobian_is_weight_linear():
