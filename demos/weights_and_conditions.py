@@ -28,7 +28,7 @@ print()
 print("=== exact vs plug-in moments, multinomial(12) ===")
 scheme = W.multinomial(n)
 exact = W.theoretical_moments(scheme)
-emp = W.empirical_moments(W.sample_many(scheme, 20000, rng))
+emp = W.empirical_moments(np.stack([W.sample(scheme, rng) for _ in range(20000)]))
 print(f"{'moment':>10} {'exact':>10} {'plug-in':>10}")
 print(f"{'sigma^2':>10} {exact.sigma2:10.4f} {emp.sigma2:10.4f}")
 print(f"{'c11':>10} {exact.c11:10.4f} {emp.c11:10.4f}")

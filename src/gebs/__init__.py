@@ -29,6 +29,6 @@ from .weights import (WeightScheme, check_conditions, constant,
                       delete_d_jackknife, dirichlet, downweight_d_jackknife,
                       empirical_moments, enumerate_support, iid_exponential,
                       iid_uniform, iter_support, m_out_of_n, multinomial, parse_scheme,
-                      sample, sample_many, theoretical_moments)
+                      sample, theoretical_moments)
 
 __version__ = "0.1.0"

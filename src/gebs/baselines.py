@@ -10,10 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models as M
-from .engine import (BootstrapSample, DegenerateRunError, MAX_FALLBACK_FRAC,
-                     STATUS_CONVERGED, STATUS_FALLBACK, draw_rng)
-from .errors import SOLVER_ERRORS, ParameterError, UnsupportedModelError
-from .solver import SolveOptions, solve_weighted
+from .engine import draw_rng, finish_sample, per_draw
+from .errors import ParameterError, SingularSystemError, UnsupportedModelError
+from .solver import COND_LIMIT, SolveOptions, solve_weighted
 
 
 @dataclass
@@ -36,44 +35,32 @@ class BaselineSpec:
         return rng.standard_normal(size)
 
 
-def _finish(beta_hat, results, method):
-    betas = np.stack([r[0] for r in results])
-    statuses = [r[1] for r in results]
-    fallback = statuses.count(STATUS_FALLBACK)
-    sample = BootstrapSample(np.atleast_1d(np.asarray(beta_hat, float)), betas,
-                             statuses, None, 1.0, fallback)
-    if fallback > MAX_FALLBACK_FRAC * len(results):
-        raise DegenerateRunError(
-            f"{method}: {fallback}/{len(results)} refits failed", sample=sample)
-    return sample
+def _refit(model, data, w, init):
+    """Default refit: Newton from ``init``; a solver error makes the draw fall back."""
+    return solve_weighted(model, data, w, SolveOptions(init=init)).beta
 
 
-def _refit(model, data, init):
-    opts = SolveOptions(init=np.atleast_1d(np.asarray(init, float)))
-    try:
-        sol = solve_weighted(model, data, np.ones(model.weight_count(data)), opts)
-        return sol.beta, STATUS_CONVERGED
-    except SOLVER_ERRORS:
-        return np.atleast_1d(np.asarray(init, float)).copy(), STATUS_FALLBACK
-
-
-def residual_bootstrap(model, data, beta_hat, n_boot, seed, refit=None):
+def residual_bootstrap(model, data, beta_hat, n_boot, seed, solve_fn=None):
     """Resample centered residuals i.i.d. and refit.
 
     ``model.residual_resampler`` supplies the residuals and rebuilds each
     synthetic dataset: fit + resampled residual for regression responses, the
-    AR(1) series recursively from X_0 = 0. ``refit(model, data, init)``
-    overrides the default Newton refit and must return (beta, status).
+    AR(1) series recursively from X_0 = 0. ``solve_fn(model, data, w,
+    beta_hat) -> beta`` overrides the default Newton refit with
+    ``run_bootstrap``'s hook contract; it receives unit weights.
     """
     beta_hat = np.atleast_1d(np.asarray(beta_hat, float))
-    refit = refit or _refit
+    solve_fn = solve_fn or _refit
     resid, rebuild = model.residual_resampler(data, beta_hat)
     resid = resid - resid.mean()
-    results = []
-    for b in range(n_boot):
+    ones = np.ones(model.weight_count(data))
+
+    def one(b):
         e = draw_rng(seed, b).choice(resid, size=len(resid))
-        results.append(refit(model, rebuild(e), beta_hat))
-    return _finish(beta_hat, results, "residual bootstrap")
+        return solve_fn(model, rebuild(e), ones, beta_hat)
+
+    betas, failures = per_draw(beta_hat, n_boot, one)
+    return finish_sample(beta_hat, betas, failures, "residual bootstrap")
 
 
 def wild_bootstrap(model, data, beta_hat, n_boot, seed, spec=None):
@@ -100,26 +87,23 @@ def wild_bootstrap(model, data, beta_hat, n_boot, seed, spec=None):
         def one(b):
             u = spec.draw_multipliers(draw_rng(seed, b), data.n)
             ys = fit + u * resid
-            beta = np.array([float(np.sum(lag * ys)) / denom])
-            return beta, STATUS_CONVERGED
+            return np.array([float(np.sum(lag * ys)) / denom])
 
-        return _finish(beta_hat, [one(b) for b in range(n_boot)], "wild bootstrap")
-
-    if isinstance(model, M.LinearModel):
+    elif isinstance(model, M.LinearModel):
         fit = data["X"] @ beta_hat
         resid = data["y"] - fit
         X = data["X"]
         XtX = X.T @ X
+        singular = np.linalg.cond(XtX) > COND_LIMIT
 
         def one(b):
+            if singular:
+                raise SingularSystemError("wild bootstrap: X'X is ill-conditioned")
             u = spec.draw_multipliers(draw_rng(seed, b), data.n)
             ys = fit + u * resid
-            beta = np.linalg.solve(XtX, X.T @ ys)
-            return beta, STATUS_CONVERGED
+            return np.linalg.solve(XtX, X.T @ ys)
 
-        return _finish(beta_hat, [one(b) for b in range(n_boot)], "wild bootstrap")
-
-    if isinstance(model, (M.LogisticGroupModel, M.LogisticIndividualModel)):
+    elif isinstance(model, (M.LogisticGroupModel, M.LogisticIndividualModel)):
         y = data["y_ind"]
         x = data["x_ind"]
         group = data["group"]
@@ -135,7 +119,6 @@ def wild_bootstrap(model, data, beta_hat, n_boot, seed, spec=None):
         n_blocks = int(block_id.max()) + 1
         ind = M.LogisticIndividualModel()
         ones = np.ones(len(y))
-        opts = SolveOptions(init=beta_hat)
 
         def one(b):
             rng = draw_rng(seed, b)
@@ -144,13 +127,10 @@ def wild_bootstrap(model, data, beta_hat, n_boot, seed, spec=None):
             ys = (rng.random(len(y)) < p_star).astype(float)
             boot = M.Dataset(n=data.n, meta="wb",
                              arrays={**data.arrays, "y_ind": ys})
-            try:
-                sol = solve_weighted(ind, boot, ones, opts)
-                return sol.beta, STATUS_CONVERGED
-            except SOLVER_ERRORS:
-                return beta_hat.copy(), STATUS_FALLBACK
+            return _refit(ind, boot, ones, beta_hat)
 
-        return _finish(beta_hat, [one(b) for b in range(n_boot)], "wild bootstrap")
-
-    raise UnsupportedModelError(
-        f"wild bootstrap undefined for {type(model).__name__}")
+    else:
+        raise UnsupportedModelError(
+            f"wild bootstrap undefined for {type(model).__name__}")
+    betas, failures = per_draw(beta_hat, n_boot, one)
+    return finish_sample(beta_hat, betas, failures, "wild bootstrap")

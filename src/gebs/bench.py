@@ -149,12 +149,12 @@ def _jsonable(v):
 
 
 def _method_sample(method, model, data, beta_hat, boots, seed, n_weights,
-                   options=None, solve_fn=None, refit=None):
+                   options=None, solve_fn=None):
     """Run one resampling method; degenerate runs return a flagged sample."""
     try:
         if method == "rb":
             return bmod.residual_bootstrap(model, data, beta_hat, boots, seed,
-                                           refit=refit), False
+                                           solve_fn=solve_fn), False
         if method == "wb":
             return bmod.wild_bootstrap(model, data, beta_hat, boots, seed), False
         if method.startswith("gbs-"):
@@ -170,32 +170,45 @@ def _method_sample(method, model, data, beta_hat, boots, seed, n_weights,
 # ---------------------------------------------------------------------------
 # Experiments
 
+def _replicates(config, model, n_weights, fit, summarize):
+    """Run every method on each replicate ``k``, with ``fit(k) -> (data,
+    beta_hat, options)``; returns ``summarize(sample)`` per replicate, the
+    fallback rate and the degenerate-run flags, keyed by method."""
+    cells = []
+    for k in range(config.sims):
+        data, beta_hat, options = fit(k)
+        row = []
+        for m_idx, method in enumerate(config.methods):
+            sample, bad = _method_sample(
+                method, model, data, beta_hat, config.boots,
+                child_seed(config.seed, k, 1 + m_idx), n_weights, options=options)
+            row.append((summarize(sample), sample.fallback_count, bad))
+        cells.append(row)
+    per_method = {m: [r[i][0] for r in cells] for i, m in enumerate(config.methods)}
+    rates = {m: sum(r[i][1] for r in cells) / (config.sims * config.boots)
+             for i, m in enumerate(config.methods)}
+    flagged = {m: sum(int(r[i][2]) for r in cells)
+               for i, m in enumerate(config.methods)}
+    flags = {f"degenerate:{m}": c for m, c in flagged.items() if c}
+    return per_method, rates, flags
+
+
 def _run_ar1(config):
     model = mmod.Ar1Model()
     n = config.n
+    sq_devs = []
 
-    def one(k):
+    def fit(k):
         data = mmod.simulate_ar1(AR1_PHI, AR1_VAR_ODD, AR1_VAR_EVEN, n,
                                  emod.draw_rng(config.seed, k, 0))
         beta_hat = solve_weighted(model, data, np.ones(n),
                                   SolveOptions(init=np.array([AR1_PHI]))).beta
-        cells = []
-        for m_idx, method in enumerate(config.methods):
-            sample, bad = _method_sample(
-                method, model, data, beta_hat, config.boots,
-                child_seed(config.seed, k, 1 + m_idx), n)
-            est = emod.variance_estimate(sample, scale=n)
-            cells.append((float(est.v_gbs), sample.fallback_count, bad))
-        return n * (beta_hat[0] - AR1_PHI) ** 2, cells
+        sq_devs.append(n * (beta_hat[0] - AR1_PHI) ** 2)
+        return data, beta_hat, None
 
-    results = [one(k) for k in range(config.sims)]
-    sq_devs = np.array([r[0] for r in results])
-    per_method = {m: [r[1][i][0] for r in results]
-                  for i, m in enumerate(config.methods)}
-    fallbacks = {m: sum(r[1][i][1] for r in results)
-                 for i, m in enumerate(config.methods)}
-    flagged = {m: sum(int(r[1][i][2]) for r in results)
-               for i, m in enumerate(config.methods)}
+    per_method, rates, flags = _replicates(
+        config, model, n, fit,
+        lambda sample: float(emod.variance_estimate(sample, scale=n).v_gbs))
 
     rows = []
     for method in config.methods:
@@ -203,11 +216,10 @@ def _run_ar1(config):
         rows.append({"method": method,
                      "mean_var_est": float(vals.mean()),
                      "var_var_est": float(vals.var(ddof=1)) if len(vals) > 1 else 0.0,
-                     "fallback_rate": fallbacks[method] / (config.sims * config.boots)})
-    truth = float(sq_devs.mean())
+                     "fallback_rate": rates[method]})
+    truth = float(np.array(sq_devs).mean())
     rows.append({"method": "truth", "mean_var_est": truth,
                  "var_var_est": 0.0, "fallback_rate": 0.0})
-    flags = {f"degenerate:{m}": c for m, c in flagged.items() if c}
     return ExperimentReport("ar1", "table1", config.seed, config.to_dict(),
                             rows, truth=truth, flags=flags)
 
@@ -217,47 +229,35 @@ def _run_glm(config):
     N = np.asarray(design["N"], int)
     X = np.asarray(design["X"], float)
     n_cases = len(N)
-    n_trials = int(N.sum())
     beta0 = np.asarray(GLM_BETA)
     t_true = beta0[0] + beta0[1] * X
     group_model = mmod.LogisticGroupModel()
-    ind_model = mmod.LogisticIndividualModel()
 
-    def one(k):
+    def fit(k):
         data = mmod.simulate_glm(beta0, N, X, emod.draw_rng(config.seed, k, 0))
         beta_hat = solve_weighted(group_model, data, np.ones(n_cases),
                                   SolveOptions(init=np.zeros(2))).beta
-        cells = []
-        for m_idx, method in enumerate(config.methods):
-            sample, bad = _method_sample(
-                method, ind_model, data, beta_hat, config.boots,
-                child_seed(config.seed, k, 1 + m_idx), n_trials,
-                options=SolveOptions(init=beta_hat))
-            t_draws = (sample.betas[:, 0][:, None]
-                       + sample.betas[:, 1][:, None] * X[None, :])
-            lo, hi = emod.percentile_cis_batch(t_draws, CI_LEVEL)
-            cells.append((((lo <= t_true) & (t_true <= hi)).astype(float),
-                          hi - lo, sample.fallback_count, bad))
-        return cells
+        return data, beta_hat, SolveOptions(init=beta_hat)
 
-    results = [one(k) for k in range(config.sims)]
-    coverage, lengths, fallbacks, flagged = {}, {}, {}, {}
-    for i, m in enumerate(config.methods):
-        coverage[m] = np.sum([r[i][0] for r in results], axis=0)
-        lengths[m] = np.sum([r[i][1] for r in results], axis=0)
-        fallbacks[m] = sum(r[i][2] for r in results)
-        flagged[m] = sum(int(r[i][3]) for r in results)
+    def summarize(sample):
+        t_draws = (sample.betas[:, 0][:, None]
+                   + sample.betas[:, 1][:, None] * X[None, :])
+        lo, hi = emod.percentile_cis_batch(t_draws, CI_LEVEL)
+        return ((lo <= t_true) & (t_true <= hi)).astype(float), hi - lo
+
+    per_method, rates, flags = _replicates(
+        config, mmod.LogisticIndividualModel(), int(N.sum()), fit, summarize)
 
     rows = []
     for method in config.methods:
-        rate = fallbacks[method] / (config.sims * config.boots)
+        coverage = np.sum([c for c, _ in per_method[method]], axis=0)
+        lengths = np.sum([length for _, length in per_method[method]], axis=0)
         for case in range(n_cases):
             rows.append({"method": method, "case": case + 1,
                          "logit": float(t_true[case]),
-                         "mean_ci_length": float(lengths[method][case] / config.sims),
-                         "coverage_pct": float(100.0 * coverage[method][case] / config.sims),
-                         "fallback_rate": rate})
-    flags = {f"degenerate:{m}": c for m, c in flagged.items() if c}
+                         "mean_ci_length": float(lengths[case] / config.sims),
+                         "coverage_pct": float(100.0 * coverage[case] / config.sims),
+                         "fallback_rate": rates[method]})
     return ExperimentReport("glm", "table2", config.seed, config.to_dict(),
                             rows, flags=flags)
 
@@ -358,9 +358,6 @@ def _run_nls(config):
     def solve_fn(mdl, dat, w, _beta_hat):
         return nls_draw_root(mdl, dat, w, anchors)
 
-    def rb_refit(mdl, dat, init):
-        return nls_draw_root(mdl, dat, ones, anchors), emod.STATUS_CONVERGED
-
     rows = []
     fit_obj = model.objective(data, ones, beta_hat)
     for j in range(model.p):
@@ -373,8 +370,7 @@ def _run_nls(config):
         sample, bad = _method_sample(
             method, model, data, beta_hat, config.boots,
             child_seed(config.seed, 0, 1 + m_idx), n,
-            options=SolveOptions(init=beta_hat), solve_fn=solve_fn,
-            refit=rb_refit)
+            options=SolveOptions(init=beta_hat), solve_fn=solve_fn)
         if bad:
             flags[f"degenerate:{method}"] = 1
         for j in range(model.p):

@@ -87,20 +87,44 @@ class StudentizedStats:
     undefined: np.ndarray      # mask of draws with degenerate g_hat_b
 
 
-def _hook_draws(model, data, beta_hat, scheme, n_boot, seed, solve_fn):
-    """One ``solve_fn`` call per draw; returns betas, failure classes, weights."""
-    def one(b):
-        w = wmod.sample(scheme, draw_rng(seed, b))
+def per_draw(beta_hat, n_boot, one):
+    """``one(b)`` for each draw; a solver error marks the draw as a fallback.
+
+    Returns the (B, p) estimates and the failure class per draw ("" if the
+    draw solved). The only place where a draw's solver error is caught.
+    """
+    betas, failures = [], []
+    for b in range(n_boot):
         try:
-            beta, failure = solve_fn(model, data, w, beta_hat), ""
+            beta, failure = one(b), ""
         except SOLVER_ERRORS as exc:
             beta, failure = beta_hat, type(exc).__name__
-        return np.atleast_1d(np.asarray(beta, float)), failure, w
+        betas.append(np.atleast_1d(np.asarray(beta, float)))
+        failures.append(failure)
+    return np.stack(betas), np.array(failures, dtype=object)
 
-    results = [one(b) for b in range(n_boot)]
-    return (np.stack([r[0] for r in results]),
-            np.array([r[1] for r in results], dtype=object),
-            np.stack([r[2] for r in results]))
+
+def finish_sample(beta_hat, betas, failures, label, scheme=None, weights=None,
+                  iterations=None):
+    """Pin failed draws to ``beta_hat`` and build the ``BootstrapSample``.
+
+    ``sigma2`` is the scheme's weight variance, or 1 for the baselines (no
+    scheme). More than ``MAX_FALLBACK_FRAC`` fallbacks raise
+    ``DegenerateRunError`` carrying the (still inspectable) sample.
+    """
+    fell = failures != ""
+    betas[fell] = beta_hat
+    statuses = [STATUS_FALLBACK if f else STATUS_CONVERGED for f in fell]
+    fallback = int(np.count_nonzero(fell))
+    sigma2 = 1.0 if scheme is None else wmod.theoretical_moments(scheme).sigma2
+    sample = BootstrapSample(beta_hat, betas, statuses, scheme, sigma2, fallback,
+                             weights, iterations,
+                             dict(sorted(Counter(failures[fell]).items())))
+    if fallback > MAX_FALLBACK_FRAC * len(failures):
+        raise DegenerateRunError(
+            f"{label}: {fallback}/{len(failures)} resamples fell back to the "
+            "full-data root", sample=sample)
+    return sample
 
 
 def _batched_draws(model, data, beta_hat, scheme, n_boot, seed, options,
@@ -126,40 +150,32 @@ def _batched_draws(model, data, beta_hat, scheme, n_boot, seed, options,
 
 
 def run_bootstrap(model, data, beta_hat, scheme, n_boot, seed,
-                  solve_fn=None, store_weights=True,
-                  max_fallback_frac=MAX_FALLBACK_FRAC, options=None):
+                  solve_fn=None, store_weights=True, options=None):
     """Draw ``n_boot`` weight vectors and solve the reweighted equations.
 
     Non-converged draws fall back to ``beta_hat`` and are counted; a run with
-    more than ``max_fallback_frac`` fallbacks raises ``DegenerateRunError``
+    more than ``MAX_FALLBACK_FRAC`` fallbacks raises ``DegenerateRunError``
     carrying the (still inspectable) sample.
 
-    ``solve_fn(model, data, w, beta_hat)`` may replace the default
-    solve-from-beta_hat strategy (used by the multistart nonlinear experiment).
+    ``solve_fn(model, data, w, beta_hat) -> beta`` replaces the default batched
+    solve from ``beta_hat``; it is called once per draw, and a solver error
+    (``SOLVER_ERRORS``) it raises makes that draw fall back.
     """
     if n_boot < 1:
         raise ParameterError("need n_boot >= 1")
     beta_hat = np.atleast_1d(np.asarray(beta_hat, float))
-    if solve_fn is not None:
-        betas, failures, weights = _hook_draws(model, data, beta_hat, scheme,
-                                               n_boot, seed, solve_fn)
-        iterations = None
-    else:
+    if solve_fn is None:
         betas, failures, iterations, weights = _batched_draws(
             model, data, beta_hat, scheme, n_boot, seed, options, store_weights)
-    fell = failures != ""
-    betas[fell] = beta_hat
-    statuses = [STATUS_FALLBACK if f else STATUS_CONVERGED for f in fell]
-    fallback = int(np.count_nonzero(fell))
-    sigma2 = wmod.theoretical_moments(scheme).sigma2
-    sample = BootstrapSample(beta_hat, betas, statuses, scheme, sigma2,
-                             fallback, weights if store_weights else None,
-                             iterations, dict(sorted(Counter(failures[fell]).items())))
-    if fallback > max_fallback_frac * n_boot:
-        raise DegenerateRunError(
-            f"{fallback}/{n_boot} resamples fell back to the full-data root",
-            sample=sample)
-    return sample
+    else:
+        weights = np.stack([wmod.sample(scheme, draw_rng(seed, b))
+                            for b in range(n_boot)])
+        betas, failures = per_draw(
+            beta_hat, n_boot,
+            lambda b: solve_fn(model, data, weights[b], beta_hat))
+        iterations = None
+    return finish_sample(beta_hat, betas, failures, "generalized bootstrap",
+                         scheme, weights if store_weights else None, iterations)
 
 
 def variance_estimate(sample, scale=1.0):
@@ -247,23 +263,17 @@ def empirical_distribution(model, data, sample, contrast=None):
 
 def percentile_ci(draws, level, transform=None):
     """Equal-tail percentile interval using the (B+1) order-statistic rule."""
-    if not 0 < level < 1:
-        raise ParameterError("level must be in (0, 1)")
     vals = np.asarray(draws, float).ravel()
-    if vals.size < 10:
-        raise InsufficientSampleError(f"need >= 10 draws, got {vals.size}")
     if transform is not None:
         vals = np.asarray([transform(v) for v in vals], float)
-    vals = np.sort(vals)
-    B = vals.size
-    alpha = 1.0 - level
-    k_lo = max(1, math.ceil((B + 1) * alpha / 2.0))
-    k_hi = min(B, math.floor((B + 1) * (1.0 - alpha / 2.0)))
-    return float(vals[k_lo - 1]), float(vals[k_hi - 1])
+    lo, hi = percentile_cis_batch(vals[:, None], level)
+    return float(lo[0]), float(hi[0])
 
 
 def percentile_cis_batch(draw_matrix, level):
     """Equal-tail intervals column-by-column; vectorized order-statistic rule."""
+    if not 0 < level < 1:
+        raise ParameterError("level must be in (0, 1)")
     vals = np.sort(np.asarray(draw_matrix, float), axis=0)
     B = vals.shape[0]
     if B < 10:

@@ -324,32 +324,33 @@ class IsomerizationModel(Model):
         self._check_domain(D)
         return A / D
 
-    def f_grad(self, data, theta):
-        _, D, A, Aj, Dj = self._parts(data, np.asarray(theta, float))
-        self._check_domain(D)
+    def _checked_parts(self, data, theta):
+        parts = self._parts(data, np.asarray(theta, float))
+        self._check_domain(parts[1])
+        return parts
+
+    @staticmethod
+    def _grad(parts):
+        _, D, A, Aj, Dj = parts
         return Aj / D[:, None] - (A / D ** 2)[:, None] * Dj
 
-    def _f_hess(self, data, theta):
-        _, D, A, Aj, Dj = self._parts(data, theta)
-        n = len(D)
-        Ajk = np.zeros((n, 4, 4))
-        u = data["P"] - data["I"] / ISO_SCALE
+    @staticmethod
+    def _second(parts):
+        """Second derivatives of A and of f, each indexed (slot, param, param)."""
+        u, D, A, Aj, Dj = parts
+        Ajk = np.zeros((len(D), 4, 4))
         Ajk[:, 0, 2] = u
         Ajk[:, 2, 0] = u
         cross = Aj[:, :, None] * Dj[:, None, :]
         H = (Ajk / D[:, None, None]
              - (cross + cross.transpose(0, 2, 1)) / (D ** 2)[:, None, None]
              + 2.0 * (A / D ** 3)[:, None, None] * Dj[:, :, None] * Dj[:, None, :])
-        return H
+        return Ajk, H
 
-    def _f_third(self, data, theta):
-        _, D, A, Aj, Dj = self._parts(data, theta)
-        n = len(D)
-        u = data["P"] - data["I"] / ISO_SCALE
-        Ajk = np.zeros((n, 4, 4))
-        Ajk[:, 0, 2] = u
-        Ajk[:, 2, 0] = u
-        T = np.zeros((n, 4, 4, 4))
+    @staticmethod
+    def _third(parts, Ajk):
+        _, D, A, Aj, Dj = parts
+        T = np.zeros((len(D), 4, 4, 4))
         T -= (Ajk[:, :, :, None] * Dj[:, None, None, :]
               + Ajk[:, :, None, :] * Dj[:, None, :, None]
               + Ajk[:, None, :, :] * Dj[:, :, None, None]) / (D ** 2)[:, None, None, None]
@@ -361,24 +362,28 @@ class IsomerizationModel(Model):
             * Dj[:, :, None, None] * Dj[:, None, :, None] * Dj[:, None, None, :]
         return T
 
+    def f_grad(self, data, theta):
+        return self._grad(self._checked_parts(data, theta))
+
+    def _resid_grad(self, data, beta):
+        """Parts, residuals y - f and gradient of f from one ``_parts`` call."""
+        parts = self._checked_parts(data, beta)
+        _, D, A, _, _ = parts
+        return parts, data["y"] - A / D, self._grad(parts)
+
     def score_all(self, data, beta):
-        theta = np.asarray(beta, float)
-        resid = data["y"] - self.f(data, theta)
-        return self.f_grad(data, theta) * resid[:, None]
+        _, resid, g = self._resid_grad(data, beta)
+        return g * resid[:, None]
 
     def jacobian_all(self, data, beta):
-        theta = np.asarray(beta, float)
-        resid = data["y"] - self.f(data, theta)
-        g = self.f_grad(data, theta)
-        return (self._f_hess(data, theta) * resid[:, None, None]
-                - g[:, :, None] * g[:, None, :])
+        parts, resid, g = self._resid_grad(data, beta)
+        _, h = self._second(parts)
+        return h * resid[:, None, None] - g[:, :, None] * g[:, None, :]
 
     def hessian_all(self, data, beta):
-        theta = np.asarray(beta, float)
-        resid = data["y"] - self.f(data, theta)
-        g = self.f_grad(data, theta)
-        h = self._f_hess(data, theta)
-        return (self._f_third(data, theta) * resid[:, None, None, None]
+        parts, resid, g = self._resid_grad(data, beta)
+        Ajk, h = self._second(parts)
+        return (self._third(parts, Ajk) * resid[:, None, None, None]
                 - h[:, :, :, None] * g[:, None, None, :]
                 - h[:, :, None, :] * g[:, None, :, None]
                 - g[:, :, None, None] * h[:, None, :, :])

@@ -188,10 +188,6 @@ def sample(scheme, rng):
     raise ParameterError(f"unknown scheme kind {kind!r}")
 
 
-def sample_many(scheme, n_draws, rng):
-    return np.stack([sample(scheme, rng) for _ in range(n_draws)])
-
-
 # ---------------------------------------------------------------------------
 # Exact moment algebra
 

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from gebs import models as M
+from gebs import weights as W
 from gebs.baselines import BaselineSpec, residual_bootstrap, wild_bootstrap
-from gebs.engine import STATUS_FALLBACK
-from gebs.errors import DegenerateRunError, ParameterError, UnsupportedModelError
+from gebs.engine import run_bootstrap
+from gebs.errors import (DegenerateRunError, NonConvergenceError, ParameterError,
+                         UnsupportedModelError)
 
 
 def rng(seed=0):
@@ -52,12 +54,13 @@ def test_residual_bootstrap_ar1_rebuilds_series():
 def test_residual_bootstrap_custom_refit_and_degenerate():
     model, data, beta_hat = linear_setup()
 
-    def bad_refit(mdl, dat, init):
-        return np.asarray(init, float), STATUS_FALLBACK
+    def bad_solve(mdl, dat, w, init):
+        raise NonConvergenceError("refit failed")
 
     with pytest.raises(DegenerateRunError) as exc:
-        residual_bootstrap(model, data, beta_hat, 50, seed=6, refit=bad_refit)
+        residual_bootstrap(model, data, beta_hat, 50, seed=6, solve_fn=bad_solve)
     assert exc.value.sample.fallback_count == 50
+    assert exc.value.sample.failures == {"NonConvergenceError": 50}
 
 
 def test_residual_bootstrap_isomerization_uses_refit_hook():
@@ -66,11 +69,14 @@ def test_residual_bootstrap_isomerization_uses_refit_hook():
     anchor = np.array([35.0, 0.07, 0.04, 0.17])
     seen = []
 
-    def refit(mdl, dat, init):
+    def solve_fn(mdl, dat, w, init):
+        # the hook has run_bootstrap's contract and receives unit weights
+        assert np.array_equal(w, np.ones(data.n))
+        assert np.array_equal(init, anchor)
         seen.append(dat["y"].copy())
-        return anchor.copy(), "converged"
+        return anchor.copy()
 
-    sample = residual_bootstrap(model, data, anchor, 12, seed=7, refit=refit)
+    sample = residual_bootstrap(model, data, anchor, 12, seed=7, solve_fn=solve_fn)
     assert len(seen) == 12
     assert np.array_equal(sample.betas, np.tile(anchor, (12, 1)))
     # synthetic responses are fit + resampled centered residuals, not the raw y
@@ -155,12 +161,40 @@ def test_wild_bootstrap_glm_synthetic_binary_refits():
     assert np.std(sample.betas[:, 1]) > 0.01
 
 
-def test_refit_bugs_are_not_fallbacks():
-    # only solver failures fall back; any other exception is a bug and surfaces
-    class Broken(M.LinearModel):
-        def score_all(self, data, beta):
-            raise TypeError("bug in the score")
+def _broken_solve(mdl, dat, w, init):
+    raise TypeError("bug in the hook")
 
-    model, data, beta_hat = linear_setup()
+
+class _BrokenLinear(M.LinearModel):
+    def score_all(self, data, beta):
+        raise TypeError("bug in the score")
+
+
+@pytest.mark.parametrize("run", [
+    lambda data, beta_hat: residual_bootstrap(_BrokenLinear(p=1), data, beta_hat,
+                                              5, seed=1),
+    lambda data, beta_hat: residual_bootstrap(M.LinearModel(p=1), data, beta_hat,
+                                              5, seed=1, solve_fn=_broken_solve),
+    lambda data, beta_hat: run_bootstrap(M.LinearModel(p=1), data, beta_hat,
+                                         W.multinomial(data.n), 5, seed=1,
+                                         solve_fn=_broken_solve),
+], ids=["rb-default", "rb-hook", "gbs-hook"])
+def test_refit_bugs_are_not_fallbacks(run):
+    # only solver failures fall back; any other exception is a bug and surfaces
+    _, data, beta_hat = linear_setup()
     with pytest.raises(TypeError):
-        residual_bootstrap(Broken(p=1), data, beta_hat, 5, seed=1)
+        run(data, beta_hat)
+
+
+@pytest.mark.parametrize("method", [residual_bootstrap, wild_bootstrap],
+                         ids=["rb", "wb"])
+def test_collinear_design_falls_back_as_singular(method):
+    # a duplicated column makes X'X singular: every draw is a classified
+    # fallback, never a raw LinAlgError
+    data = M.simulate_linear([1.0, 0.5], 30, rng(17))
+    X = np.column_stack([data["X"][:, 0], data["X"][:, 0]])
+    collinear = M.Dataset(n=30, arrays={"X": X, "y": data["y"]})
+    with pytest.raises(DegenerateRunError) as exc:
+        method(M.LinearModel(p=2), collinear, np.array([0.5, 0.5]), 20, seed=18)
+    assert exc.value.sample.failures == {"SingularSystemError": 20}
+    assert exc.value.sample.fallback_count == 20

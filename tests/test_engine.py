@@ -117,8 +117,7 @@ def test_variance_estimate_matrix_case():
 
 def test_variance_estimate_needs_draws():
     model, data, beta_hat = mean_setup()
-    sample = run_bootstrap(model, data, beta_hat, W.multinomial(12), 1, seed=0,
-                           max_fallback_frac=1.0)
+    sample = run_bootstrap(model, data, beta_hat, W.multinomial(12), 1, seed=0)
     with pytest.raises(InsufficientSampleError):
         variance_estimate(sample)
 
@@ -199,6 +198,9 @@ def test_percentile_cis_batch_matches_scalar():
     for j in range(4):
         slo, shi = percentile_ci(mat[:, j], 0.9)
         assert (lo[j], hi[j]) == (slo, shi)
+    for level in (0.0, 1.0, 1.5, -0.1):
+        with pytest.raises(ParameterError):
+            percentile_cis_batch(mat, level)
 
 
 def test_studentized_stats_mean_model():
