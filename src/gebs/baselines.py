@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models as M
-from .engine import draw_rng, finish_sample, per_draw
+from .engine import _batched_draws, draw_rng, finish_sample, per_draw
 from .errors import ParameterError, SingularSystemError, UnsupportedModelError
 from .solver import COND_LIMIT, SolveOptions, solve_weighted
 
@@ -24,8 +24,9 @@ class BaselineSpec:
     def __post_init__(self):
         if self.delta <= 0:
             raise ParameterError("delta must be > 0")
-        if self.block < 1:
-            raise ParameterError("block must be >= 1")
+        if (isinstance(self.block, bool) or not isinstance(self.block, (int, np.integer))
+                or self.block < 1):
+            raise ParameterError(f"block must be an integer >= 1, got {self.block!r}")
         if self.multiplier not in ("normal", "zero"):
             raise ParameterError(f"unknown multiplier {self.multiplier!r}")
 
@@ -70,7 +71,10 @@ def wild_bootstrap(model, data, beta_hat, n_boot, seed, spec=None):
     design held fixed. Grouped binary data uses per-trial logit residuals
     r_ij = logit((Y_ij + delta) / (1 + 2 delta)) - fitted logit; the perturbed
     logit is mapped back to a success probability, a synthetic binary response
-    is drawn from it, and the logistic fit is recomputed.
+    is drawn from it, and the logistic fit is recomputed. That refit is a
+    batched reweighted solve over (covariate cell, outcome) slots, so blocks
+    of draws share one ``solve_weighted_batch`` call and the sample records
+    Newton steps per draw.
     """
     spec = spec or BaselineSpec()
     beta_hat = np.atleast_1d(np.asarray(beta_hat, float))
@@ -117,17 +121,28 @@ def wild_bootstrap(model, data, beta_hat, n_boot, seed, spec=None):
         block_id = np.empty(len(y), int)
         block_id[order] = np.arange(len(y)) // spec.block
         n_blocks = int(block_id.max()) + 1
-        ind = M.LogisticIndividualModel()
-        ones = np.ones(len(y))
+        # the per-trial score sum_i (y*_i - P(x_i)) D_i equals the weighted
+        # score over two slots per covariate cell: an always-success slot
+        # weighted by the cell's synthetic successes S and an always-failure
+        # slot weighted by its failures n - S
+        xs, cell = np.unique(x, return_inverse=True)
+        trials = np.bincount(cell)
+        slots = M.Dataset(n=2 * len(xs), meta="wb", arrays={
+            "X": np.concatenate([xs, xs]), "N": np.ones(2 * len(xs)),
+            "Y": np.concatenate([np.ones(len(xs)), np.zeros(len(xs))])})
 
-        def one(b):
+        def row(b):
             rng = draw_rng(seed, b)
             u = spec.draw_multipliers(rng, n_blocks)[block_id]
             p_star = 1.0 / (1.0 + np.exp(-np.clip(t_hat + u * r, -500.0, 500.0)))
             ys = (rng.random(len(y)) < p_star).astype(float)
-            boot = M.Dataset(n=data.n, meta="wb",
-                             arrays={**data.arrays, "y_ind": ys})
-            return _refit(ind, boot, ones, beta_hat)
+            S = np.bincount(cell, weights=ys)
+            return np.concatenate([S, trials - S])
+
+        betas, failures, iterations, _ = _batched_draws(
+            M.LogisticGroupModel(), slots, beta_hat, n_boot, row)
+        return finish_sample(beta_hat, betas, failures, "wild bootstrap",
+                             iterations=iterations)
 
     else:
         raise UnsupportedModelError(

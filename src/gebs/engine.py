@@ -55,6 +55,7 @@ class VarianceEstimate:
     target: str
     mc_stderr: object
     degenerate: bool = False
+    fallback_frac: float = 0.0    # share (or probability mass) of draws that fell back
 
 
 @dataclass
@@ -127,17 +128,17 @@ def finish_sample(beta_hat, betas, failures, label, scheme=None, weights=None,
     return sample
 
 
-def _batched_draws(model, data, beta_hat, scheme, n_boot, seed, options,
-                   store_weights):
-    """Blocks of draws through the batched Newton solve.
+def _batched_draws(model, data, beta_hat, n_boot, row, options=None,
+                   store_weights=False):
+    """Blocks of draws through the batched Newton solve from ``beta_hat``.
 
-    Returns betas (failed rows still hold their last iterate), failure
-    classes, iterations and, if ``store_weights``, the weights.
+    ``row(b)`` returns draw b's weight vector. Returns betas (failed rows
+    still hold their last iterate), failure classes, iterations and, if
+    ``store_weights``, the weights.
     """
     betas, failures, iterations, weights = [], [], [], []
     for start in range(0, n_boot, BLOCK_DRAWS):
-        W = np.stack([wmod.sample(scheme, draw_rng(seed, b))
-                      for b in range(start, min(start + BLOCK_DRAWS, n_boot))])
+        W = np.stack([row(b) for b in range(start, min(start + BLOCK_DRAWS, n_boot))])
         sol = solve_weighted_batch(model, data, W, beta_hat, options)
         betas.append(sol.betas)
         failures.append(sol.failures)
@@ -164,12 +165,15 @@ def run_bootstrap(model, data, beta_hat, scheme, n_boot, seed,
     if n_boot < 1:
         raise ParameterError("need n_boot >= 1")
     beta_hat = np.atleast_1d(np.asarray(beta_hat, float))
+
+    def row(b):
+        return wmod.sample(scheme, draw_rng(seed, b))
+
     if solve_fn is None:
         betas, failures, iterations, weights = _batched_draws(
-            model, data, beta_hat, scheme, n_boot, seed, options, store_weights)
+            model, data, beta_hat, n_boot, row, options, store_weights)
     else:
-        weights = np.stack([wmod.sample(scheme, draw_rng(seed, b))
-                            for b in range(n_boot)])
+        weights = np.stack([row(b) for b in range(n_boot)])
         betas, failures = per_draw(
             beta_hat, n_boot,
             lambda b: solve_fn(model, data, weights[b], beta_hat))
@@ -181,8 +185,9 @@ def run_bootstrap(model, data, beta_hat, scheme, n_boot, seed,
 def variance_estimate(sample, scale=1.0):
     """Monte Carlo resampling variance, scaled by 1/sigma_n^2.
 
-    Fallback draws contribute exactly zero by construction. ``scale``
-    multiplies the estimate (pass n to target the sqrt(n)-scaled variance).
+    Fallback draws contribute exactly zero by construction; ``fallback_frac``
+    reports their share. ``scale`` multiplies the estimate (pass n to target
+    the sqrt(n)-scaled variance).
     """
     if sample.n_draws < 2:
         raise InsufficientSampleError("need at least 2 draws")
@@ -200,17 +205,23 @@ def variance_estimate(sample, scale=1.0):
         return VarianceEstimate(float(sq.mean()),
                                 "variance of beta_hat (x scale)",
                                 float(sq.std(ddof=1) / math.sqrt(B)),
-                                degenerate=degenerate)
+                                degenerate=degenerate,
+                                fallback_frac=sample.fallback_count / B)
     outer = factor * deltas[:, :, None] * deltas[:, None, :]
     return VarianceEstimate(outer.mean(axis=0),
                             "covariance of beta_hat (x scale)",
                             outer.std(axis=0, ddof=1) / math.sqrt(B),
-                            degenerate=degenerate)
+                            degenerate=degenerate,
+                            fallback_frac=sample.fallback_count / B)
 
 
 def exact_variance_enumeration(model, data, beta_hat, scheme, scale=1.0,
                                options=None, max_atoms=10 ** 6):
-    """Resampling variance as an exact expectation over the scheme's support."""
+    """Resampling variance as an exact expectation over the scheme's support.
+
+    Atoms whose solve fails contribute zero; ``fallback_frac`` is their
+    probability mass.
+    """
     beta_hat = np.atleast_1d(np.asarray(beta_hat, float))
     mom = wmod.theoretical_moments(scheme)
     p = len(beta_hat)
@@ -219,6 +230,7 @@ def exact_variance_enumeration(model, data, beta_hat, scheme, scale=1.0,
         return VarianceEstimate(zero, "degenerate scheme (sigma_n^2 = 0)",
                                 zero, degenerate=True)
     acc = np.zeros((p, p))
+    failed_mass = 0.0
     atoms = wmod.iter_support(scheme, max_atoms=max_atoms)
     while block := list(itertools.islice(atoms, BLOCK_DRAWS)):
         W = np.stack([w for w, _ in block])
@@ -227,10 +239,12 @@ def exact_variance_enumeration(model, data, beta_hat, scheme, scale=1.0,
         ok = sol.converged   # definitional fallback contributes zero
         d = sol.betas[ok] - beta_hat
         acc += (probs[ok, None] * d).T @ d
+        failed_mass += float(np.sum(probs[~ok]))
     v = scale / mom.sigma2 * acc
     zero = 0.0 if p == 1 else np.zeros((p, p))
     return VarianceEstimate(float(v[0, 0]) if p == 1 else v,
-                            "exact enumeration variance", zero)
+                            "exact enumeration variance", zero,
+                            fallback_frac=failed_mass)
 
 
 def empirical_distribution(model, data, sample, contrast=None):

@@ -22,6 +22,8 @@ class SolveOptions:
             raise ParameterError("tol must be > 0")
         if self.max_iter < 1:
             raise ParameterError("max_iter must be >= 1")
+        if self.max_halvings < 0:
+            raise ParameterError("max_halvings must be >= 0")
 
 
 @dataclass

@@ -6,9 +6,12 @@ import pytest
 from gebs import models as M
 from gebs import weights as W
 from gebs.baselines import BaselineSpec, residual_bootstrap, wild_bootstrap
-from gebs.engine import run_bootstrap
-from gebs.errors import (DegenerateRunError, NonConvergenceError, ParameterError,
-                         UnsupportedModelError)
+from gebs.bench import GLM_BETA
+from gebs.engine import draw_rng, run_bootstrap
+from gebs.errors import (SOLVER_ERRORS, DegenerateRunError, NonConvergenceError,
+                         ParameterError, UnsupportedModelError)
+from gebs.solver import SolveOptions, solve_weighted
+from test_batch import agreement_tol
 
 
 def rng(seed=0):
@@ -18,8 +21,10 @@ def rng(seed=0):
 def test_spec_validation():
     with pytest.raises(ParameterError):
         BaselineSpec(delta=0.0)
-    with pytest.raises(ParameterError):
-        BaselineSpec(block=0)
+    for block in (0, -2, 1.5, 2.0, True, "2"):
+        with pytest.raises(ParameterError):
+            BaselineSpec(block=block)
+    assert BaselineSpec(block=np.int64(3)).block == 3
     with pytest.raises(ParameterError):
         BaselineSpec(multiplier="cauchy")
 
@@ -151,7 +156,6 @@ def test_wild_bootstrap_ar1_matches_direct_formula():
 
 def test_wild_bootstrap_glm_synthetic_binary_refits():
     data = M.simulate_glm([-1.0, 2.0], np.full(8, 30), np.linspace(-1, 2, 8), rng(13))
-    from gebs.solver import SolveOptions, solve_weighted
     beta_hat = solve_weighted(M.LogisticGroupModel(), data, np.ones(8),
                               SolveOptions(init=np.zeros(2))).beta
     sample = wild_bootstrap(M.LogisticIndividualModel(), data, beta_hat, 60, seed=14)
@@ -159,6 +163,75 @@ def test_wild_bootstrap_glm_synthetic_binary_refits():
     assert sample.fallback_count <= 12
     # draws genuinely vary
     assert np.std(sample.betas[:, 1]) > 0.01
+
+
+def _wild_logistic_per_draw(data, beta_hat, n_boot, seed, spec):
+    """Reference: the per-trial refit of each draw's synthetic binary response."""
+    y, x, group = data["y_ind"], data["x_ind"], data["group"]
+    t_hat = beta_hat[0] + beta_hat[1] * x
+    p_obs = (y + spec.delta) / (1.0 + 2.0 * spec.delta)
+    r = np.log(p_obs / (1.0 - p_obs)) - t_hat
+    order = np.lexsort((y, group))
+    block_id = np.empty(len(y), int)
+    block_id[order] = np.arange(len(y)) // spec.block
+    n_blocks = int(block_id.max()) + 1
+    betas, failures, iterations, conds = [], [], [], []
+    for b in range(n_boot):
+        rng_b = draw_rng(seed, b)
+        u = spec.draw_multipliers(rng_b, n_blocks)[block_id]
+        p_star = 1.0 / (1.0 + np.exp(-np.clip(t_hat + u * r, -500.0, 500.0)))
+        ys = (rng_b.random(len(y)) < p_star).astype(float)
+        boot = M.Dataset(n=data.n, arrays={**data.arrays, "y_ind": ys})
+        try:
+            sol = solve_weighted(M.LogisticIndividualModel(), boot, np.ones(len(y)),
+                                 SolveOptions(init=beta_hat))
+        except SOLVER_ERRORS as exc:
+            betas.append(beta_hat)
+            failures.append(type(exc).__name__)
+            iterations.append(-1)
+            conds.append(np.nan)
+            continue
+        betas.append(sol.beta)
+        failures.append("")
+        iterations.append(sol.iterations)
+        conds.append(np.linalg.cond(sol.jacobian_at_root))
+    return (np.array(betas), np.array(failures, dtype=object), np.array(iterations),
+            np.array(conds))
+
+
+def _wild_logistic_cases():
+    fumigant = M.load_fumigant()
+    yield M.simulate_glm(GLM_BETA, fumigant["N"], fumigant["X"], rng(19)), 500
+    # near-separated designs: up to about a tenth of the draws fall back
+    for k in (0, 1, 3, 4, 5, 7):
+        yield M.simulate_glm(GLM_BETA, [3] * 4, [2.6, 2.8, 3.0, 3.2], rng(k)), 300
+
+
+def test_wild_bootstrap_logistic_matches_per_draw_refits():
+    spec = BaselineSpec()
+    fallbacks = 0
+    for data, n_boot in _wild_logistic_cases():
+        beta_hat = solve_weighted(M.LogisticGroupModel(), data, np.ones(data.n),
+                                  SolveOptions(init=np.zeros(2))).beta
+        ref_betas, ref_failures, ref_iters, conds = _wild_logistic_per_draw(
+            data, beta_hat, n_boot, 20, spec)
+        try:
+            sample = wild_bootstrap(M.LogisticIndividualModel(), data, beta_hat,
+                                    n_boot, seed=20, spec=spec)
+        except DegenerateRunError as exc:
+            sample = exc.sample
+        ok = ref_failures == ""
+        assert sample.statuses == ["converged" if f else "fallback" for f in ok]
+        assert sample.failures == {name: int(np.sum(ref_failures == name))
+                                   for name in sorted(set(ref_failures[~ok]))}
+        assert sample.iterations is not None and sample.iterations.shape == (n_boot,)
+        assert np.array_equal(sample.iterations[ok], ref_iters[ok])
+        assert np.array_equal(sample.betas[~ok], ref_betas[~ok])
+        scale = 1.0 + np.max(np.abs(ref_betas[ok]), axis=1)
+        dev = np.max(np.abs(sample.betas[ok] - ref_betas[ok]), axis=1) / scale
+        assert np.all(dev <= agreement_tol(conds[ok]))
+        fallbacks += sample.fallback_count
+    assert fallbacks > 0
 
 
 def _broken_solve(mdl, dat, w, init):

@@ -93,6 +93,39 @@ def test_run_bootstrap_validation():
 # ---------------------------------------------------------------------------
 # Variance estimates
 
+def test_variance_estimate_reports_fallback_frac():
+    model, data, beta_hat = mean_setup()
+    calls = {"b": 0}
+
+    def flaky(mdl, dat, w, bh):
+        calls["b"] += 1
+        if calls["b"] % 10 == 0:
+            raise NonConvergenceError("synthetic failure")
+        return np.array([np.sum(w * dat["z"]) / np.sum(w)])
+
+    sample = run_bootstrap(model, data, beta_hat, W.multinomial(12), 50,
+                           seed=3, solve_fn=flaky)
+    est = variance_estimate(sample)
+    assert est.fallback_frac == 0.1
+    # the definition is unchanged: fallback draws still count as zero
+    sq = (sample.betas[:, 0] - beta_hat[0]) ** 2 / sample.sigma2
+    assert est.v_gbs == pytest.approx(sq.mean())
+    clean = run_bootstrap(model, data, beta_hat, W.multinomial(12), 50, seed=3)
+    assert variance_estimate(clean).fallback_frac == 0.0
+    degenerate = run_bootstrap(model, data, beta_hat, W.constant(12), 20, seed=0)
+    assert variance_estimate(degenerate).fallback_frac == 0.0
+
+    # only the last row loads on the second column: the atom deleting it has a
+    # singular Jacobian, so a quarter of the support mass falls back
+    X = np.array([[1.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.5, 1.0]])
+    lin = M.Dataset(n=4, arrays={"X": X, "y": np.array([1.0, 2.0, 0.5, 3.0])})
+    scheme = W.delete_d_jackknife(4, 1)
+    est = exact_variance_enumeration(M.LinearModel(p=2), lin, np.zeros(2), scheme)
+    assert est.fallback_frac == pytest.approx(0.25)
+    assert exact_variance_enumeration(M.LinearModel(p=2), lin, np.zeros(2),
+                                      W.constant(4)).fallback_frac == 0.0
+
+
 def test_variance_estimate_scaling_and_stderr():
     model, data, beta_hat = mean_setup()
     sample = run_bootstrap(model, data, beta_hat, W.multinomial(12), 200, seed=7)

@@ -18,6 +18,8 @@ def test_options_validation():
         SolveOptions(tol=0.0)
     with pytest.raises(ParameterError):
         SolveOptions(max_iter=0)
+    with pytest.raises(ParameterError):
+        SolveOptions(max_halvings=-1)
 
 
 def test_weighted_score_shape_check():
