@@ -10,9 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models as M
-from .engine import _batched_draws, draw_rng, finish_sample, per_draw
+from .engine import draw_rng, newton_block, per_draw, resample
 from .errors import ParameterError, SingularSystemError, UnsupportedModelError
-from .solver import COND_LIMIT, SolveOptions, solve_weighted
+from .solver import COND_LIMIT, SolveOptions, require_int, solve_weighted
 
 
 @dataclass
@@ -22,11 +22,9 @@ class BaselineSpec:
     block: int = 2               # like-response trials sharing one multiplier
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ParameterError("delta must be > 0")
-        if (isinstance(self.block, bool) or not isinstance(self.block, (int, np.integer))
-                or self.block < 1):
-            raise ParameterError(f"block must be an integer >= 1, got {self.block!r}")
+        if not self.delta > 0:
+            raise ParameterError(f"delta must be > 0, got {self.delta!r}")
+        require_int("block", self.block, 1)
         if self.multiplier not in ("normal", "zero"):
             raise ParameterError(f"unknown multiplier {self.multiplier!r}")
 
@@ -56,19 +54,24 @@ def residual_bootstrap(model, data, beta_hat, n_boot, seed, solve_fn=None):
     resid = resid - resid.mean()
     ones = np.ones(model.weight_count(data))
 
-    def one(b):
-        e = draw_rng(seed, b).choice(resid, size=len(resid))
+    def row(b):
+        return draw_rng(seed, b).choice(resid, size=len(resid))
+
+    def refit(e):
         return solve_fn(model, rebuild(e), ones, beta_hat)
 
-    betas, failures = per_draw(beta_hat, n_boot, one)
-    return finish_sample(beta_hat, betas, failures, "residual bootstrap")
+    return resample(beta_hat, n_boot, row, per_draw(beta_hat, refit),
+                    "residual bootstrap")
 
 
 def wild_bootstrap(model, data, beta_hat, n_boot, seed, spec=None):
     """Multiplier-perturbed residual bootstrap.
 
     Regression responses are rebuilt as fit + U * residual with the observed
-    design held fixed. Grouped binary data uses per-trial logit residuals
+    design X held fixed (the lagged series for AR(1)), and a block of draws is
+    refit in closed form from the (B, n) multiplier matrix U. A singular X'X
+    (an all-zero series, a duplicated column) makes every draw fall back with
+    ``SingularSystemError``. Grouped binary data uses per-trial logit residuals
     r_ij = logit((Y_ij + delta) / (1 + 2 delta)) - fitted logit; the perturbed
     logit is mapped back to a success probability, a synthetic binary response
     is drawn from it, and the logistic fit is recomputed. That refit is a
@@ -79,33 +82,26 @@ def wild_bootstrap(model, data, beta_hat, n_boot, seed, spec=None):
     spec = spec or BaselineSpec()
     beta_hat = np.atleast_1d(np.asarray(beta_hat, float))
 
-    if isinstance(model, M.Ar1Model):
-        x = data["x"]
-        lag = x[:-1]
-        resid = x[1:] - beta_hat[0] * lag
-        fit = beta_hat[0] * lag
-        denom = float(np.sum(lag ** 2))
-        if denom <= 0:
-            raise UnsupportedModelError("wild bootstrap needs a nondegenerate series")
-
-        def one(b):
-            u = spec.draw_multipliers(draw_rng(seed, b), data.n)
-            ys = fit + u * resid
-            return np.array([float(np.sum(lag * ys)) / denom])
-
-    elif isinstance(model, M.LinearModel):
-        fit = data["X"] @ beta_hat
-        resid = data["y"] - fit
-        X = data["X"]
+    if isinstance(model, (M.Ar1Model, M.LinearModel)):
+        if isinstance(model, M.Ar1Model):
+            X, y = data["x"][:-1, None], data["x"][1:]
+        else:
+            X, y = data["X"], data["y"]
+        fit = X @ beta_hat
+        resid = y - fit
         XtX = X.T @ X
         singular = np.linalg.cond(XtX) > COND_LIMIT
 
-        def one(b):
+        def row(b):
+            return spec.draw_multipliers(draw_rng(seed, b), data.n)
+
+        def solve_block(U):
+            B = len(U)
             if singular:
-                raise SingularSystemError("wild bootstrap: X'X is ill-conditioned")
-            u = spec.draw_multipliers(draw_rng(seed, b), data.n)
-            ys = fit + u * resid
-            return np.linalg.solve(XtX, X.T @ ys)
+                return (np.tile(beta_hat, (B, 1)),
+                        np.full(B, SingularSystemError.__name__, dtype=object), None)
+            betas = np.linalg.solve(XtX, X.T @ (fit + U * resid).T).T
+            return betas, np.full(B, "", dtype=object), None
 
     elif isinstance(model, (M.LogisticGroupModel, M.LogisticIndividualModel)):
         y = data["y_ind"]
@@ -139,13 +135,9 @@ def wild_bootstrap(model, data, beta_hat, n_boot, seed, spec=None):
             S = np.bincount(cell, weights=ys)
             return np.concatenate([S, trials - S])
 
-        betas, failures, iterations, _ = _batched_draws(
-            M.LogisticGroupModel(), slots, beta_hat, n_boot, row)
-        return finish_sample(beta_hat, betas, failures, "wild bootstrap",
-                             iterations=iterations)
+        solve_block = newton_block(M.LogisticGroupModel(), slots, beta_hat)
 
     else:
         raise UnsupportedModelError(
             f"wild bootstrap undefined for {type(model).__name__}")
-    betas, failures = per_draw(beta_hat, n_boot, one)
-    return finish_sample(beta_hat, betas, failures, "wild bootstrap")
+    return resample(beta_hat, n_boot, row, solve_block, "wild bootstrap")

@@ -1,5 +1,6 @@
-"""Generalized-bootstrap driver: resample loops, variance and distribution
-estimates, percentile intervals, studentized statistics, enumeration oracles."""
+"""Generalized-bootstrap driver: one resample loop over blocks of draws and its
+block solvers, variance and distribution estimates, percentile intervals,
+studentized statistics, enumeration oracles."""
 
 import itertools
 import math
@@ -88,66 +89,72 @@ class StudentizedStats:
     undefined: np.ndarray      # mask of draws with degenerate g_hat_b
 
 
-def per_draw(beta_hat, n_boot, one):
-    """``one(b)`` for each draw; a solver error marks the draw as a fallback.
+def resample(beta_hat, n_boot, row, solve_block, label, scheme=None,
+             store_rows=False):
+    """Draw ``n_boot`` resamples, solve them in blocks and collect the sample.
 
-    Returns the (B, p) estimates and the failure class per draw ("" if the
-    draw solved). The only place where a draw's solver error is caught.
+    ``row(b)`` builds draw b's input vector (weights, multipliers or
+    resampled residuals) from its own stream. Blocks of ``BLOCK_DRAWS`` rows,
+    stacked into a matrix ``R``, go to ``solve_block(R) -> (betas, failures,
+    iterations or None)``, where ``failures`` holds each draw's error class
+    ("" if it solved). Failed draws are pinned to ``beta_hat``. ``sigma2`` is
+    the scheme's weight variance, or 1 for the baselines (no scheme). More
+    than ``MAX_FALLBACK_FRAC`` fallbacks raise ``DegenerateRunError``
+    carrying the (still inspectable) sample. ``store_rows`` keeps the rows as
+    ``weight_draws``.
     """
-    betas, failures = [], []
-    for b in range(n_boot):
-        try:
-            beta, failure = one(b), ""
-        except SOLVER_ERRORS as exc:
-            beta, failure = beta_hat, type(exc).__name__
-        betas.append(np.atleast_1d(np.asarray(beta, float)))
-        failures.append(failure)
-    return np.stack(betas), np.array(failures, dtype=object)
-
-
-def finish_sample(beta_hat, betas, failures, label, scheme=None, weights=None,
-                  iterations=None):
-    """Pin failed draws to ``beta_hat`` and build the ``BootstrapSample``.
-
-    ``sigma2`` is the scheme's weight variance, or 1 for the baselines (no
-    scheme). More than ``MAX_FALLBACK_FRAC`` fallbacks raise
-    ``DegenerateRunError`` carrying the (still inspectable) sample.
-    """
+    if n_boot < 1:
+        raise ParameterError("need n_boot >= 1")
+    blocks, kept = [], []
+    for start in range(0, n_boot, BLOCK_DRAWS):
+        R = np.stack([row(b) for b in range(start, min(start + BLOCK_DRAWS, n_boot))])
+        blocks.append(solve_block(R))
+        if store_rows:
+            kept.append(R)
+    betas, failures, iterations = zip(*blocks)
+    betas, failures = np.concatenate(betas), np.concatenate(failures)
+    iterations = None if iterations[0] is None else np.concatenate(iterations)
     fell = failures != ""
     betas[fell] = beta_hat
     statuses = [STATUS_FALLBACK if f else STATUS_CONVERGED for f in fell]
     fallback = int(np.count_nonzero(fell))
     sigma2 = 1.0 if scheme is None else wmod.theoretical_moments(scheme).sigma2
     sample = BootstrapSample(beta_hat, betas, statuses, scheme, sigma2, fallback,
-                             weights, iterations,
+                             np.concatenate(kept) if store_rows else None, iterations,
                              dict(sorted(Counter(failures[fell]).items())))
-    if fallback > MAX_FALLBACK_FRAC * len(failures):
+    if fallback > MAX_FALLBACK_FRAC * n_boot:
         raise DegenerateRunError(
-            f"{label}: {fallback}/{len(failures)} resamples fell back to the "
+            f"{label}: {fallback}/{n_boot} resamples fell back to the "
             "full-data root", sample=sample)
     return sample
 
 
-def _batched_draws(model, data, beta_hat, n_boot, row, options=None,
-                   store_weights=False):
-    """Blocks of draws through the batched Newton solve from ``beta_hat``.
-
-    ``row(b)`` returns draw b's weight vector. Returns betas (failed rows
-    still hold their last iterate), failure classes, iterations and, if
-    ``store_weights``, the weights.
-    """
-    betas, failures, iterations, weights = [], [], [], []
-    for start in range(0, n_boot, BLOCK_DRAWS):
-        W = np.stack([row(b) for b in range(start, min(start + BLOCK_DRAWS, n_boot))])
+def newton_block(model, data, beta_hat, options=None):
+    """Block solver: the batched Newton solve of each weight row from ``beta_hat``."""
+    def solve_block(W):
         sol = solve_weighted_batch(model, data, W, beta_hat, options)
-        betas.append(sol.betas)
-        failures.append(sol.failures)
-        iterations.append(sol.iterations)
-        if store_weights:
-            weights.append(W)
-    return (np.concatenate(betas), np.concatenate(failures),
-            np.concatenate(iterations),
-            np.concatenate(weights) if store_weights else None)
+        return sol.betas, sol.failures, sol.iterations
+    return solve_block
+
+
+def per_draw(beta_hat, one):
+    """Block solver that calls the per-draw ``one(row) -> beta`` on each row of R.
+
+    A solver error (``SOLVER_ERRORS``) marks that draw as a fallback; any
+    other exception is a bug and propagates. The only place where a draw's
+    solver error is caught.
+    """
+    def solve_block(R):
+        betas, failures = [], []
+        for r in R:
+            try:
+                beta, failure = one(r), ""
+            except SOLVER_ERRORS as exc:
+                beta, failure = beta_hat, type(exc).__name__
+            betas.append(np.atleast_1d(np.asarray(beta, float)))
+            failures.append(failure)
+        return np.stack(betas), np.array(failures, dtype=object), None
+    return solve_block
 
 
 def run_bootstrap(model, data, beta_hat, scheme, n_boot, seed,
@@ -162,24 +169,13 @@ def run_bootstrap(model, data, beta_hat, scheme, n_boot, seed,
     solve from ``beta_hat``; it is called once per draw, and a solver error
     (``SOLVER_ERRORS``) it raises makes that draw fall back.
     """
-    if n_boot < 1:
-        raise ParameterError("need n_boot >= 1")
     beta_hat = np.atleast_1d(np.asarray(beta_hat, float))
-
-    def row(b):
-        return wmod.sample(scheme, draw_rng(seed, b))
-
     if solve_fn is None:
-        betas, failures, iterations, weights = _batched_draws(
-            model, data, beta_hat, n_boot, row, options, store_weights)
+        solve_block = newton_block(model, data, beta_hat, options)
     else:
-        weights = np.stack([row(b) for b in range(n_boot)])
-        betas, failures = per_draw(
-            beta_hat, n_boot,
-            lambda b: solve_fn(model, data, weights[b], beta_hat))
-        iterations = None
-    return finish_sample(beta_hat, betas, failures, "generalized bootstrap",
-                         scheme, weights if store_weights else None, iterations)
+        solve_block = per_draw(beta_hat, lambda w: solve_fn(model, data, w, beta_hat))
+    return resample(beta_hat, n_boot, lambda b: wmod.sample(scheme, draw_rng(seed, b)),
+                    solve_block, "generalized bootstrap", scheme, store_weights)
 
 
 def variance_estimate(sample, scale=1.0):

@@ -18,12 +18,17 @@ class SolveOptions:
     init: np.ndarray = None
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ParameterError("tol must be > 0")
-        if self.max_iter < 1:
-            raise ParameterError("max_iter must be >= 1")
-        if self.max_halvings < 0:
-            raise ParameterError("max_halvings must be >= 0")
+        if not self.tol > 0:
+            raise ParameterError(f"tol must be > 0, got {self.tol!r}")
+        require_int("max_iter", self.max_iter, 1)
+        require_int("max_halvings", self.max_halvings, 0)
+
+
+def require_int(name, value, low):
+    """Raise ``ParameterError`` unless ``value`` is a non-bool integer >= ``low``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low):
+        raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass

@@ -19,8 +19,9 @@ def rng(seed=0):
 
 
 def test_spec_validation():
-    with pytest.raises(ParameterError):
-        BaselineSpec(delta=0.0)
+    for delta in (0.0, -0.1, float("nan")):
+        with pytest.raises(ParameterError):
+            BaselineSpec(delta=delta)
     for block in (0, -2, 1.5, 2.0, True, "2"):
         with pytest.raises(ParameterError):
             BaselineSpec(block=block)
@@ -145,13 +146,57 @@ def test_wild_bootstrap_linear_tracks_heteroscedastic_variance():
     assert sample.betas[:, 0].var() == pytest.approx(sandwich, rel=0.2)
 
 
+def _check_wild_draws(sample, ref):
+    assert sample.fallback_count == 0 and sample.iterations is None
+    np.testing.assert_allclose(sample.betas, ref, rtol=1e-12, atol=0)
+
+
 def test_wild_bootstrap_ar1_matches_direct_formula():
+    # each draw against its own scalar refit on the same multipliers; 300
+    # draws span three solve blocks
     data = M.simulate_ar1(0.2, 1.0, 9.0, 40, rng(11))
     x = data["x"]
-    beta_hat = np.array([np.sum(x[:-1] * x[1:]) / np.sum(x[:-1] ** 2)])
-    sample = wild_bootstrap(M.Ar1Model(), data, beta_hat, 50, seed=12)
-    assert sample.fallback_count == 0
-    assert np.all(np.isfinite(sample.betas))
+    lag = x[:-1]
+    beta_hat = np.array([np.sum(lag * x[1:]) / np.sum(lag ** 2)])
+    fit = beta_hat[0] * lag
+    resid = x[1:] - fit
+    ref = []
+    for b in range(300):
+        u = draw_rng(12, b).standard_normal(len(lag))
+        ref.append([np.sum(lag * (fit + u * resid)) / np.sum(lag ** 2)])
+    _check_wild_draws(wild_bootstrap(M.Ar1Model(), data, beta_hat, 300, seed=12),
+                      np.array(ref))
+
+
+def test_wild_bootstrap_linear_matches_direct_formula():
+    data = M.simulate_linear([1.0, -0.5, 2.0], 50, rng(21))
+    X, y = data["X"], data["y"]
+    beta_hat = np.linalg.lstsq(X, y, rcond=None)[0]
+    fit = X @ beta_hat
+    ref = []
+    for b in range(300):
+        u = draw_rng(22, b).standard_normal(len(y))
+        ref.append(np.linalg.lstsq(X, fit + u * (y - fit), rcond=None)[0])
+    _check_wild_draws(wild_bootstrap(M.LinearModel(p=3), data, beta_hat, 300, seed=22),
+                      np.array(ref))
+
+
+def test_wild_bootstrap_zero_series_falls_back_as_singular():
+    # an all-zero series has X'X = 0: every draw is a classified fallback and
+    # the sample stays inspectable (the linear case is the collinear test below)
+    data = M.Dataset(n=30, arrays={"x": np.zeros(31)})
+    with pytest.raises(DegenerateRunError) as exc:
+        wild_bootstrap(M.Ar1Model(), data, np.array([0.3]), 20, seed=23)
+    sample = exc.value.sample
+    assert sample.failures == {"SingularSystemError": 20}
+    assert np.array_equal(sample.betas, np.full((20, 1), 0.3))
+
+
+def test_baselines_need_one_draw():
+    model, data, beta_hat = linear_setup()
+    for method in (residual_bootstrap, wild_bootstrap):
+        with pytest.raises(ParameterError):
+            method(model, data, beta_hat, 0, seed=0)
 
 
 def test_wild_bootstrap_glm_synthetic_binary_refits():

@@ -84,6 +84,27 @@ def test_too_many_fallbacks_degenerate():
     assert est.degenerate
 
 
+def test_hook_draws_run_in_order_across_blocks():
+    # 300 draws span three solve blocks; the hook still sees draw b's weights
+    # in order, and they are the weights the default batched path solves
+    model, data, beta_hat = mean_setup()
+    scheme = W.multinomial(12)
+    seen = []
+
+    def record(mdl, dat, w, bh):
+        seen.append(w.copy())
+        return np.array([np.sum(w * dat["z"]) / np.sum(w)])
+
+    sample = run_bootstrap(model, data, beta_hat, scheme, 300, seed=7,
+                           solve_fn=record, store_weights=True)
+    expected = np.stack([W.sample(scheme, draw_rng(7, b)) for b in range(300)])
+    assert np.array_equal(np.stack(seen), expected)
+    assert np.array_equal(sample.weight_draws, expected)
+    default = run_bootstrap(model, data, beta_hat, scheme, 300, seed=7)
+    assert np.array_equal(default.weight_draws, expected)
+    assert sample.iterations is None and default.iterations.shape == (300,)
+
+
 def test_run_bootstrap_validation():
     model, data, beta_hat = mean_setup()
     with pytest.raises(ParameterError):

@@ -14,12 +14,17 @@ def rng(seed=0):
 
 
 def test_options_validation():
-    with pytest.raises(ParameterError):
-        SolveOptions(tol=0.0)
-    with pytest.raises(ParameterError):
-        SolveOptions(max_iter=0)
-    with pytest.raises(ParameterError):
-        SolveOptions(max_halvings=-1)
+    for tol in (0.0, -1e-8, float("nan")):
+        with pytest.raises(ParameterError):
+            SolveOptions(tol=tol)
+    for bad in (0, 2.5, 2.0, True, "3"):
+        with pytest.raises(ParameterError):
+            SolveOptions(max_iter=bad)
+    for bad in (-1, 1.5, True, None):
+        with pytest.raises(ParameterError):
+            SolveOptions(max_halvings=bad)
+    opts = SolveOptions(max_iter=np.int64(5), max_halvings=0)
+    assert (opts.max_iter, opts.max_halvings) == (5, 0)
 
 
 def test_weighted_score_shape_check():
