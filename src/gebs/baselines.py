@@ -83,10 +83,7 @@ def wild_bootstrap(model, data, beta_hat, n_boot, seed, spec=None):
     beta_hat = np.atleast_1d(np.asarray(beta_hat, float))
 
     if isinstance(model, (M.Ar1Model, M.LinearModel)):
-        if isinstance(model, M.Ar1Model):
-            X, y = data["x"][:-1, None], data["x"][1:]
-        else:
-            X, y = data["X"], data["y"]
+        X, y = model.design(data), model.response(data)
         fit = X @ beta_hat
         resid = y - fit
         XtX = X.T @ X

@@ -107,6 +107,8 @@ class ExperimentConfig:
         if not self.methods:
             raise ConfigError("need at least one method")
         self.seed = int(self.seed)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self):
         return {"experiment": self.experiment, "n": self.n, "sims": self.sims,
@@ -149,7 +151,7 @@ def _jsonable(v):
 
 
 def _method_sample(method, model, data, beta_hat, boots, seed, n_weights,
-                   options=None, solve_fn=None):
+                   solve_fn=None):
     """Run one resampling method; degenerate runs return a flagged sample."""
     try:
         if method == "rb":
@@ -160,8 +162,7 @@ def _method_sample(method, model, data, beta_hat, boots, seed, n_weights,
         if method.startswith("gbs-"):
             scheme = wmod.parse_scheme(method[4:], n_weights)
             return emod.run_bootstrap(model, data, beta_hat, scheme, boots, seed,
-                                      solve_fn=solve_fn, store_weights=False,
-                                      options=options), False
+                                      solve_fn=solve_fn, store_weights=False), False
     except DegenerateRunError as exc:
         return exc.sample, True
     raise ConfigError(f"unknown method {method!r}")
@@ -172,16 +173,16 @@ def _method_sample(method, model, data, beta_hat, boots, seed, n_weights,
 
 def _replicates(config, model, n_weights, fit, summarize):
     """Run every method on each replicate ``k``, with ``fit(k) -> (data,
-    beta_hat, options)``; returns ``summarize(sample)`` per replicate, the
+    beta_hat)``; returns ``summarize(sample)`` per replicate, the
     fallback rate and the degenerate-run flags, keyed by method."""
     cells = []
     for k in range(config.sims):
-        data, beta_hat, options = fit(k)
+        data, beta_hat = fit(k)
         row = []
         for m_idx, method in enumerate(config.methods):
             sample, bad = _method_sample(
                 method, model, data, beta_hat, config.boots,
-                child_seed(config.seed, k, 1 + m_idx), n_weights, options=options)
+                child_seed(config.seed, k, 1 + m_idx), n_weights)
             row.append((summarize(sample), sample.fallback_count, bad))
         cells.append(row)
     per_method = {m: [r[i][0] for r in cells] for i, m in enumerate(config.methods)}
@@ -204,7 +205,7 @@ def _run_ar1(config):
         beta_hat = solve_weighted(model, data, np.ones(n),
                                   SolveOptions(init=np.array([AR1_PHI]))).beta
         sq_devs.append(n * (beta_hat[0] - AR1_PHI) ** 2)
-        return data, beta_hat, None
+        return data, beta_hat
 
     per_method, rates, flags = _replicates(
         config, model, n, fit,
@@ -237,7 +238,7 @@ def _run_glm(config):
         data = mmod.simulate_glm(beta0, N, X, emod.draw_rng(config.seed, k, 0))
         beta_hat = solve_weighted(group_model, data, np.ones(n_cases),
                                   SolveOptions(init=np.zeros(2))).beta
-        return data, beta_hat, SolveOptions(init=beta_hat)
+        return data, beta_hat
 
     def summarize(sample):
         t_draws = (sample.betas[:, 0][:, None]
@@ -369,8 +370,7 @@ def _run_nls(config):
     for m_idx, method in enumerate(config.methods):
         sample, bad = _method_sample(
             method, model, data, beta_hat, config.boots,
-            child_seed(config.seed, 0, 1 + m_idx), n,
-            options=SolveOptions(init=beta_hat), solve_fn=solve_fn)
+            child_seed(config.seed, 0, 1 + m_idx), n, solve_fn=solve_fn)
         if bad:
             flags[f"degenerate:{method}"] = 1
         for j in range(model.p):

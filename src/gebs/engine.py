@@ -346,6 +346,8 @@ def ks_distance(a, b="normal"):
     if isinstance(b, EmpiricalDistribution):
         b = b.values
     b = np.sort(np.asarray(b, float))
+    if b.size == 0:
+        raise ParameterError("second sample is empty")
     grid = np.concatenate([a, b])
     fa = np.searchsorted(a, grid, side="right") / na
     fb = np.searchsorted(b, grid, side="right") / b.size

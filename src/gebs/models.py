@@ -10,7 +10,8 @@ of B reweighted systems at once: ``weighted_score_batch(data, W, betas)``
 maps a (B, n) weight matrix and (B, p) parameters to (B, p) scores, and
 ``weighted_jacobian_batch`` to (B, p, p) Jacobians. A row outside the domain
 is NaN. The base class builds both row by row from ``score_all`` and
-``jacobian_all``; the closed-form models override them with array algebra.
+``jacobian_all``; the single-index models (``IndexModel``) write all four
+evaluations once, as array algebra over a design matrix.
 
 For the residual bootstrap a model says how its data is regenerated from
 errors: ``residual_resampler(data, beta)`` returns the residuals at ``beta``
@@ -31,7 +32,11 @@ ISO_SCALE = 1.632    # stoichiometric constant in the isomerization rate model
 
 
 def _sigmoid(t):
-    return 1.0 / (1.0 + np.exp(-np.clip(t, -LOGIT_CLAMP, LOGIT_CLAMP)))
+    # in place: a large temporary that the allocator hands back to the OS is
+    # page-faulted in again on the next call, which dominates a (B, n) batch
+    e = np.exp(-np.clip(t, -LOGIT_CLAMP, LOGIT_CLAMP))
+    e += 1.0
+    return np.divide(1.0, e, out=e)
 
 
 def _response_resampler(data, fit):
@@ -121,10 +126,6 @@ class Model:
                     pass
         return out
 
-    def objective(self, data, weights, beta):
-        """Weighted least-squares objective, where one exists."""
-        return None
-
     def residual_resampler(self, data, beta):
         """How the residual bootstrap regenerates this model's data.
 
@@ -136,87 +137,85 @@ class Model:
             f"residual bootstrap undefined for {type(self).__name__}")
 
 
-class MeanModel(Model):
+class IndexModel(Model):
+    """Single-index scores phi_i(beta) = D_i m_i(D_i' beta) over the (n, p) design D.
+
+    ``factor(data, T)`` is m_i at the linear index T, by default least squares
+    on ``response(data)``, and ``slope(data, T)`` is -dm_i/dT; no
+    (B, n, p, p) tensor is built.
+    """
+
+    def design(self, data):
+        raise NotImplementedError
+
+    def factor(self, data, T):
+        return self.response(data) - T
+
+    def slope(self, data, T):
+        return 1.0
+
+    def weight_count(self, data):
+        return len(self.design(data))
+
+    def score_all(self, data, beta):
+        D = self.design(data)
+        return D * self.factor(data, D @ beta)[:, None]
+
+    def jacobian_all(self, data, beta):
+        D = self.design(data)
+        vD = (self.slope(data, D @ beta) * D.T).T
+        return -vD[:, :, None] * D[:, None, :]
+
+    def weighted_score_batch(self, data, W, betas):
+        D = self.design(data)
+        return _nan_outside(betas, (W * self.factor(data, betas @ D.T)) @ D)
+
+    def weighted_jacobian_batch(self, data, W, betas):
+        D = self.design(data)
+        return _nan_outside(betas, -_weighted_outer(W * self.slope(data, betas @ D.T), D))
+
+
+class MeanModel(IndexModel):
     """Score z_i - beta; the root is the (weighted) sample mean."""
 
     p = 1
 
-    def score_all(self, data, beta):
-        return (data["z"] - beta[0])[:, None]
+    def design(self, data):
+        return np.ones((data.n, 1))
 
-    def jacobian_all(self, data, beta):
-        return np.full((data.n, 1, 1), -1.0)
-
-    def weighted_score_batch(self, data, W, betas):
-        R = data["z"][None, :] - betas[:, :1]
-        return _nan_outside(betas, np.sum(W * R, axis=1)[:, None])
-
-    def weighted_jacobian_batch(self, data, W, betas):
-        return _nan_outside(betas, -np.sum(W, axis=1)[:, None, None])
+    def response(self, data):
+        return data["z"]
 
     def default_init(self, data):
         return np.array([float(np.mean(data["z"]))])
 
 
-class LinearModel(Model):
+class LinearModel(IndexModel):
     """Least-squares normal equations: score x_i (y_i - x_i' beta)."""
 
     def __init__(self, p=1):
         self.p = p
 
-    def score_all(self, data, beta):
-        X, y = data["X"], data["y"]
-        resid = y - X @ beta
-        return X * resid[:, None]
+    def design(self, data):
+        return data["X"]
 
-    def jacobian_all(self, data, beta):
-        X = data["X"]
-        return -X[:, :, None] * X[:, None, :]
-
-    def weighted_score_batch(self, data, W, betas):
-        X = data["X"]
-        R = data["y"][None, :] - betas @ X.T
-        return _nan_outside(betas, (W * R) @ X)
-
-    def weighted_jacobian_batch(self, data, W, betas):
-        return _nan_outside(betas, -_weighted_outer(W, data["X"]))
-
-    def objective(self, data, weights, beta):
-        resid = data["y"] - data["X"] @ beta
-        return float(np.sum(weights * resid ** 2))
+    def response(self, data):
+        return data["y"]
 
     def residual_resampler(self, data, beta):
         return _response_resampler(data, data["X"] @ beta)
 
 
-class Ar1Model(Model):
+class Ar1Model(IndexModel):
     """AR(1) least squares: score_t = X_{t-1} (X_t - beta X_{t-1})."""
 
     p = 1
 
-    def score_all(self, data, beta):
-        x = data["x"]
-        lag, cur = x[:-1], x[1:]
-        return (lag * (cur - beta[0] * lag))[:, None]
+    def design(self, data):
+        return data["x"][:-1, None]
 
-    def jacobian_all(self, data, beta):
-        lag = data["x"][:-1]
-        return (-lag ** 2)[:, None, None]
-
-    def weighted_score_batch(self, data, W, betas):
-        x = data["x"]
-        lag, cur = x[:-1], x[1:]
-        R = cur[None, :] - betas[:, :1] * lag[None, :]
-        return _nan_outside(betas, ((W * R) @ lag)[:, None])
-
-    def weighted_jacobian_batch(self, data, W, betas):
-        lag = data["x"][:-1]
-        return _nan_outside(betas, -(W @ lag ** 2)[:, None, None])
-
-    def objective(self, data, weights, beta):
-        x = data["x"]
-        resid = x[1:] - beta[0] * x[:-1]
-        return float(np.sum(weights * resid ** 2))
+    def response(self, data):
+        return data["x"][1:]
 
     def residual_resampler(self, data, beta):
         x, phi = data["x"], beta[0]
@@ -227,12 +226,12 @@ class Ar1Model(Model):
         return x[1:] - phi * x[:-1], rebuild
 
 
-class LogisticGroupModel(Model):
+class LogisticGroupModel(IndexModel):
     """Grouped binomial logistic scores: (1, X_i)' (Y_i - N_i p_i(beta))."""
 
     p = 2
 
-    def _design(self, data):
+    def design(self, data):
         X = data["X"]
         return np.column_stack([np.ones_like(X), X])
 
@@ -240,47 +239,28 @@ class LogisticGroupModel(Model):
         """Successes and trials per weight slot."""
         return data["Y"], data["N"]
 
-    def score_all(self, data, beta):
-        D = self._design(data)
+    def factor(self, data, T):
         Y, N = self._outcomes(data)
-        p = _sigmoid(D @ beta)
-        return D * (Y - N * p)[:, None]
+        return Y - N * _sigmoid(T)
 
-    def jacobian_all(self, data, beta):
-        D = self._design(data)
-        _, N = self._outcomes(data)
-        p = _sigmoid(D @ beta)
-        v = N * p * (1.0 - p)
-        return -v[:, None, None] * D[:, :, None] * D[:, None, :]
+    def slope(self, data, T):
+        P = _sigmoid(T)
+        v = self._outcomes(data)[1] * P
+        v *= np.subtract(1.0, P, out=P)   # N P (1 - P), reusing P's buffer
+        return v
 
     def hessian_all(self, data, beta):
-        D = self._design(data)
-        _, N = self._outcomes(data)
+        D = self.design(data)
         p = _sigmoid(D @ beta)
-        v = N * p * (1.0 - p) * (1.0 - 2.0 * p)
+        v = self._outcomes(data)[1] * p * (1.0 - p) * (1.0 - 2.0 * p)
         return (-v[:, None, None, None]
                 * D[:, :, None, None] * D[:, None, :, None] * D[:, None, None, :])
-
-    def weighted_score_batch(self, data, W, betas):
-        D = self._design(data)
-        Y, N = self._outcomes(data)
-        P = _sigmoid(betas @ D.T)
-        return _nan_outside(betas, (W * (Y - N * P)) @ D)
-
-    def weighted_jacobian_batch(self, data, W, betas):
-        D = self._design(data)
-        _, N = self._outcomes(data)
-        P = _sigmoid(betas @ D.T)
-        return _nan_outside(betas, -_weighted_outer(W * (N * P * (1.0 - P)), D))
 
 
 class LogisticIndividualModel(LogisticGroupModel):
     """Per-trial logistic scores: one weight slot per Bernoulli trial."""
 
-    def weight_count(self, data):
-        return len(data["y_ind"])
-
-    def _design(self, data):
+    def design(self, data):
         X = data["x_ind"]
         return np.column_stack([np.ones_like(X), X])
 
@@ -471,10 +451,11 @@ def load_glm_csv(path):
     tab = _read_csv(path, ["N", "X", "Y"])
     N, X, Y = tab[:, 0], tab[:, 1], tab[:, 2]
     for idx, (ni, yi) in enumerate(zip(N, Y)):
-        if not (ni == int(ni) and ni >= 1):
+        if not (ni.is_integer() and ni >= 1):
             raise ParseError(f"{path}: N must be a positive integer at data row {idx}", row=idx)
-        if not 0 <= yi <= ni:
-            raise ParseError(f"{path}: need 0 <= Y <= N at data row {idx}", row=idx)
+        if not (yi.is_integer() and 0 <= yi <= ni):
+            raise ParseError(f"{path}: need integer 0 <= Y <= N at data row {idx}",
+                             row=idx)
     N = N.astype(int)
     # expand to per-trial records: Y_i successes then N_i - Y_i failures
     y_ind = np.concatenate([

@@ -307,8 +307,9 @@ def test_criterion_8_determinism(monkeypatch):
     nls = dict(experiment="nls", seed=9)
     ok = ok and _renderings(nls) == _renderings(nls)
     _verdict(8, "determinism across solve block sizes", ok,
-             "csv and json renderings byte-identical for blocks of 1, 7 and "
-             "128 draws on ar1 and glm, and over two nls runs")
+             "csv and json report bytes identical for blocks of 1, 7 and 128 "
+             "draws on ar1 and glm (roots agree to rounding, not bitwise), "
+             "and over two nls runs")
 
 
 # ---------------------------------------------------------------------------

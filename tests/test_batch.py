@@ -174,3 +174,54 @@ def test_run_bootstrap_records_iterations_and_failure_classes():
         run_bootstrap(M.LinearModel(p=2), twin, np.zeros(2), W.multinomial(20), 30, seed=4)
     assert exc.value.sample.failures == {"SingularSystemError": 30}
     assert exc.value.sample.fallback_count == 30
+
+
+class PoissonLogModel(M.IndexModel):
+    """Test-only log-link Poisson regression given by three index hooks."""
+
+    p = 2
+
+    def design(self, data):
+        return data["X"]
+
+    def factor(self, data, T):
+        return data["y"] - np.exp(T)
+
+    def slope(self, data, T):
+        return np.exp(T)
+
+
+def poisson_case(n, seed):
+    r = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(n), r.uniform(-1.0, 1.0, n)])
+    y = r.poisson(np.exp(X @ np.array([0.5, 1.0]))).astype(float)
+    return PoissonLogModel(), M.Dataset(n=n, arrays={"X": X, "y": y})
+
+
+@pytest.mark.parametrize("scheme_kind", SCHEMES)
+@pytest.mark.parametrize("seed", (0, 1, 2))
+@pytest.mark.parametrize("max_iter", (100, 4))
+def test_index_model_hooks_batch_matches_per_draw(scheme_kind, seed, max_iter):
+    # Newton takes 3 to 6 steps here, so max_iter=4 leaves some draws unconverged
+    model, data = poisson_case(20, seed)
+    Wm = np.stack([W.sample(make_scheme(scheme_kind, data.n), draw_rng(seed, b))
+                   for b in range(24)])
+    opts = SolveOptions(init=np.zeros(2), max_iter=max_iter)
+    ref_betas, ref_failures, ref_iters, conds = per_draw(model, data, Wm, opts.init, opts)
+
+    sol = solve_weighted_batch(model, data, Wm, opts.init, opts)
+    assert list(sol.failures) == list(ref_failures)
+    ok = sol.converged
+    assert np.array_equal(sol.iterations[ok], ref_iters[ok])
+    scale = 1.0 + np.max(np.abs(ref_betas[ok]), axis=1)
+    dev = np.max(np.abs(sol.betas[ok] - ref_betas[ok]), axis=1) / scale
+    assert np.all(dev <= agreement_tol(conds[ok]))
+
+
+def test_index_model_jacobian_matches_central_differences():
+    model, data = poisson_case(20, 3)
+    beta, h = np.array([0.4, 0.8]), 1e-6
+    ana = model.jacobian_all(data, beta)
+    num = np.stack([(model.score_all(data, beta + h * e) - model.score_all(data, beta - h * e))
+                    / (2 * h) for e in np.eye(2)], axis=2)
+    assert np.max(np.abs(num - ana)) / (1.0 + np.max(np.abs(ana))) <= 1e-5

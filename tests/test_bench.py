@@ -30,6 +30,7 @@ def test_config_defaults_fill_in():
     {"experiment": "ar1", "boots": 5},
     {"experiment": "ar1", "n": 1},
     {"experiment": "ar1", "methods": ()},
+    {"experiment": "ar1", "seed": -1},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ConfigError):
@@ -211,6 +212,12 @@ def test_cli_config_error_exit_code(capsys):
     code = cli.main(["run", "--experiment", "ar1", "--boots", "5"])
     assert code == cli.EXIT_CONFIG
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_negative_seed_exit_code(capsys):
+    code = cli.main(["run", "--experiment", "ar1", "--seed", "-1"])
+    assert code == cli.EXIT_CONFIG
+    assert "seed" in capsys.readouterr().err
 
 
 def test_cli_bad_output_path(capsys):

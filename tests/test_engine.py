@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from gebs import engine
 from gebs import models as M
 from gebs import weights as W
+from gebs.baselines import wild_bootstrap
+from gebs.bench import GLM_BETA
 from gebs.engine import (EmpiricalDistribution, STATUS_CONVERGED, STATUS_FALLBACK,
                          draw_rng, empirical_distribution,
                          exact_variance_enumeration, ks_distance, percentile_ci,
@@ -14,6 +17,7 @@ from gebs.engine import (EmpiricalDistribution, STATUS_CONVERGED, STATUS_FALLBAC
                          variance_estimate)
 from gebs.errors import (DegenerateRunError, InsufficientSampleError,
                          NonConvergenceError, ParameterError)
+from gebs.solver import solve_weighted
 
 
 def rng(seed=0):
@@ -273,6 +277,52 @@ def test_studentized_stats_mean_model():
         studentized_stats(model, data, beta_hat, no_w)
 
 
+def _block_size_cases():
+    """Name -> (run, rtol). One Newton step or a closed form fixes an AR(1)
+    root to rounding; an iterated logistic root stops at the score tolerance,
+    and the last step's rounding is amplified by the weighted Jacobian's
+    conditioning (about 3e3 at the fumigant fit), hence the looser bound."""
+    r = rng(31)
+    ar1 = M.Ar1Model()
+    series = M.simulate_ar1(0.2, 1.0, 100.0, 50, r)
+    phi_hat = solve_weighted(ar1, series, np.ones(50)).beta
+    fum = M.load_fumigant()
+    glm = M.simulate_glm(np.asarray(GLM_BETA), fum["N"], fum["X"], r)
+    beta_hat = solve_weighted(M.LogisticGroupModel(), glm, np.ones(glm.n)).beta
+    trial = M.LogisticIndividualModel()
+    slots = trial.weight_count(glm)
+    return {
+        "ar1-gbs-multinomial": (lambda: run_bootstrap(
+            ar1, series, phi_hat, W.multinomial(50), 300, seed=3), 1e-14),
+        "ar1-wb": (lambda: wild_bootstrap(ar1, series, phi_hat, 300, seed=3), 1e-14),
+        "glm-gbs-exp": (lambda: run_bootstrap(
+            trial, glm, beta_hat, W.iid_exponential(slots), 300, seed=3), 1e-13),
+        "glm-wb": (lambda: wild_bootstrap(trial, glm, beta_hat, 300, seed=3), 1e-13),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_block_size_cases()))
+def test_roots_agree_across_solve_block_sizes(monkeypatch, case):
+    # a block's sums and solves take other BLAS paths than a single draw's,
+    # so roots may differ in the last bits; outcomes must not differ at all
+    run, rtol = _block_size_cases()[case]
+    samples = []
+    for block in (1, 7, 128):
+        monkeypatch.setattr(engine, "BLOCK_DRAWS", block)
+        samples.append(run())
+    ref = samples[0]
+    scale = 1.0 + np.max(np.abs(ref.betas), axis=1)
+    for sample in samples[1:]:
+        assert sample.failures == ref.failures
+        assert sample.statuses == ref.statuses
+        if ref.iterations is None:
+            assert sample.iterations is None
+        else:
+            assert np.array_equal(sample.iterations, ref.iterations)
+        dev = np.max(np.abs(sample.betas - ref.betas), axis=1) / scale
+        assert np.all(dev <= rtol)
+
+
 # ---------------------------------------------------------------------------
 # KS distance
 
@@ -295,6 +345,8 @@ def test_ks_distance_two_sample_known_value():
     a = np.array([0.0, 1.0])
     b = np.array([10.0, 11.0])
     assert ks_distance(a, b) == 1.0
+    with pytest.raises(ParameterError, match="second sample is empty"):
+        ks_distance(a, np.array([]))
 
 
 def test_draw_rng_streams_independent_and_stable():

@@ -135,6 +135,9 @@ def test_load_glm_csv_roundtrip(tmp_path):
     ("N,X,Y\n4,0.1,5\n", 0),          # Y > N
     ("N,X,Y\n4,0.1,2\n0,0.2,0\n", 1), # N < 1
     ("N,X,Y\n4.5,0.1,2\n", 0),        # non-integer N
+    ("N,X,Y\n4,0.1,2\n5,0.2,2.5\n", 1), # non-integer Y
+    ("N,X,Y\nnan,0.1,2\n", 0),        # NaN N
+    ("N,X,Y\n4,0.1,nan\n", 0),        # NaN Y
     ("N,X,Y\n4,oops,2\n", 0),         # non-numeric
 ])
 def test_load_glm_csv_bad_rows(tmp_path, text, row):
