@@ -2,7 +2,8 @@
 
 Both rebuild synthetic responses from fitted residuals and refit, returning
 the same BootstrapSample record as the generalized bootstrap (with unit
-weight variance, so the shared variance estimator applies unscaled).
+weight variance, so the shared variance estimator applies unscaled). Both
+refit a whole block of draws at once.
 """
 
 from dataclasses import dataclass
@@ -12,7 +13,8 @@ import numpy as np
 from . import models as M
 from .engine import draw_rng, newton_block, per_draw, resample
 from .errors import ParameterError, SingularSystemError, UnsupportedModelError
-from .solver import COND_LIMIT, SolveOptions, require_int, solve_weighted
+from .solver import COND_LIMIT, require_int
+from .solver import solve_weighted  # noqa: F401  (public name; tracers patch it here)
 
 
 @dataclass
@@ -34,34 +36,31 @@ class BaselineSpec:
         return rng.standard_normal(size)
 
 
-def _refit(model, data, w, init):
-    """Default refit: Newton from ``init``; a solver error makes the draw fall back."""
-    return solve_weighted(model, data, w, SolveOptions(init=init)).beta
-
-
 def residual_bootstrap(model, data, beta_hat, n_boot, seed, solve_fn=None):
     """Resample centered residuals i.i.d. and refit.
 
-    ``model.residual_resampler`` supplies the residuals and rebuilds each
-    synthetic dataset: fit + resampled residual for regression responses, the
-    AR(1) series recursively from X_0 = 0. ``solve_fn(model, data, w,
-    beta_hat) -> beta`` overrides the default Newton refit with
-    ``run_bootstrap``'s hook contract; it receives unit weights.
+    ``model.residual_resampler`` supplies the residuals and rebuilds a block
+    of synthetic datasets from its (B, n) residual matrix: fit + residual for
+    regression responses, the AR(1) series recursively from X_0 = 0. The
+    block is refit by one unit-weight Newton solve from ``beta_hat``.
+    ``solve_fn(model, data, w, beta_hat) -> beta`` overrides it with
+    ``run_bootstrap``'s hook contract, per draw and with unit weights.
     """
     beta_hat = np.atleast_1d(np.asarray(beta_hat, float))
-    solve_fn = solve_fn or _refit
     resid, rebuild = model.residual_resampler(data, beta_hat)
     resid = resid - resid.mean()
-    ones = np.ones(model.weight_count(data))
 
     def row(b):
         return draw_rng(seed, b).choice(resid, size=len(resid))
 
-    def refit(e):
-        return solve_fn(model, rebuild(e), ones, beta_hat)
-
-    return resample(beta_hat, n_boot, row, per_draw(beta_hat, refit),
-                    "residual bootstrap")
+    if solve_fn is None:
+        def solve_block(E):
+            return newton_block(model, rebuild(E), beta_hat)(np.ones(E.shape))
+    else:
+        ones = np.ones(len(resid))
+        solve_block = per_draw(beta_hat, lambda e: solve_fn(
+            model, rebuild(e[None]).take(0), ones, beta_hat))
+    return resample(beta_hat, n_boot, row, solve_block, "residual bootstrap")
 
 
 def wild_bootstrap(model, data, beta_hat, n_boot, seed, spec=None):

@@ -39,7 +39,7 @@ class BootstrapSample:
     sigma2: float
     fallback_count: int
     weight_draws: np.ndarray = None   # (B, n) when retained
-    iterations: np.ndarray = None     # (B,) Newton steps per draw, batched solves only
+    iterations: np.ndarray = None     # (B,) Newton steps per draw, Newton solves only
     failures: dict = field(default_factory=dict)   # fallback count by error class
 
     @property
@@ -138,11 +138,11 @@ def newton_block(model, data, beta_hat, options=None):
 
 
 def per_draw(beta_hat, one):
-    """Block solver that calls the per-draw ``one(row) -> beta`` on each row of R.
+    """Block solver for a ``solve_fn`` hook: ``one(row) -> beta`` on each row of R.
 
     A solver error (``SOLVER_ERRORS``) marks that draw as a fallback; any
-    other exception is a bug and propagates. The only place where a draw's
-    solver error is caught.
+    other exception is a bug and propagates. The only place where a hook's
+    solver error is caught; every other method solves its block at once.
     """
     def solve_block(R):
         betas, failures = [], []

@@ -15,7 +15,9 @@ evaluations once, as array algebra over a design matrix.
 
 For the residual bootstrap a model says how its data is regenerated from
 errors: ``residual_resampler(data, beta)`` returns the residuals at ``beta``
-and a function that rebuilds a synthetic dataset from resampled residuals.
+and ``rebuild(E)``, which turns a (B, n) block of resampled residuals into
+one Dataset whose ``drawn`` arrays carry a leading draw axis; the batch
+methods read draw b's data through ``Dataset.take``.
 """
 
 import csv
@@ -41,17 +43,18 @@ def _sigmoid(t):
 
 def _response_resampler(data, fit):
     """Residual resampler for data whose response ``y`` is ``fit`` plus error."""
-    def rebuild(e):
-        return Dataset(n=data.n, meta="rb", arrays={**data.arrays, "y": fit + e})
+    def rebuild(E):
+        return Dataset(n=data.n, meta="rb", arrays={**data.arrays, "y": fit + E},
+                       drawn=("y",))
 
     return data["y"] - fit, rebuild
 
 
 def _ar1_series(phi, e):
-    """X_0 = 0 and X_t = phi X_{t-1} + e_t."""
-    x = np.zeros(len(e) + 1)
-    for t in range(1, len(e) + 1):
-        x[t] = phi * x[t - 1] + e[t - 1]
+    """X_0 = 0 and X_t = phi X_{t-1} + e_t along the last axis of ``e``."""
+    x = np.zeros((*e.shape[:-1], e.shape[-1] + 1))
+    for t in range(1, e.shape[-1] + 1):
+        x[..., t] = phi * x[..., t - 1] + e[..., t - 1]
     return x
 
 
@@ -61,10 +64,16 @@ def _nan_outside(betas, out):
     return out
 
 
+def _slot_sum(V, A):
+    """(B, k) sums sum_i V[b, i] A_i over a shared (n, k) or drawn (B, n, k) ``A``."""
+    return V @ A if A.ndim == 2 else (V[:, None, :] @ A)[:, 0, :]
+
+
 def _weighted_outer(V, D):
-    """(B, p, p) stack of sum_i V[b, i] D_i D_i' without a (B, n, p, p) tensor."""
-    n, p = D.shape
-    return (V @ (D[:, :, None] * D[:, None, :]).reshape(n, p * p)).reshape(-1, p, p)
+    """(B, p, p) stack of sum_i V[b, i] D_i D_i'; no (B, n, p, p) tensor for a shared D."""
+    p = D.shape[-1]
+    outer = (D[..., :, None] * D[..., None, :]).reshape(*D.shape[:-1], p * p)
+    return _slot_sum(V, outer).reshape(-1, p, p)
 
 
 @dataclass
@@ -74,9 +83,17 @@ class Dataset:
     n: int
     meta: str = "synthetic"
     arrays: dict = field(default_factory=dict)
+    drawn: tuple = ()   # arrays of a rebuilt block: leading axis = one row per draw
 
     def __getitem__(self, key):
         return self.arrays[key]
+
+    def take(self, rows):
+        """Draws ``rows`` of a rebuilt block; one int row gives a plain dataset."""
+        if not self.drawn:
+            return self   # shared by every draw
+        arrays = {**self.arrays, **{k: self.arrays[k][rows] for k in self.drawn}}
+        return Dataset(self.n, self.meta, arrays, self.drawn if np.ndim(rows) else ())
 
 
 class Model:
@@ -105,23 +122,19 @@ class Model:
 
     def weighted_score_batch(self, data, W, betas):
         """Row b: sum_i W[b, i] phi_i(betas[b]); NaN outside the domain."""
-        out = np.full(np.shape(betas), np.nan)
-        for b, (w, beta) in enumerate(zip(W, betas)):
-            if self.in_domain(data, beta):
-                try:
-                    out[b] = w @ self.score_all(data, beta)
-                except EvaluationError:
-                    pass
-        return out
+        return self._row_by_row(self.score_all, data, W, betas, np.shape(betas)[1:])
 
     def weighted_jacobian_batch(self, data, W, betas):
         """Row b: sum_i W[b, i] d phi_i / d beta at betas[b]; NaN outside the domain."""
-        p = np.shape(betas)[1]
-        out = np.full((len(betas), p, p), np.nan)
+        return self._row_by_row(self.jacobian_all, data, W, betas, np.shape(betas)[1:] * 2)
+
+    def _row_by_row(self, evaluate, data, W, betas, shape):
+        out = np.full((len(betas), *shape), np.nan)
         for b, (w, beta) in enumerate(zip(W, betas)):
-            if self.in_domain(data, beta):
+            row = data.take(b)
+            if self.in_domain(row, beta):
                 try:
-                    out[b] = np.tensordot(w, self.jacobian_all(data, beta), axes=(0, 0))
+                    out[b] = np.tensordot(w, evaluate(row, beta), axes=(0, 0))
                 except EvaluationError:
                     pass
         return out
@@ -130,8 +143,8 @@ class Model:
         """How the residual bootstrap regenerates this model's data.
 
         Returns ``(resid, rebuild)``: the uncentered per-slot residuals at
-        ``beta``, and ``rebuild(e)``, which returns the synthetic Dataset
-        whose residuals at ``beta`` are ``e``.
+        ``beta``, and ``rebuild(E)``, which returns the synthetic block
+        Dataset whose draw b has residuals ``E[b]`` at ``beta``.
         """
         raise UnsupportedModelError(
             f"residual bootstrap undefined for {type(self).__name__}")
@@ -141,8 +154,8 @@ class IndexModel(Model):
     """Single-index scores phi_i(beta) = D_i m_i(D_i' beta) over the (n, p) design D.
 
     ``factor(data, T)`` is m_i at the linear index T, by default least squares
-    on ``response(data)``, and ``slope(data, T)`` is -dm_i/dT; no
-    (B, n, p, p) tensor is built.
+    on ``response(data)``, and ``slope(data, T)`` is -dm_i/dT. The design is
+    shared (n, p), or (B, n, p) on a rebuilt block.
     """
 
     def design(self, data):
@@ -155,7 +168,7 @@ class IndexModel(Model):
         return 1.0
 
     def weight_count(self, data):
-        return len(self.design(data))
+        return self.design(data).shape[-2]
 
     def score_all(self, data, beta):
         D = self.design(data)
@@ -168,11 +181,13 @@ class IndexModel(Model):
 
     def weighted_score_batch(self, data, W, betas):
         D = self.design(data)
-        return _nan_outside(betas, (W * self.factor(data, betas @ D.T)) @ D)
+        T = _slot_sum(betas, np.swapaxes(D, -1, -2))
+        return _nan_outside(betas, _slot_sum(W * self.factor(data, T), D))
 
     def weighted_jacobian_batch(self, data, W, betas):
         D = self.design(data)
-        return _nan_outside(betas, -_weighted_outer(W * self.slope(data, betas @ D.T), D))
+        T = _slot_sum(betas, np.swapaxes(D, -1, -2))
+        return _nan_outside(betas, -_weighted_outer(W * self.slope(data, T), D))
 
 
 class MeanModel(IndexModel):
@@ -212,16 +227,17 @@ class Ar1Model(IndexModel):
     p = 1
 
     def design(self, data):
-        return data["x"][:-1, None]
+        return data["x"][..., :-1, None]
 
     def response(self, data):
-        return data["x"][1:]
+        return data["x"][..., 1:]
 
     def residual_resampler(self, data, beta):
         x, phi = data["x"], beta[0]
 
-        def rebuild(e):
-            return Dataset(n=len(e), meta="rb", arrays={"x": _ar1_series(phi, e)})
+        def rebuild(E):
+            return Dataset(n=E.shape[-1], meta="rb", arrays={"x": _ar1_series(phi, E)},
+                           drawn=("x",))
 
         return x[1:] - phi * x[:-1], rebuild
 
@@ -400,10 +416,14 @@ def simulate_glm(beta, N, X, rng):
         raise ShapeError("N and X must be equal length >= 2")
     p = _sigmoid(beta[0] + beta[1] * X)
     y_ind = (rng.random(N.sum()) < np.repeat(p, N)).astype(float)
+    return _glm_dataset(N, X, y_ind, "glm-sim")
+
+
+def _glm_dataset(N, X, y_ind, meta):
+    """Grouped logistic data: N_i trials at X_i, Y_i successes among ``y_ind``."""
     group = np.repeat(np.arange(len(N)), N)
-    Y = np.bincount(group, weights=y_ind, minlength=len(N))
-    return Dataset(n=len(N), meta="glm-sim", arrays={
-        "N": N, "X": X, "Y": Y,
+    return Dataset(n=len(N), meta=meta, arrays={
+        "N": N, "X": X, "Y": np.bincount(group, weights=y_ind, minlength=len(N)),
         "x_ind": np.repeat(X, N), "y_ind": y_ind, "group": group,
     })
 
@@ -434,6 +454,9 @@ def _read_csv(path, columns):
                 except (TypeError, ValueError):
                     raise ParseError(f"{path}: non-numeric {c!r} at data row {idx}",
                                      row=idx) from None
+                if not math.isfinite(vals[-1]):
+                    raise ParseError(f"{path}: non-finite {c!r} at data row {idx}",
+                                     row=idx)
             rows.append(vals)
     if not rows:
         raise ParseError(f"{path}: no data rows")
@@ -458,14 +481,9 @@ def load_glm_csv(path):
                              row=idx)
     N = N.astype(int)
     # expand to per-trial records: Y_i successes then N_i - Y_i failures
-    y_ind = np.concatenate([
-        np.concatenate([np.ones(int(y)), np.zeros(int(n) - int(y))])
-        for n, y in zip(N, Y)])
-    group = np.repeat(np.arange(len(N)), N)
-    return Dataset(n=len(N), meta=str(path), arrays={
-        "N": N, "X": X, "Y": Y,
-        "x_ind": np.repeat(X, N), "y_ind": y_ind, "group": group,
-    })
+    counts = np.column_stack([Y, N - Y]).astype(int).ravel()
+    y_ind = np.repeat(np.tile([1.0, 0.0], len(N)), counts)
+    return _glm_dataset(N, X, y_ind, str(path))
 
 
 def load_nls_csv(path):

@@ -69,65 +69,31 @@ def weighted_jacobian(model, data, weights, beta):
 
 
 def solve_weighted(model, data, weights, options=None):
-    """Damped Newton iteration on the weighted score with analytic Jacobian."""
-    opts = options or SolveOptions()
-    weights = np.asarray(weights, float)
-    beta = np.atleast_1d(np.asarray(
-        opts.init if opts.init is not None else model.default_init(data), float)).copy()
-    if not model.in_domain(data, beta):
-        raise EvaluationError("initial point outside model domain")
-
-    F = weighted_score(model, data, weights, beta)
-    scale = 1.0 + float(np.max(np.abs(F)))
-    tol = opts.tol * scale
-
-    for it in range(opts.max_iter):
-        res = float(np.max(np.abs(F)))
-        if res <= tol:
-            J = weighted_jacobian(model, data, weights, beta)
-            return Solution(beta, res, it, J, True)
-        J = weighted_jacobian(model, data, weights, beta)
-        if not np.all(np.isfinite(J)) or np.linalg.cond(J) > COND_LIMIT:
-            raise SingularSystemError(
-                f"weighted Jacobian ill-conditioned at iteration {it}")
-        step = np.linalg.solve(J, -F)
-
-        # step-halving line search on ||F||^2
-        base = float(F @ F)
-        lam, accepted = 1.0, False
-        for _ in range(opts.max_halvings + 1):
-            trial = beta + lam * step
-            if model.in_domain(data, trial):
-                try:
-                    F_trial = weighted_score(model, data, weights, trial)
-                except EvaluationError:
-                    F_trial = None
-                if F_trial is not None and np.all(np.isfinite(F_trial)) \
-                        and float(F_trial @ F_trial) < base:
-                    beta, F, accepted = trial, F_trial, True
-                    break
-            lam *= 0.5
-        if not accepted:
-            raise NonConvergenceError(
-                f"no descent after {opts.max_halvings} halvings",
-                last_beta=beta, residual_norm=res)
-
-    res = float(np.max(np.abs(F)))
-    if res <= tol:
-        J = weighted_jacobian(model, data, weights, beta)
-        return Solution(beta, res, opts.max_iter, J, True)
-    raise NonConvergenceError(f"no convergence in {opts.max_iter} iterations",
-                              last_beta=beta, residual_norm=res)
+    """Damped Newton iteration on one weight vector: the one-row case of
+    ``solve_weighted_batch``, raising the failure recorded for the row."""
+    sol = solve_weighted_batch(model, data, np.asarray(weights, float)[None], None, options)
+    beta, failure, iterations = sol.betas[0], sol.failures[0], int(sol.iterations[0])
+    if failure == EvaluationError.__name__:
+        raise EvaluationError("model evaluation failed at the initial point")
+    if failure == SingularSystemError.__name__:
+        raise SingularSystemError(f"weighted Jacobian ill-conditioned at step {iterations}")
+    res = float(np.max(np.abs(weighted_score(model, data, weights, beta))))
+    if failure:
+        raise NonConvergenceError(f"no convergence after {iterations} steps",
+                                  last_beta=beta, residual_norm=res)
+    return Solution(beta, res, iterations,
+                    weighted_jacobian(model, data, weights, beta), True)
 
 
 def solve_weighted_batch(model, data, W, init=None, options=None):
-    """``solve_weighted`` for every row of the (B, n) weight matrix ``W`` at once.
+    """Damped Newton iteration for every row of the (B, n) weight matrix ``W`` at once.
 
-    Each draw follows the per-draw rules: the same stopping rule,
-    conditioning guard and step-halving line search, with an active mask so a
-    draw leaves the iteration where ``solve_weighted`` would stop. Only the
-    summation order of the weighted sums differs. Failures are recorded per
-    draw by error class instead of raised.
+    Each draw stops when its score is within the tolerance, fails when its
+    Jacobian is ill-conditioned, and takes a step-halving line search on
+    ||F||^2; an active mask keeps a finished draw out of later iterations.
+    Failures are recorded per draw by error class instead of raised. On a
+    rebuilt block (``data.drawn``) row b of the data belongs to draw b, and
+    the data rows are sliced wherever ``W`` is.
     """
     opts = options or SolveOptions()
     W = np.asarray(W, float)
@@ -145,8 +111,9 @@ def solve_weighted_batch(model, data, W, init=None, options=None):
         failures[:] = EvaluationError.__name__
         return BatchSolution(betas, iterations, failures)
     try:
-        # every draw starts at ``init``: one score evaluation serves all B
-        F = W @ model.score_all(data, init)
+        # every draw starts at ``init``: on shared data one score evaluation serves all B
+        F = (model.weighted_score_batch(data, W, betas) if data.drawn
+             else W @ model.score_all(data, init))
     except EvaluationError:
         failures[:] = EvaluationError.__name__
         return BatchSolution(betas, iterations, failures)
@@ -157,7 +124,7 @@ def solve_weighted_batch(model, data, W, init=None, options=None):
         active = active[~(np.max(np.abs(F[active]), axis=1) <= tol[active])]
         if active.size == 0:
             break
-        J = model.weighted_jacobian_batch(data, W[active], betas[active])
+        J = model.weighted_jacobian_batch(data.take(active), W[active], betas[active])
         ok = np.all(np.isfinite(J), axis=(1, 2))
         ok[ok] = np.linalg.cond(J[ok]) <= COND_LIMIT
         failures[active[~ok]] = SingularSystemError.__name__
@@ -173,7 +140,7 @@ def solve_weighted_batch(model, data, W, init=None, options=None):
         for _ in range(opts.max_halvings + 1):
             rows = active[pending]
             trial = betas[rows] + lam * step[pending]
-            F_trial = model.weighted_score_batch(data, W[rows], trial)
+            F_trial = model.weighted_score_batch(data.take(rows), W[rows], trial)
             good = (np.all(np.isfinite(F_trial), axis=1)
                     & (np.sum(F_trial ** 2, axis=1) < base[pending]))
             betas[rows[good]] = trial[good]

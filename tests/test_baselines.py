@@ -8,9 +8,10 @@ from gebs import weights as W
 from gebs.baselines import BaselineSpec, residual_bootstrap, wild_bootstrap
 from gebs.bench import GLM_BETA
 from gebs.engine import draw_rng, run_bootstrap
-from gebs.errors import (SOLVER_ERRORS, DegenerateRunError, NonConvergenceError,
-                         ParameterError, UnsupportedModelError)
+from gebs.errors import (DegenerateRunError, NonConvergenceError, ParameterError,
+                         UnsupportedModelError)
 from gebs.solver import SolveOptions, solve_weighted
+from newton_oracle import oracle_outcomes
 from test_batch import agreement_tol
 
 
@@ -220,28 +221,17 @@ def _wild_logistic_per_draw(data, beta_hat, n_boot, seed, spec):
     block_id = np.empty(len(y), int)
     block_id[order] = np.arange(len(y)) // spec.block
     n_blocks = int(block_id.max()) + 1
-    betas, failures, iterations, conds = [], [], [], []
-    for b in range(n_boot):
-        rng_b = draw_rng(seed, b)
-        u = spec.draw_multipliers(rng_b, n_blocks)[block_id]
-        p_star = 1.0 / (1.0 + np.exp(-np.clip(t_hat + u * r, -500.0, 500.0)))
-        ys = (rng_b.random(len(y)) < p_star).astype(float)
-        boot = M.Dataset(n=data.n, arrays={**data.arrays, "y_ind": ys})
-        try:
-            sol = solve_weighted(M.LogisticIndividualModel(), boot, np.ones(len(y)),
-                                 SolveOptions(init=beta_hat))
-        except SOLVER_ERRORS as exc:
-            betas.append(beta_hat)
-            failures.append(type(exc).__name__)
-            iterations.append(-1)
-            conds.append(np.nan)
-            continue
-        betas.append(sol.beta)
-        failures.append("")
-        iterations.append(sol.iterations)
-        conds.append(np.linalg.cond(sol.jacobian_at_root))
-    return (np.array(betas), np.array(failures, dtype=object), np.array(iterations),
-            np.array(conds))
+
+    def systems():
+        for b in range(n_boot):
+            rng_b = draw_rng(seed, b)
+            u = spec.draw_multipliers(rng_b, n_blocks)[block_id]
+            p_star = 1.0 / (1.0 + np.exp(-np.clip(t_hat + u * r, -500.0, 500.0)))
+            ys = (rng_b.random(len(y)) < p_star).astype(float)
+            boot = M.Dataset(n=data.n, arrays={**data.arrays, "y_ind": ys})
+            yield M.LogisticIndividualModel(), boot, np.ones(len(y))
+
+    return oracle_outcomes(systems(), beta_hat, SolveOptions(init=beta_hat))
 
 
 def _wild_logistic_cases():
@@ -252,29 +242,76 @@ def _wild_logistic_cases():
         yield M.simulate_glm(GLM_BETA, [3] * 4, [2.6, 2.8, 3.0, 3.2], rng(k)), 300
 
 
+def _sample_or_degenerate(run):
+    try:
+        return run()
+    except DegenerateRunError as exc:
+        return exc.sample
+
+
+def _assert_matches_oracle(sample, ref):
+    """Same statuses, failure classes and iterations as the per-draw oracle,
+    and roots within ``agreement_tol``."""
+    ref_betas, ref_failures, ref_iters, conds = ref
+    ok = ref_failures == ""
+    assert sample.statuses == ["converged" if f else "fallback" for f in ok]
+    assert sample.failures == {name: int(np.sum(ref_failures == name))
+                               for name in sorted(set(ref_failures[~ok]))}
+    assert sample.iterations is not None and sample.iterations.shape == ok.shape
+    assert np.array_equal(sample.iterations[ok], ref_iters[ok])
+    assert np.array_equal(sample.betas[~ok], ref_betas[~ok])
+    scale = 1.0 + np.max(np.abs(ref_betas[ok]), axis=1)
+    dev = np.max(np.abs(sample.betas[ok] - ref_betas[ok]), axis=1) / scale
+    assert np.all(dev <= agreement_tol(conds[ok]))
+
+
 def test_wild_bootstrap_logistic_matches_per_draw_refits():
     spec = BaselineSpec()
     fallbacks = 0
     for data, n_boot in _wild_logistic_cases():
         beta_hat = solve_weighted(M.LogisticGroupModel(), data, np.ones(data.n),
                                   SolveOptions(init=np.zeros(2))).beta
-        ref_betas, ref_failures, ref_iters, conds = _wild_logistic_per_draw(
-            data, beta_hat, n_boot, 20, spec)
-        try:
-            sample = wild_bootstrap(M.LogisticIndividualModel(), data, beta_hat,
-                                    n_boot, seed=20, spec=spec)
-        except DegenerateRunError as exc:
-            sample = exc.sample
-        ok = ref_failures == ""
-        assert sample.statuses == ["converged" if f else "fallback" for f in ok]
-        assert sample.failures == {name: int(np.sum(ref_failures == name))
-                                   for name in sorted(set(ref_failures[~ok]))}
-        assert sample.iterations is not None and sample.iterations.shape == (n_boot,)
-        assert np.array_equal(sample.iterations[ok], ref_iters[ok])
-        assert np.array_equal(sample.betas[~ok], ref_betas[~ok])
-        scale = 1.0 + np.max(np.abs(ref_betas[ok]), axis=1)
-        dev = np.max(np.abs(sample.betas[ok] - ref_betas[ok]), axis=1) / scale
-        assert np.all(dev <= agreement_tol(conds[ok]))
+        sample = _sample_or_degenerate(lambda: wild_bootstrap(
+            M.LogisticIndividualModel(), data, beta_hat, n_boot, seed=20, spec=spec))
+        _assert_matches_oracle(sample, _wild_logistic_per_draw(
+            data, beta_hat, n_boot, 20, spec))
+        fallbacks += sample.fallback_count
+    assert fallbacks > 0
+
+
+def _rb_per_draw(model, data, beta_hat, n_boot, seed):
+    """Reference: the Newton refit of each draw's rebuilt dataset on its own,
+    from ``beta_hat`` with unit weights, on the same residual draws."""
+    resid, rebuild = model.residual_resampler(data, beta_hat)
+    resid = resid - resid.mean()
+
+    def systems():
+        for b in range(n_boot):
+            e = draw_rng(seed, b).choice(resid, size=len(resid))
+            yield model, rebuild(e[None]).take(0), np.ones(len(resid))
+
+    return oracle_outcomes(systems(), beta_hat, SolveOptions(init=beta_hat))
+
+
+def _rb_cases():
+    for k in range(3):
+        series = M.simulate_ar1(0.2, 1.0, 100.0, 50, rng(30 + k))
+        phi_hat = solve_weighted(M.Ar1Model(), series, np.ones(50)).beta
+        yield M.Ar1Model(), series, phi_hat, 300
+    data = M.simulate_linear([1.0, -0.5, 2.0], 50, rng(33))
+    yield (M.LinearModel(p=3), data,
+           np.linalg.lstsq(data["X"], data["y"], rcond=None)[0], 300)
+    # without the NLS hook most isomerization refits fail
+    yield M.IsomerizationModel(), M.load_isomerization(), np.array(
+        [35.92, 0.0708, 0.0377, 0.167]), 30
+
+
+def test_residual_bootstrap_block_refits_match_per_draw_refits():
+    fallbacks = 0
+    for model, data, beta_hat, n_boot in _rb_cases():
+        sample = _sample_or_degenerate(
+            lambda: residual_bootstrap(model, data, beta_hat, n_boot, seed=24))
+        _assert_matches_oracle(sample, _rb_per_draw(model, data, beta_hat, n_boot, 24))
         fallbacks += sample.fallback_count
     assert fallbacks > 0
 
@@ -284,7 +321,7 @@ def _broken_solve(mdl, dat, w, init):
 
 
 class _BrokenLinear(M.LinearModel):
-    def score_all(self, data, beta):
+    def factor(self, data, T):
         raise TypeError("bug in the score")
 
 

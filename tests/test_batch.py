@@ -9,7 +9,8 @@ from gebs import models as M
 from gebs import weights as W
 from gebs.engine import draw_rng, exact_variance_enumeration, run_bootstrap
 from gebs.errors import SOLVER_ERRORS, DegenerateRunError, ShapeError
-from gebs.solver import COND_LIMIT, SolveOptions, solve_weighted, solve_weighted_batch
+from gebs.solver import COND_LIMIT, SolveOptions, solve_weighted_batch
+from newton_oracle import newton_oracle, oracle_outcomes
 
 MODELS = ("mean", "linear1", "linear2", "linear3", "ar1",
           "logistic-group", "logistic-individual")
@@ -42,22 +43,8 @@ def make_scheme(kind, n):
 
 
 def per_draw(model, data, Wm, init, options):
-    """Reference: one solve_weighted call per row."""
-    betas, failures, iterations, conds = [], [], [], []
-    for w in Wm:
-        try:
-            sol = solve_weighted(model, data, w, options)
-        except SOLVER_ERRORS as exc:
-            betas.append(np.full(len(init), np.nan))
-            failures.append(type(exc).__name__)
-            iterations.append(-1)
-            conds.append(np.nan)
-            continue
-        betas.append(sol.beta)
-        failures.append("")
-        iterations.append(sol.iterations)
-        conds.append(np.linalg.cond(sol.jacobian_at_root))
-    return np.array(betas), np.array(failures, dtype=object), np.array(iterations), np.array(conds)
+    """Reference: one newton_oracle call per row."""
+    return oracle_outcomes(((model, data, w) for w in Wm), init, options)
 
 
 def agreement_tol(cond):
@@ -106,7 +93,7 @@ def test_blocked_enumeration_matches_per_atom(model_name, n, d, multinomial, see
     worst_cond = 1.0
     for w, prob in W.enumerate_support(scheme):
         try:
-            sol = solve_weighted(model, data, w, SolveOptions(init=beta_hat))
+            sol = newton_oracle(model, data, w, SolveOptions(init=beta_hat))
         except SOLVER_ERRORS:
             continue
         dev = sol.beta - beta_hat

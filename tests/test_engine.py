@@ -8,7 +8,7 @@ import pytest
 from gebs import engine
 from gebs import models as M
 from gebs import weights as W
-from gebs.baselines import wild_bootstrap
+from gebs.baselines import residual_bootstrap, wild_bootstrap
 from gebs.bench import GLM_BETA
 from gebs.engine import (EmpiricalDistribution, STATUS_CONVERGED, STATUS_FALLBACK,
                          draw_rng, empirical_distribution,
@@ -291,10 +291,15 @@ def _block_size_cases():
     beta_hat = solve_weighted(M.LogisticGroupModel(), glm, np.ones(glm.n)).beta
     trial = M.LogisticIndividualModel()
     slots = trial.weight_count(glm)
+    lin = M.simulate_linear([1.0, -0.5, 2.0], 50, r)
+    lin_hat = np.linalg.lstsq(lin["X"], lin["y"], rcond=None)[0]
     return {
         "ar1-gbs-multinomial": (lambda: run_bootstrap(
             ar1, series, phi_hat, W.multinomial(50), 300, seed=3), 1e-14),
+        "ar1-rb": (lambda: residual_bootstrap(ar1, series, phi_hat, 300, seed=3), 1e-14),
         "ar1-wb": (lambda: wild_bootstrap(ar1, series, phi_hat, 300, seed=3), 1e-14),
+        "linear-rb": (lambda: residual_bootstrap(
+            M.LinearModel(p=3), lin, lin_hat, 300, seed=3), 1e-14),
         "glm-gbs-exp": (lambda: run_bootstrap(
             trial, glm, beta_hat, W.iid_exponential(slots), 300, seed=3), 1e-13),
         "glm-wb": (lambda: wild_bootstrap(trial, glm, beta_hat, 300, seed=3), 1e-13),

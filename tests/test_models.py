@@ -90,6 +90,26 @@ def test_simulate_ar1_recursion():
         M.simulate_ar1(0.5, 1.0, 1.0, 1, rng(3))
 
 
+def _scalar_ar1_series(phi, e):
+    x = np.zeros(len(e) + 1)
+    for t in range(1, len(e) + 1):
+        x[t] = phi * x[t - 1] + e[t - 1]
+    return x
+
+
+def test_ar1_series_block_matches_scalar_recursion():
+    # the block recursion runs the scalar recursion's float operations per row
+    phi, E = 0.2, rng(30).standard_normal((128, 50))
+    expect = np.array([_scalar_ar1_series(phi, e) for e in E])
+    assert np.array_equal(M._ar1_series(phi, E), expect)
+    assert np.array_equal(M._ar1_series(phi, E[0]), expect[0])
+    # simulate_ar1 still builds its series from the same draws
+    sd = np.where(np.arange(1, 51) % 2 == 1, 1.0, 2.0)
+    e = rng(31).standard_normal(50) * sd
+    assert np.array_equal(M.simulate_ar1(phi, 1.0, 4.0, 50, rng(31))["x"],
+                          _scalar_ar1_series(phi, e))
+
+
 def test_simulate_ar1_heteroscedastic_pattern():
     # with phi = 0 the series is the raw error draw: odd slots small, even large
     data = M.simulate_ar1(0.0, 1.0, 10000.0, 4000, rng(4))
@@ -138,6 +158,7 @@ def test_load_glm_csv_roundtrip(tmp_path):
     ("N,X,Y\n4,0.1,2\n5,0.2,2.5\n", 1), # non-integer Y
     ("N,X,Y\nnan,0.1,2\n", 0),        # NaN N
     ("N,X,Y\n4,0.1,nan\n", 0),        # NaN Y
+    ("N,X,Y\n4,0.1,2\n4,nan,2\n", 1), # NaN X
     ("N,X,Y\n4,oops,2\n", 0),         # non-numeric
 ])
 def test_load_glm_csv_bad_rows(tmp_path, text, row):
@@ -166,6 +187,18 @@ def test_load_ar1_csv(tmp_path):
     path.write_text("x\n0.0\n1.0\n")
     with pytest.raises(ParseError):
         M.load_ar1_csv(path)
+    path.write_text("x\n0.0\n1.0\ninf\n0.5\n")
+    with pytest.raises(ParseError, match="non-finite 'x'") as exc:
+        M.load_ar1_csv(path)
+    assert exc.value.row == 2
+
+
+def test_load_nls_csv_rejects_nan_response(tmp_path):
+    path = tmp_path / "n.csv"
+    path.write_text("H,P,I,y\n1,2,3,0.5\n1,2,3,nan\n")
+    with pytest.raises(ParseError, match="non-finite 'y'") as exc:
+        M.load_nls_csv(path)
+    assert exc.value.row == 1
 
 
 def test_bundled_data():
@@ -176,3 +209,5 @@ def test_bundled_data():
     assert fum.n == 10
     assert int(np.sum(fum["N"])) == 240
     assert len(fum["y_ind"]) == 240
+    table = np.loadtxt(M.bundled_path("fumigant.csv"), delimiter=",", skiprows=1)
+    assert np.array_equal(fum["Y"], table[:, 2])
