@@ -3,7 +3,8 @@
 Both rebuild synthetic responses from fitted residuals and refit, returning
 the same BootstrapSample record as the generalized bootstrap (with unit
 weight variance, so the shared variance estimator applies unscaled). Both
-refit a whole block of draws at once.
+refit a whole block of draws at once; the residual bootstrap's refit is the
+same block hook as ``run_bootstrap``'s ``solve_fn``.
 """
 
 from dataclasses import dataclass
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models as M
-from .engine import draw_rng, newton_block, per_draw, resample
+from .engine import draw_rng, newton_block, resample
 from .errors import ParameterError, SingularSystemError, UnsupportedModelError
 from .solver import COND_LIMIT, require_int
 from .solver import solve_weighted  # noqa: F401  (public name; tracers patch it here)
@@ -41,25 +42,23 @@ def residual_bootstrap(model, data, beta_hat, n_boot, seed, solve_fn=None):
 
     ``model.residual_resampler`` supplies the residuals and rebuilds a block
     of synthetic datasets from its (B, n) residual matrix: fit + residual for
-    regression responses, the AR(1) series recursively from X_0 = 0. The
-    block is refit by one unit-weight Newton solve from ``beta_hat``.
-    ``solve_fn(model, data, w, beta_hat) -> beta`` overrides it with
-    ``run_bootstrap``'s hook contract, per draw and with unit weights.
+    regression responses, the AR(1) series recursively from X_0 = 0. Each
+    block is refit from ``beta_hat`` with unit weights by ``solve_fn``, which
+    has ``run_bootstrap``'s block hook contract and defaults to the batched
+    Newton solve (``newton_block``); the rebuilt block's ``drawn`` arrays
+    carry draw b's data in row b.
     """
     beta_hat = np.atleast_1d(np.asarray(beta_hat, float))
     resid, rebuild = model.residual_resampler(data, beta_hat)
     resid = resid - resid.mean()
+    hook = solve_fn or newton_block
 
     def row(b):
         return draw_rng(seed, b).choice(resid, size=len(resid))
 
-    if solve_fn is None:
-        def solve_block(E):
-            return newton_block(model, rebuild(E), beta_hat)(np.ones(E.shape))
-    else:
-        ones = np.ones(len(resid))
-        solve_block = per_draw(beta_hat, lambda e: solve_fn(
-            model, rebuild(e[None]).take(0), ones, beta_hat))
+    def solve_block(E):
+        return hook(model, rebuild(E), np.ones(E.shape), beta_hat)
+
     return resample(beta_hat, n_boot, row, solve_block, "residual bootstrap")
 
 
@@ -131,7 +130,8 @@ def wild_bootstrap(model, data, beta_hat, n_boot, seed, spec=None):
             S = np.bincount(cell, weights=ys)
             return np.concatenate([S, trials - S])
 
-        solve_block = newton_block(M.LogisticGroupModel(), slots, beta_hat)
+        def solve_block(V):
+            return newton_block(M.LogisticGroupModel(), slots, V, beta_hat)
 
     else:
         raise UnsupportedModelError(

@@ -3,7 +3,9 @@
 Each experiment simulates (or loads) data, fits the full-data estimate, runs
 the configured resampling methods, and aggregates into a fixed report shape:
 variance-summary rows, confidence-interval coverage rows, histogram rows, or
-weight-condition verdict rows.
+weight-condition verdict rows. The nls experiment resamples through its own
+``solve_fn`` block hook, ``nls_draw_root``, which solves every draw of a
+block with array algebra.
 """
 
 import json
@@ -18,7 +20,7 @@ from . import engine as emod
 from . import models as mmod
 from . import weights as wmod
 from .errors import (ConfigError, DegenerateRunError, EmptyRootSetError,
-                     NonConvergenceError, ParameterError)
+                     EvaluationError, NonConvergenceError, ParameterError)
 from .solver import SolveOptions, solve_weighted
 
 EXPERIMENTS = ("ar1", "glm", "nls", "weights-check")
@@ -100,6 +102,9 @@ class ExperimentConfig:
         self.methods = tuple(self.methods)
         if self.sims < 1:
             raise ConfigError("sims must be >= 1")
+        if self.experiment == "nls" and self.sims != 1:
+            raise ConfigError(f"nls runs one replicate on the bundled data; "
+                              f"sims must be 1, got {self.sims}")
         if self.boots < 10:
             raise ConfigError("boots must be >= 10")
         if self.n < 2:
@@ -289,48 +294,79 @@ def _nls_fit(model, data, weights, start):
     return res.x
 
 
-def _gn_step(model, data, weights, start, halvings=NLS_GN_HALVINGS):
-    """One damped Gauss-Newton step of the weighted least-squares problem.
-
-    The step is halved until the weighted sum of squares decreases; if no
-    decrease is found the start is returned unchanged. A single damped step
-    cannot drift along the model's non-identifiability ridges, so draws stay
-    in the basin they were assigned to.
-    """
-    th = np.asarray(start, float).copy()
-    w = np.asarray(weights, float)
-    J = model.f_grad(data, th)
-    r = data["y"] - model.f(data, th)
-    A = J.T @ (w[:, None] * J)
-    g = J.T @ (w * r)
+def _solve_stack(A, g):
+    """Solutions x_k of A_k x_k = g_k over a (B, p, p) stack, and the mask of
+    rows solved. ``np.linalg.solve`` rejects a whole stack if one matrix is
+    singular, so such a stack is solved row by row and its singular rows are
+    left unsolved."""
+    x, solved = np.zeros_like(g), np.ones(len(g), bool)
     try:
-        step = np.linalg.solve(A, g)
+        return np.linalg.solve(A, g[:, :, None])[:, :, 0], solved
     except np.linalg.LinAlgError:
-        return th
-    base = model.objective(data, w, th)
-    t = 1.0
-    for _ in range(halvings):
-        cand = np.clip(th + t * step, NLS_BOUNDS[0], NLS_BOUNDS[1])
-        if model.objective(data, w, cand) < base:
-            return cand
-        t *= 0.5
-    return th
+        pass
+    for k in range(len(g)):
+        try:
+            x[k] = np.linalg.solve(A[k], g[k])
+        except np.linalg.LinAlgError:
+            solved[k] = False
+    return x, solved
 
 
-def nls_draw_root(model, data, weights, anchors):
-    """Per-draw root: one-step refit seeded at the better-fitting known root.
+def nls_draw_root(model, data, W, anchors):
+    """Block root: each draw's one-step refit seeded at its better-fitting known root.
 
-    The draw adopts whichever full-data root has the smaller weighted
-    objective for this resample. A draw assigned to the primary root is
-    refined by one damped Gauss-Newton step; a draw assigned to the secondary
-    root keeps that root unchanged, because iteration from it stalls on the
-    adjacent flat ridge rather than converging.
+    ``anchors`` holds the primary full-data root and optionally a secondary
+    one. Draw b adopts whichever has the smaller weighted objective
+    sum_i W[b, i] (y_i - f_i)^2. A draw assigned to the secondary root keeps
+    that root unchanged, because iteration from it stalls on the adjacent flat
+    ridge rather than converging. A draw assigned to the primary root takes
+    one damped Gauss-Newton step from it: the step is halved until the
+    objective decreases, at most ``NLS_GN_HALVINGS`` times, and the primary
+    is kept if no decrease is found or the step's system is singular. A single
+    damped step cannot drift along the model's non-identifiability ridges, so
+    draws stay in the basin they were assigned to. A candidate outside the
+    model's domain fails its draw with ``EvaluationError``.
+
+    ``data["y"]`` is shared (n,) or drawn (B, n) on a rebuilt block. Returns
+    ``(betas, failures, None)``, the ``solve_fn`` block contract.
     """
-    w = np.asarray(weights, float)
-    primary, secondary = anchors[0], anchors[1]
-    if model.objective(data, w, secondary) < model.objective(data, w, primary):
-        return np.asarray(secondary, float).copy()
-    return _gn_step(model, data, w, primary)
+    W = np.asarray(W, float)
+    primary = np.asarray(anchors[0], float)
+    betas = np.tile(primary, (len(W), 1))
+    failures = np.full(len(W), "", dtype=object)
+    F, ok = model.f(data, np.stack(anchors))
+    if not ok.all():   # the anchors' domain does not depend on the draw
+        failures[:] = EvaluationError.__name__
+        return betas, failures, None
+    y = np.broadcast_to(data["y"], W.shape)
+    r = y - F[0]
+    base = np.sum(W * r ** 2, axis=-1)
+    picked = np.zeros(len(W), bool)
+    if len(anchors) > 1:
+        picked = np.sum(W * (y - F[1]) ** 2, axis=-1) < base
+        betas[picked] = anchors[1]
+
+    # Gauss-Newton step at the primary root: J and f are shared by every draw
+    gn = np.flatnonzero(~picked)
+    J = model.f_grad(data, primary)
+    A = J.T @ (W[gn, :, None] * J)
+    g = (J.T @ (W[gn] * r[gn])[:, :, None])[:, :, 0]
+    step, pending = np.zeros_like(betas), np.zeros(len(W), bool)
+    step[gn], pending[gn] = _solve_stack(A, g)
+    t = 1.0
+    for _ in range(NLS_GN_HALVINGS):
+        k = np.flatnonzero(pending)
+        if k.size == 0:
+            break
+        cand = np.clip(primary + t * step[k], NLS_BOUNDS[0], NLS_BOUNDS[1])
+        F, ok = model.f(data, cand)
+        with np.errstate(invalid="ignore"):   # 0 * inf on rows outside the domain
+            better = ok & (np.sum(W[k] * (y[k] - F) ** 2, axis=-1) < base[k])
+        failures[k[~ok]] = EvaluationError.__name__
+        betas[k[better]] = cand[better]
+        pending[k[better | ~ok]] = False
+        t *= 0.5
+    return betas, failures, None
 
 
 def nls_roots(model, data, weights, starts=NLS_STARTS):
@@ -356,8 +392,8 @@ def _run_nls(config):
     anchors = tuple(th for th, _ in fits)
     beta_hat = anchors[0]
 
-    def solve_fn(mdl, dat, w, _beta_hat):
-        return nls_draw_root(mdl, dat, w, anchors)
+    def solve_fn(mdl, dat, W, _beta_hat):
+        return nls_draw_root(mdl, dat, W, anchors)
 
     rows = []
     fit_obj = model.objective(data, ones, beta_hat)

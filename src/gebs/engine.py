@@ -1,6 +1,11 @@
 """Generalized-bootstrap driver: one resample loop over blocks of draws and its
 block solvers, variance and distribution estimates, percentile intervals,
-studentized statistics, enumeration oracles."""
+studentized statistics, enumeration oracles.
+
+A block is solved by a ``solve_fn(model, data, W, beta_hat) -> (betas,
+failures, iterations or None)`` hook, by default ``newton_block``;
+``per_draw`` adapts a per-draw root function to that contract and is not
+used by the library itself."""
 
 import itertools
 import math
@@ -12,7 +17,7 @@ from scipy.stats import norm
 
 from . import weights as wmod
 from .errors import (SOLVER_ERRORS, DegenerateRunError, InsufficientSampleError,
-                     ParameterError)
+                     ParameterError, ShapeError)
 from .solver import solve_weighted_batch
 from .solver import solve_weighted  # noqa: F401  (public name; tracers patch it here)
 
@@ -97,7 +102,8 @@ def resample(beta_hat, n_boot, row, solve_block, label, scheme=None,
     resampled residuals) from its own stream. Blocks of ``BLOCK_DRAWS`` rows,
     stacked into a matrix ``R``, go to ``solve_block(R) -> (betas, failures,
     iterations or None)``, where ``failures`` holds each draw's error class
-    ("" if it solved). Failed draws are pinned to ``beta_hat``. ``sigma2`` is
+    ("" if it solved); other shapes than (len(R), p) roots and len(R) failures
+    raise ``ShapeError``. Failed draws are pinned to ``beta_hat``. ``sigma2`` is
     the scheme's weight variance, or 1 for the baselines (no scheme). More
     than ``MAX_FALLBACK_FRAC`` fallbacks raise ``DegenerateRunError``
     carrying the (still inspectable) sample. ``store_rows`` keeps the rows as
@@ -108,7 +114,14 @@ def resample(beta_hat, n_boot, row, solve_block, label, scheme=None,
     blocks, kept = [], []
     for start in range(0, n_boot, BLOCK_DRAWS):
         R = np.stack([row(b) for b in range(start, min(start + BLOCK_DRAWS, n_boot))])
-        blocks.append(solve_block(R))
+        block = solve_block(R)
+        if (np.shape(block[0]) != (len(R), len(beta_hat))
+                or np.shape(block[1]) != (len(R),)):
+            raise ShapeError(
+                f"{label}: a block of {len(R)} draws needs ({len(R)}, "
+                f"{len(beta_hat)}) roots and {len(R)} failures, got shapes "
+                f"{np.shape(block[0])} and {np.shape(block[1])}")
+        blocks.append(block)
         if store_rows:
             kept.append(R)
     betas, failures, iterations = zip(*blocks)
@@ -129,32 +142,33 @@ def resample(beta_hat, n_boot, row, solve_block, label, scheme=None,
     return sample
 
 
-def newton_block(model, data, beta_hat, options=None):
-    """Block solver: the batched Newton solve of each weight row from ``beta_hat``."""
-    def solve_block(W):
-        sol = solve_weighted_batch(model, data, W, beta_hat, options)
-        return sol.betas, sol.failures, sol.iterations
-    return solve_block
+def newton_block(model, data, W, beta_hat, options=None):
+    """Default ``solve_fn`` hook: the batched Newton solve of each weight row
+    from ``beta_hat``."""
+    sol = solve_weighted_batch(model, data, W, beta_hat, options)
+    return sol.betas, sol.failures, sol.iterations
 
 
-def per_draw(beta_hat, one):
-    """Block solver for a ``solve_fn`` hook: ``one(row) -> beta`` on each row of R.
+def per_draw(fn):
+    """Adapter: the block hook that calls ``fn(model, data, w, beta_hat) -> beta``
+    on each row w of the weight block, with that draw's data ``data.take(b)``.
 
     A solver error (``SOLVER_ERRORS``) marks that draw as a fallback; any
-    other exception is a bug and propagates. The only place where a hook's
-    solver error is caught; every other method solves its block at once.
+    other exception is a bug and propagates. This is the only place where a
+    hook's solver error is caught; the library's own hooks solve a block at
+    once and return its failures.
     """
-    def solve_block(R):
+    def hook(model, data, W, beta_hat):
         betas, failures = [], []
-        for r in R:
+        for b, w in enumerate(W):
             try:
-                beta, failure = one(r), ""
+                beta, failure = fn(model, data.take(b), w, beta_hat), ""
             except SOLVER_ERRORS as exc:
                 beta, failure = beta_hat, type(exc).__name__
             betas.append(np.atleast_1d(np.asarray(beta, float)))
             failures.append(failure)
         return np.stack(betas), np.array(failures, dtype=object), None
-    return solve_block
+    return hook
 
 
 def run_bootstrap(model, data, beta_hat, scheme, n_boot, seed,
@@ -165,17 +179,16 @@ def run_bootstrap(model, data, beta_hat, scheme, n_boot, seed,
     more than ``MAX_FALLBACK_FRAC`` fallbacks raises ``DegenerateRunError``
     carrying the (still inspectable) sample.
 
-    ``solve_fn(model, data, w, beta_hat) -> beta`` replaces the default batched
-    solve from ``beta_hat``; it is called once per draw, and a solver error
-    (``SOLVER_ERRORS``) it raises makes that draw fall back.
+    ``solve_fn(model, data, W, beta_hat) -> (betas, failures, iterations or
+    None)`` replaces the default batched Newton solve (``newton_block``) of
+    each (B, n) block of weight rows; ``per_draw`` turns a per-draw root
+    function into such a hook.
     """
     beta_hat = np.atleast_1d(np.asarray(beta_hat, float))
-    if solve_fn is None:
-        solve_block = newton_block(model, data, beta_hat, options)
-    else:
-        solve_block = per_draw(beta_hat, lambda w: solve_fn(model, data, w, beta_hat))
+    hook = solve_fn or (lambda m, d, W, b: newton_block(m, d, W, b, options))
     return resample(beta_hat, n_boot, lambda b: wmod.sample(scheme, draw_rng(seed, b)),
-                    solve_block, "generalized bootstrap", scheme, store_weights)
+                    lambda W: hook(model, data, W, beta_hat),
+                    "generalized bootstrap", scheme, store_weights)
 
 
 def variance_estimate(sample, scale=1.0):

@@ -293,20 +293,27 @@ class IsomerizationModel(Model):
 
     p = 4
 
-    def _parts(self, data, theta):
+    def _rate(self, data, theta):
+        """u, the denominator D and the numerator A of f, each (n,) for (p,)
+        parameters and (B, n) for (B, p) parameters."""
         H, P, I = data["H"], data["P"], data["I"]
+        th = np.moveaxis(theta, -1, 0)[..., None]   # th[j]: (1,) or (B, 1)
         u = P - I / ISO_SCALE
-        D = 1.0 + theta[1] * H + theta[2] * P + theta[3] * I
-        A = theta[0] * theta[2] * u
+        D = 1.0 + th[1] * H + th[2] * P + th[3] * I
+        A = th[0] * th[2] * u
+        return u, D, A
+
+    def _parts(self, data, theta):
+        u, D, A = self._rate(data, theta)
         # derivative stacks indexed (slot, param)
         Aj = np.stack([theta[2] * u, np.zeros_like(u), theta[0] * u, np.zeros_like(u)], axis=1)
-        Dj = np.stack([np.zeros_like(H), H, P, I], axis=1)
+        Dj = np.stack([np.zeros_like(u), data["H"], data["P"], data["I"]], axis=1)
         return u, D, A, Aj, Dj
 
     def in_domain(self, data, beta):
         if not np.all(np.isfinite(beta)):
             return False
-        _, D, *_ = self._parts(data, np.asarray(beta, float))
+        _, D, _ = self._rate(data, np.asarray(beta, float))
         return bool(np.all(np.abs(D) > 1e-12))
 
     def _check_domain(self, D):
@@ -316,9 +323,16 @@ class IsomerizationModel(Model):
                                   index=int(bad[0]))
 
     def f(self, data, theta):
-        _, D, A, _, _ = self._parts(data, np.asarray(theta, float))
-        self._check_domain(D)
-        return A / D
+        """f at (p,) parameters, raising ``EvaluationError`` where D vanishes;
+        at a (B, p) stack, ``(F, ok)``: the (B, n) values and the mask of rows
+        whose D vanishes nowhere (the other rows of F are not meaningful)."""
+        theta = np.asarray(theta, float)
+        _, D, A = self._rate(data, theta)
+        if theta.ndim == 1:
+            self._check_domain(D)
+            return A / D
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return A / D, ~np.any(np.abs(D) <= 1e-12, axis=1)
 
     def _checked_parts(self, data, theta):
         parts = self._parts(data, np.asarray(theta, float))

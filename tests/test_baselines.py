@@ -7,7 +7,7 @@ from gebs import models as M
 from gebs import weights as W
 from gebs.baselines import BaselineSpec, residual_bootstrap, wild_bootstrap
 from gebs.bench import GLM_BETA
-from gebs.engine import draw_rng, run_bootstrap
+from gebs.engine import draw_rng, per_draw, run_bootstrap
 from gebs.errors import (DegenerateRunError, NonConvergenceError, ParameterError,
                          UnsupportedModelError)
 from gebs.solver import SolveOptions, solve_weighted
@@ -65,7 +65,8 @@ def test_residual_bootstrap_custom_refit_and_degenerate():
         raise NonConvergenceError("refit failed")
 
     with pytest.raises(DegenerateRunError) as exc:
-        residual_bootstrap(model, data, beta_hat, 50, seed=6, solve_fn=bad_solve)
+        residual_bootstrap(model, data, beta_hat, 50, seed=6,
+                           solve_fn=per_draw(bad_solve))
     assert exc.value.sample.fallback_count == 50
     assert exc.value.sample.failures == {"NonConvergenceError": 50}
 
@@ -83,7 +84,8 @@ def test_residual_bootstrap_isomerization_uses_refit_hook():
         seen.append(dat["y"].copy())
         return anchor.copy()
 
-    sample = residual_bootstrap(model, data, anchor, 12, seed=7, solve_fn=solve_fn)
+    sample = residual_bootstrap(model, data, anchor, 12, seed=7,
+                                solve_fn=per_draw(solve_fn))
     assert len(seen) == 12
     assert np.array_equal(sample.betas, np.tile(anchor, (12, 1)))
     # synthetic responses are fit + resampled centered residuals, not the raw y
@@ -329,10 +331,11 @@ class _BrokenLinear(M.LinearModel):
     lambda data, beta_hat: residual_bootstrap(_BrokenLinear(p=1), data, beta_hat,
                                               5, seed=1),
     lambda data, beta_hat: residual_bootstrap(M.LinearModel(p=1), data, beta_hat,
-                                              5, seed=1, solve_fn=_broken_solve),
+                                              5, seed=1,
+                                              solve_fn=per_draw(_broken_solve)),
     lambda data, beta_hat: run_bootstrap(M.LinearModel(p=1), data, beta_hat,
                                          W.multinomial(data.n), 5, seed=1,
-                                         solve_fn=_broken_solve),
+                                         solve_fn=per_draw(_broken_solve)),
 ], ids=["rb-default", "rb-hook", "gbs-hook"])
 def test_refit_bugs_are_not_fallbacks(run):
     # only solver failures fall back; any other exception is a bug and surfaces

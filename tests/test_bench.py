@@ -31,6 +31,7 @@ def test_config_defaults_fill_in():
     {"experiment": "ar1", "n": 1},
     {"experiment": "ar1", "methods": ()},
     {"experiment": "ar1", "seed": -1},
+    {"experiment": "nls", "sims": 3},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ConfigError):
@@ -218,6 +219,16 @@ def test_cli_negative_seed_exit_code(capsys):
     code = cli.main(["run", "--experiment", "ar1", "--seed", "-1"])
     assert code == cli.EXIT_CONFIG
     assert "seed" in capsys.readouterr().err
+
+
+def test_cli_nls_rejects_sims_other_than_one(tmp_path, capsys):
+    # nls runs one replicate; a report must not claim more than it ran
+    out = tmp_path / "report.csv"
+    code = cli.main(["run", "--experiment", "nls", "--sims", "3",
+                     "--boots", "50", "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "sims" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_bad_output_path(capsys):

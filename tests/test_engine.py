@@ -5,18 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from gebs import engine
+from gebs import bench, engine
 from gebs import models as M
 from gebs import weights as W
 from gebs.baselines import residual_bootstrap, wild_bootstrap
 from gebs.bench import GLM_BETA
 from gebs.engine import (EmpiricalDistribution, STATUS_CONVERGED, STATUS_FALLBACK,
                          draw_rng, empirical_distribution,
-                         exact_variance_enumeration, ks_distance, percentile_ci,
-                         percentile_cis_batch, run_bootstrap, studentized_stats,
-                         variance_estimate)
+                         exact_variance_enumeration, ks_distance, per_draw,
+                         percentile_ci, percentile_cis_batch, run_bootstrap,
+                         studentized_stats, variance_estimate)
 from gebs.errors import (DegenerateRunError, InsufficientSampleError,
-                         NonConvergenceError, ParameterError)
+                         NonConvergenceError, ParameterError, ShapeError)
 from gebs.solver import solve_weighted
 
 
@@ -65,7 +65,7 @@ def test_fallback_draws_pin_to_beta_hat():
         return np.array([np.sum(w * dat["z"]) / np.sum(w)])
 
     sample = run_bootstrap(model, data, beta_hat, W.multinomial(12), 50,
-                           seed=3, solve_fn=flaky)
+                           seed=3, solve_fn=per_draw(flaky))
     assert sample.fallback_count == 5
     fell = [i for i, s in enumerate(sample.statuses) if s == STATUS_FALLBACK]
     assert np.array_equal(sample.betas[fell],
@@ -80,7 +80,7 @@ def test_too_many_fallbacks_degenerate():
 
     with pytest.raises(DegenerateRunError) as exc:
         run_bootstrap(model, data, beta_hat, W.multinomial(12), 20,
-                      seed=4, solve_fn=broken)
+                      seed=4, solve_fn=per_draw(broken))
     assert exc.value.sample.fallback_count == 20
     # the degenerate sample is still inspectable and its estimate is zero
     est = variance_estimate(exc.value.sample)
@@ -100,7 +100,7 @@ def test_hook_draws_run_in_order_across_blocks():
         return np.array([np.sum(w * dat["z"]) / np.sum(w)])
 
     sample = run_bootstrap(model, data, beta_hat, scheme, 300, seed=7,
-                           solve_fn=record, store_weights=True)
+                           solve_fn=per_draw(record), store_weights=True)
     expected = np.stack([W.sample(scheme, draw_rng(7, b)) for b in range(300)])
     assert np.array_equal(np.stack(seen), expected)
     assert np.array_equal(sample.weight_draws, expected)
@@ -113,6 +113,32 @@ def test_run_bootstrap_validation():
     model, data, beta_hat = mean_setup()
     with pytest.raises(ParameterError):
         run_bootstrap(model, data, beta_hat, W.multinomial(12), 0, seed=0)
+
+
+@pytest.mark.parametrize("bad", ["short", "flat", "wide", "failures"])
+def test_block_hook_output_shape_is_checked(bad):
+    # a wrong block shape must not broadcast into the fallback assignment
+    model, data, beta_hat = mean_setup()
+
+    def hook(mdl, dat, W_, bh):
+        B = len(W_)
+        betas, failures = np.tile(bh, (B, 1)), np.full(B, "", dtype=object)
+        if bad == "short":
+            betas = betas[:-1]
+        elif bad == "flat":
+            betas = betas[:, 0]
+        elif bad == "wide":
+            betas = np.tile(bh, (B, 2))
+        else:
+            failures = failures[:1]
+        return betas, failures, None
+
+    with pytest.raises(ShapeError):
+        run_bootstrap(model, data, beta_hat, W.multinomial(12), 20, seed=0,
+                      solve_fn=hook)
+    with pytest.raises(ShapeError):
+        residual_bootstrap(M.LinearModel(p=1), M.simulate_linear([1.0], 12, rng(1)),
+                           beta_hat, 20, seed=0, solve_fn=hook)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +155,7 @@ def test_variance_estimate_reports_fallback_frac():
         return np.array([np.sum(w * dat["z"]) / np.sum(w)])
 
     sample = run_bootstrap(model, data, beta_hat, W.multinomial(12), 50,
-                           seed=3, solve_fn=flaky)
+                           seed=3, solve_fn=per_draw(flaky))
     est = variance_estimate(sample)
     assert est.fallback_frac == 0.1
     # the definition is unchanged: fallback draws still count as zero
@@ -281,7 +307,8 @@ def _block_size_cases():
     """Name -> (run, rtol). One Newton step or a closed form fixes an AR(1)
     root to rounding; an iterated logistic root stops at the score tolerance,
     and the last step's rounding is amplified by the weighted Jacobian's
-    conditioning (about 3e3 at the fumigant fit), hence the looser bound."""
+    conditioning (about 3e3 at the fumigant fit), hence the looser bound. The
+    NLS root must not move at all."""
     r = rng(31)
     ar1 = M.Ar1Model()
     series = M.simulate_ar1(0.2, 1.0, 100.0, 50, r)
@@ -293,6 +320,13 @@ def _block_size_cases():
     slots = trial.weight_count(glm)
     lin = M.simulate_linear([1.0, -0.5, 2.0], 50, r)
     lin_hat = np.linalg.lstsq(lin["X"], lin["y"], rcond=None)[0]
+    iso, iso_model = M.load_isomerization(), M.IsomerizationModel()
+    anchors = tuple(th for th, _ in sorted(
+        bench.nls_roots(iso_model, iso, np.ones(iso.n)), key=lambda f: f[1]))
+
+    def nls_root(mdl, dat, W_, _beta_hat):
+        return bench.nls_draw_root(mdl, dat, W_, anchors)
+
     return {
         "ar1-gbs-multinomial": (lambda: run_bootstrap(
             ar1, series, phi_hat, W.multinomial(50), 300, seed=3), 1e-14),
@@ -303,6 +337,12 @@ def _block_size_cases():
         "glm-gbs-exp": (lambda: run_bootstrap(
             trial, glm, beta_hat, W.iid_exponential(slots), 300, seed=3), 1e-13),
         "glm-wb": (lambda: wild_bootstrap(trial, glm, beta_hat, 300, seed=3), 1e-13),
+        # the NLS root sums and solves each draw's rows alike in any block
+        "nls-gbs-exp": (lambda: run_bootstrap(
+            iso_model, iso, anchors[0], W.iid_exponential(iso.n), 300, seed=3,
+            solve_fn=nls_root), 0.0),
+        "nls-rb": (lambda: residual_bootstrap(
+            iso_model, iso, anchors[0], 300, seed=3, solve_fn=nls_root), 0.0),
     }
 
 
