@@ -6,7 +6,7 @@ wild-bootstrap baselines and reproducible simulation experiments.
 """
 
 from . import baselines, bench, engine, models, solver, weights
-from .baselines import BaselineSpec, residual_bootstrap, wild_bootstrap
+from .baselines import residual_bootstrap, wild_bootstrap
 from .bench import (ExperimentConfig, ExperimentReport, density_histogram,
                     emit_report, run_experiment)
 from .engine import (BootstrapSample, EmpiricalDistribution, VarianceEstimate,

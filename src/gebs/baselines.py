@@ -7,34 +7,17 @@ refit a whole block of draws at once; the residual bootstrap's refit is the
 same block hook as ``run_bootstrap``'s ``solve_fn``.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import models as M
-from .engine import draw_rng, newton_block, resample
-from .errors import ParameterError, SingularSystemError, UnsupportedModelError
-from .solver import COND_LIMIT, require_int
+from .engine import newton_block, resample
+from .engine import draw_rng  # noqa: F401  (public name; tracers patch it here)
+from .errors import SingularSystemError, UnsupportedModelError
+from .solver import COND_LIMIT
 from .solver import solve_weighted  # noqa: F401  (public name; tracers patch it here)
 
-
-@dataclass
-class BaselineSpec:
-    multiplier: str = "normal"   # "normal" | "zero" (degenerate, for testing)
-    delta: float = 0.001         # logit-residual guard for grouped binary data
-    block: int = 2               # like-response trials sharing one multiplier
-
-    def __post_init__(self):
-        if not self.delta > 0:
-            raise ParameterError(f"delta must be > 0, got {self.delta!r}")
-        require_int("block", self.block, 1)
-        if self.multiplier not in ("normal", "zero"):
-            raise ParameterError(f"unknown multiplier {self.multiplier!r}")
-
-    def draw_multipliers(self, rng, size):
-        if self.multiplier == "zero":
-            return np.zeros(size)
-        return rng.standard_normal(size)
+WB_DELTA = 0.001   # wild bootstrap: logit-residual guard for grouped binary data
+WB_BLOCK = 2       # wild bootstrap: like-response trials sharing one multiplier
 
 
 def residual_bootstrap(model, data, beta_hat, n_boot, seed, solve_fn=None):
@@ -52,32 +35,29 @@ def residual_bootstrap(model, data, beta_hat, n_boot, seed, solve_fn=None):
     resid, rebuild = model.residual_resampler(data, beta_hat)
     resid = resid - resid.mean()
     hook = solve_fn or newton_block
-
-    def row(b):
-        return draw_rng(seed, b).choice(resid, size=len(resid))
-
-    def solve_block(E):
-        return hook(model, rebuild(E), np.ones(E.shape), beta_hat)
-
-    return resample(beta_hat, n_boot, row, solve_block, "residual bootstrap")
+    return resample(beta_hat, n_boot, seed,
+                    lambda rng: rng.choice(resid, size=len(resid)),
+                    lambda E: hook(model, rebuild(E), np.ones(E.shape), beta_hat),
+                    "residual bootstrap")
 
 
-def wild_bootstrap(model, data, beta_hat, n_boot, seed, spec=None):
+def wild_bootstrap(model, data, beta_hat, n_boot, seed):
     """Multiplier-perturbed residual bootstrap.
 
     Regression responses are rebuilt as fit + U * residual with the observed
     design X held fixed (the lagged series for AR(1)), and a block of draws is
-    refit in closed form from the (B, n) multiplier matrix U. A singular X'X
-    (an all-zero series, a duplicated column) makes every draw fall back with
-    ``SingularSystemError``. Grouped binary data uses per-trial logit residuals
-    r_ij = logit((Y_ij + delta) / (1 + 2 delta)) - fitted logit; the perturbed
-    logit is mapped back to a success probability, a synthetic binary response
-    is drawn from it, and the logistic fit is recomputed. That refit is a
-    batched reweighted solve over (covariate cell, outcome) slots, so blocks
-    of draws share one ``solve_weighted_batch`` call and the sample records
-    Newton steps per draw.
+    refit in closed form from the (B, n) standard-normal multiplier matrix U.
+    A singular X'X (an all-zero series, a duplicated column) makes every draw
+    fall back with ``SingularSystemError``. Grouped binary data uses per-trial
+    logit residuals r_ij = logit((Y_ij + WB_DELTA) / (1 + 2 WB_DELTA)) -
+    fitted logit, with one standard-normal multiplier per ``WB_BLOCK``
+    like-response trials; the perturbed logit is mapped back to a success
+    probability, a synthetic binary response is drawn from it, and the
+    logistic fit is recomputed. That refit is a batched reweighted solve over
+    (covariate cell, outcome) slots, so blocks of draws share one
+    ``solve_weighted_batch`` call and the sample records Newton steps per
+    draw.
     """
-    spec = spec or BaselineSpec()
     beta_hat = np.atleast_1d(np.asarray(beta_hat, float))
 
     if isinstance(model, (M.Ar1Model, M.LinearModel)):
@@ -87,8 +67,8 @@ def wild_bootstrap(model, data, beta_hat, n_boot, seed, spec=None):
         XtX = X.T @ X
         singular = np.linalg.cond(XtX) > COND_LIMIT
 
-        def row(b):
-            return spec.draw_multipliers(draw_rng(seed, b), data.n)
+        def draw(rng):
+            return rng.standard_normal(data.n)
 
         def solve_block(U):
             B = len(U)
@@ -103,14 +83,14 @@ def wild_bootstrap(model, data, beta_hat, n_boot, seed, spec=None):
         x = data["x_ind"]
         group = data["group"]
         t_hat = beta_hat[0] + beta_hat[1] * x
-        p_obs = (y + spec.delta) / (1.0 + 2.0 * spec.delta)
+        p_obs = (y + WB_DELTA) / (1.0 + 2.0 * WB_DELTA)
         r = np.log(p_obs / (1.0 - p_obs)) - t_hat
         # one multiplier per block of like-response trials within a group;
         # perturbed logits become success probabilities and a synthetic binary
         # response is drawn, so each refit is an ordinary logistic fit
         order = np.lexsort((y, group))
         block_id = np.empty(len(y), int)
-        block_id[order] = np.arange(len(y)) // spec.block
+        block_id[order] = np.arange(len(y)) // WB_BLOCK
         n_blocks = int(block_id.max()) + 1
         # the per-trial score sum_i (y*_i - P(x_i)) D_i equals the weighted
         # score over two slots per covariate cell: an always-success slot
@@ -122,9 +102,8 @@ def wild_bootstrap(model, data, beta_hat, n_boot, seed, spec=None):
             "X": np.concatenate([xs, xs]), "N": np.ones(2 * len(xs)),
             "Y": np.concatenate([np.ones(len(xs)), np.zeros(len(xs))])})
 
-        def row(b):
-            rng = draw_rng(seed, b)
-            u = spec.draw_multipliers(rng, n_blocks)[block_id]
+        def draw(rng):
+            u = rng.standard_normal(n_blocks)[block_id]
             p_star = 1.0 / (1.0 + np.exp(-np.clip(t_hat + u * r, -500.0, 500.0)))
             ys = (rng.random(len(y)) < p_star).astype(float)
             S = np.bincount(cell, weights=ys)
@@ -136,4 +115,4 @@ def wild_bootstrap(model, data, beta_hat, n_boot, seed, spec=None):
     else:
         raise UnsupportedModelError(
             f"wild bootstrap undefined for {type(model).__name__}")
-    return resample(beta_hat, n_boot, row, solve_block, "wild bootstrap")
+    return resample(beta_hat, n_boot, seed, draw, solve_block, "wild bootstrap")

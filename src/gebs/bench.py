@@ -90,6 +90,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scale {self.scale!r}")
         if self.format not in FORMATS:
             raise ConfigError(f"unknown format {self.format!r}")
+        # an option the experiment does not read must not reach the report
+        if self.n is not None and self.experiment != "ar1":
+            raise ConfigError(f"n applies to ar1 only, not to {self.experiment}")
+        if self.experiment == "weights-check" and (self.sims, self.boots) != (None, None):
+            raise ConfigError("weights-check takes neither sims nor boots")
         defaults = (PAPER_SCALE if self.scale == "paper" else DESK_SCALE)[self.experiment]
         if self.sims is None:
             self.sims = defaults[0]
@@ -156,7 +161,7 @@ def _jsonable(v):
 
 
 def _method_sample(method, model, data, beta_hat, boots, seed, n_weights,
-                   solve_fn=None):
+                   solve_fn):
     """Run one resampling method; degenerate runs return a flagged sample."""
     try:
         if method == "rb":
@@ -176,10 +181,10 @@ def _method_sample(method, model, data, beta_hat, boots, seed, n_weights,
 # ---------------------------------------------------------------------------
 # Experiments
 
-def _replicates(config, model, n_weights, fit, summarize):
-    """Run every method on each replicate ``k``, with ``fit(k) -> (data,
-    beta_hat)``; returns ``summarize(sample)`` per replicate, the
-    fallback rate and the degenerate-run flags, keyed by method."""
+def _replicates(config, model, n_weights, fit, summarize, solve_fn=None):
+    """Run every method (block hook ``solve_fn``) on each replicate ``k``, with
+    ``fit(k) -> (data, beta_hat)``; returns ``summarize(sample)`` per replicate,
+    the fallback rate and the degenerate-run flags, keyed by method."""
     cells = []
     for k in range(config.sims):
         data, beta_hat = fit(k)
@@ -187,7 +192,7 @@ def _replicates(config, model, n_weights, fit, summarize):
         for m_idx, method in enumerate(config.methods):
             sample, bad = _method_sample(
                 method, model, data, beta_hat, config.boots,
-                child_seed(config.seed, k, 1 + m_idx), n_weights)
+                child_seed(config.seed, k, 1 + m_idx), n_weights, solve_fn)
             row.append((summarize(sample), sample.fallback_count, bad))
         cells.append(row)
     per_method = {m: [r[i][0] for r in cells] for i, m in enumerate(config.methods)}
@@ -402,15 +407,12 @@ def _run_nls(config):
                      "x_lo": float(beta_hat[j]), "x_hi": float(beta_hat[j]),
                      "value": float(fit_obj)})
 
-    flags = {}
-    for m_idx, method in enumerate(config.methods):
-        sample, bad = _method_sample(
-            method, model, data, beta_hat, config.boots,
-            child_seed(config.seed, 0, 1 + m_idx), n, solve_fn=solve_fn)
-        if bad:
-            flags[f"degenerate:{method}"] = 1
+    per_method, _, flags = _replicates(config, model, n, lambda k: (data, beta_hat),
+                                       lambda sample: sample.betas, solve_fn)
+    for method in config.methods:
+        betas, = per_method[method]
         for j in range(model.p):
-            hist = density_histogram(sample.betas[:, j], bins=HIST_BINS)
+            hist = density_histogram(betas[:, j], bins=HIST_BINS)
             for b in range(len(hist.masses)):
                 rows.append({"method": method, "param": j, "kind": "bin",
                              "x_lo": float(hist.edges[b]),
@@ -425,25 +427,19 @@ def _run_nls(config):
 
 
 def _condition_factory(name):
-    if name == "multinomial":
-        return wmod.multinomial, CONDITION_GRID
+    """Scheme factory and n grid for ``jackknife-sqrt`` (d = ceil(sqrt(n)) on
+    square n) or a ``parse_scheme`` name; a bad name raises here, up front."""
     if name == "jackknife-sqrt":
         return (lambda n: wmod.delete_d_jackknife(n, math.ceil(math.sqrt(n))),
                 SQUARE_GRID)
-    if name == "uniform":
-        return (lambda n: wmod.iid_uniform(n, 0.5, 1.5)), CONDITION_GRID
-    if name == "exp":
-        return wmod.iid_exponential, CONDITION_GRID
-    if name.startswith("dirichlet:"):
-        alpha = float(name.split(":", 1)[1].replace("alpha=", ""))
-        return (lambda n: wmod.dirichlet(n, alpha)), CONDITION_GRID
-    raise ConfigError(f"unknown scheme for weights-check: {name!r}")
+    wmod.parse_scheme(name, CONDITION_GRID[0])
+    return (lambda n: wmod.parse_scheme(name, n)), CONDITION_GRID
 
 
 def _run_weights_check(config):
     rows = []
-    for s_idx, name in enumerate(config.methods):
-        factory, grid = _condition_factory(name)
+    checks = [(name, *_condition_factory(name)) for name in config.methods]
+    for s_idx, (name, factory, grid) in enumerate(checks):
         report = wmod.check_conditions(factory, grid,
                                        seed=child_seed(config.seed, s_idx))
         for cond, verdict in (("bw", report.bw), ("cltw", report.cltw),

@@ -2,10 +2,11 @@
 block solvers, variance and distribution estimates, percentile intervals,
 studentized statistics, enumeration oracles.
 
-A block is solved by a ``solve_fn(model, data, W, beta_hat) -> (betas,
-failures, iterations or None)`` hook, by default ``newton_block``;
-``per_draw`` adapts a per-draw root function to that contract and is not
-used by the library itself."""
+Only ``resample`` knows the per-draw streams: it hands ``draw_rng(seed, b)`` to
+a method's ``draw(rng)``. A block is solved by a ``solve_fn(model, data, W,
+beta_hat) -> (betas, failures, iterations or None)`` hook, by default
+``newton_block``; ``per_draw`` adapts a per-draw root function to that
+contract and is not used by the library itself."""
 
 import itertools
 import math
@@ -94,13 +95,14 @@ class StudentizedStats:
     undefined: np.ndarray      # mask of draws with degenerate g_hat_b
 
 
-def resample(beta_hat, n_boot, row, solve_block, label, scheme=None,
+def resample(beta_hat, n_boot, seed, draw, solve_block, label, scheme=None,
              store_rows=False):
     """Draw ``n_boot`` resamples, solve them in blocks and collect the sample.
 
-    ``row(b)`` builds draw b's input vector (weights, multipliers or
-    resampled residuals) from its own stream. Blocks of ``BLOCK_DRAWS`` rows,
-    stacked into a matrix ``R``, go to ``solve_block(R) -> (betas, failures,
+    Draw b's input vector (weights, multipliers or resampled residuals) is
+    ``draw(draw_rng(seed, b))``: each draw has its own stream, so the sample
+    does not depend on the block size. Blocks of ``BLOCK_DRAWS`` rows, stacked
+    into a matrix ``R``, go to ``solve_block(R) -> (betas, failures,
     iterations or None)``, where ``failures`` holds each draw's error class
     ("" if it solved); other shapes than (len(R), p) roots and len(R) failures
     raise ``ShapeError``. Failed draws are pinned to ``beta_hat``. ``sigma2`` is
@@ -113,7 +115,8 @@ def resample(beta_hat, n_boot, row, solve_block, label, scheme=None,
         raise ParameterError("need n_boot >= 1")
     blocks, kept = [], []
     for start in range(0, n_boot, BLOCK_DRAWS):
-        R = np.stack([row(b) for b in range(start, min(start + BLOCK_DRAWS, n_boot))])
+        R = np.stack([draw(draw_rng(seed, b))
+                      for b in range(start, min(start + BLOCK_DRAWS, n_boot))])
         block = solve_block(R)
         if (np.shape(block[0]) != (len(R), len(beta_hat))
                 or np.shape(block[1]) != (len(R),)):
@@ -142,10 +145,10 @@ def resample(beta_hat, n_boot, row, solve_block, label, scheme=None,
     return sample
 
 
-def newton_block(model, data, W, beta_hat, options=None):
+def newton_block(model, data, W, beta_hat):
     """Default ``solve_fn`` hook: the batched Newton solve of each weight row
     from ``beta_hat``."""
-    sol = solve_weighted_batch(model, data, W, beta_hat, options)
+    sol = solve_weighted_batch(model, data, W, beta_hat)
     return sol.betas, sol.failures, sol.iterations
 
 
@@ -172,7 +175,7 @@ def per_draw(fn):
 
 
 def run_bootstrap(model, data, beta_hat, scheme, n_boot, seed,
-                  solve_fn=None, store_weights=True, options=None):
+                  solve_fn=None, store_weights=True):
     """Draw ``n_boot`` weight vectors and solve the reweighted equations.
 
     Non-converged draws fall back to ``beta_hat`` and are counted; a run with
@@ -185,8 +188,8 @@ def run_bootstrap(model, data, beta_hat, scheme, n_boot, seed,
     function into such a hook.
     """
     beta_hat = np.atleast_1d(np.asarray(beta_hat, float))
-    hook = solve_fn or (lambda m, d, W, b: newton_block(m, d, W, b, options))
-    return resample(beta_hat, n_boot, lambda b: wmod.sample(scheme, draw_rng(seed, b)),
+    hook = solve_fn or newton_block
+    return resample(beta_hat, n_boot, seed, lambda rng: wmod.sample(scheme, rng),
                     lambda W: hook(model, data, W, beta_hat),
                     "generalized bootstrap", scheme, store_weights)
 
@@ -224,8 +227,7 @@ def variance_estimate(sample, scale=1.0):
                             fallback_frac=sample.fallback_count / B)
 
 
-def exact_variance_enumeration(model, data, beta_hat, scheme, scale=1.0,
-                               options=None, max_atoms=10 ** 6):
+def exact_variance_enumeration(model, data, beta_hat, scheme, scale=1.0):
     """Resampling variance as an exact expectation over the scheme's support.
 
     Atoms whose solve fails contribute zero; ``fallback_frac`` is their
@@ -240,11 +242,11 @@ def exact_variance_enumeration(model, data, beta_hat, scheme, scale=1.0,
                                 zero, degenerate=True)
     acc = np.zeros((p, p))
     failed_mass = 0.0
-    atoms = wmod.iter_support(scheme, max_atoms=max_atoms)
+    atoms = wmod.iter_support(scheme)
     while block := list(itertools.islice(atoms, BLOCK_DRAWS)):
         W = np.stack([w for w, _ in block])
         probs = np.array([prob for _, prob in block])
-        sol = solve_weighted_batch(model, data, W, beta_hat, options)
+        sol = solve_weighted_batch(model, data, W, beta_hat)
         ok = sol.converged   # definitional fallback contributes zero
         d = sol.betas[ok] - beta_hat
         acc += (probs[ok, None] * d).T @ d
@@ -284,11 +286,9 @@ def empirical_distribution(model, data, sample, contrast=None):
     return EmpiricalDistribution(vals)
 
 
-def percentile_ci(draws, level, transform=None):
+def percentile_ci(draws, level):
     """Equal-tail percentile interval using the (B+1) order-statistic rule."""
     vals = np.asarray(draws, float).ravel()
-    if transform is not None:
-        vals = np.asarray([transform(v) for v in vals], float)
     lo, hi = percentile_cis_batch(vals[:, None], level)
     return float(lo[0]), float(hi[0])
 

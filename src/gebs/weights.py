@@ -28,6 +28,8 @@ CONSTANT = "constant"
 FIXED_SUM_KINDS = (MULTINOMIAL, M_OUT_OF_N, DELETE_D_JACKKNIFE,
                    DOWNWEIGHT_D_JACKKNIFE, CONSTANT)
 
+MAX_ATOMS = 10 ** 6   # largest finite support that enumeration walks
+
 THIRD_ORDER_PATTERNS = ((3,), (2, 1), (1, 1, 1))
 FOURTH_ORDER_PATTERNS = ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
 
@@ -418,12 +420,12 @@ def support_size(scheme):
     return None
 
 
-def enumerate_support(scheme, max_atoms=10 ** 6):
+def enumerate_support(scheme):
     """All (weight vector, probability) atoms of a finite-support scheme."""
-    return list(iter_support(scheme, max_atoms))
+    return list(iter_support(scheme))
 
 
-def iter_support(scheme, max_atoms=10 ** 6):
+def iter_support(scheme):
     """Stream the (weight vector, probability) atoms of a finite-support scheme.
 
     The scheme is checked here, before the first atom is drawn.
@@ -431,9 +433,9 @@ def iter_support(scheme, max_atoms=10 ** 6):
     size = support_size(scheme)
     if size is None:
         raise UnsupportedSchemeError(f"{scheme.label()} has infinite support")
-    if size > max_atoms:
+    if size > MAX_ATOMS:
         raise UnsupportedSchemeError(
-            f"{scheme.label()} support has {size} atoms, above cap {max_atoms}")
+            f"{scheme.label()} support has {size} atoms, above cap {MAX_ATOMS}")
     return _atoms(scheme)
 
 
@@ -523,7 +525,7 @@ def _slope_ok(slope, bound):
     return slope <= bound + SLOPE_TOL
 
 
-def check_conditions(scheme_factory, n_grid, p_rule=None, mc_draws=200, seed=0):
+def check_conditions(scheme_factory, n_grid, mc_draws=200, seed=0):
     """Certify the weight conditions over a grid of sample sizes.
 
     Asymptotic o(.)/O(.) clauses are decided by log-log regression of the
@@ -534,8 +536,6 @@ def check_conditions(scheme_factory, n_grid, p_rule=None, mc_draws=200, seed=0):
     n_grid = sorted(int(n) for n in n_grid)
     if len(n_grid) < 3:
         raise ParameterError("need at least 3 grid points")
-    if p_rule is None:
-        p_rule = lambda n: 1
 
     table = []
     mean_one = True
@@ -543,7 +543,7 @@ def check_conditions(scheme_factory, n_grid, p_rule=None, mc_draws=200, seed=0):
         scheme = scheme_factory(n)
         mean_one = mean_one and abs(raw_moment(scheme, (1,)) - 1.0) <= MEAN_TOL
         mom = theoretical_moments(scheme)
-        row = {"n": n, "p": p_rule(n), "sigma2": mom.sigma2, "c11": mom.c11}
+        row = {"n": n, "sigma2": mom.sigma2, "c11": mom.c11}
         for pat in THIRD_ORDER_PATTERNS:
             row[pat] = mom.third_order[pat]
         for pat in FOURTH_ORDER_PATTERNS:
@@ -552,21 +552,20 @@ def check_conditions(scheme_factory, n_grid, p_rule=None, mc_draws=200, seed=0):
 
     ns = [row["n"] for row in table]
     slopes = {key: _fit_slope(ns, [row[key] for row in table])
-              for key in table[0] if key not in ("n", "p")}
-    p_slope = _fit_slope(ns, [max(row["p"], 1) for row in table]) or 0.0
+              for key in table[0] if key != "n"}
     sigma_slope = slopes["sigma2"] if slopes["sigma2"] is not None else -math.inf
 
     sigma_positive = all(row["sigma2"] > 0 for row in table)
-    # (2.2): sigma^2 = o(min(a_n^2 / p, n)) with a_n^2 ~ n
-    growth_bound = min(1.0 - p_slope, 1.0)
+    # (2.2): sigma^2 = o(min(a_n^2 / p, n)) with a_n^2 ~ n and p fixed
+    growth_bound = 1.0 - 2 * SLOPE_TOL
     bw_growth = sigma_positive and _slope_ok(
-        sigma_slope if sigma_positive else None, growth_bound - 2 * SLOPE_TOL)
+        sigma_slope if sigma_positive else None, growth_bound)
     bw_c11 = _slope_ok(slopes["c11"], -1.0)
     bw = ClauseVerdict(mean_one and sigma_positive and bw_growth and bw_c11, {
         "mean_one": mean_one,
         "sigma2_positive": sigma_positive,
         "sigma2_slope": sigma_slope if sigma_positive else None,
-        "sigma2_growth_bound": growth_bound - 2 * SLOPE_TOL,
+        "sigma2_growth_bound": growth_bound,
         "c11_slope": slopes["c11"],
     })
 

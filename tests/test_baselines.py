@@ -5,7 +5,7 @@ import pytest
 
 from gebs import models as M
 from gebs import weights as W
-from gebs.baselines import BaselineSpec, residual_bootstrap, wild_bootstrap
+from gebs.baselines import WB_BLOCK, WB_DELTA, residual_bootstrap, wild_bootstrap
 from gebs.bench import GLM_BETA
 from gebs.engine import draw_rng, per_draw, run_bootstrap
 from gebs.errors import (DegenerateRunError, NonConvergenceError, ParameterError,
@@ -17,18 +17,6 @@ from test_batch import agreement_tol
 
 def rng(seed=0):
     return np.random.default_rng(seed)
-
-
-def test_spec_validation():
-    for delta in (0.0, -0.1, float("nan")):
-        with pytest.raises(ParameterError):
-            BaselineSpec(delta=delta)
-    for block in (0, -2, 1.5, 2.0, True, "2"):
-        with pytest.raises(ParameterError):
-            BaselineSpec(block=block)
-    assert BaselineSpec(block=np.int64(3)).block == 3
-    with pytest.raises(ParameterError):
-        BaselineSpec(multiplier="cauchy")
 
 
 def linear_setup(n=40, seed=1):
@@ -126,14 +114,6 @@ def test_unsupported_models_raise():
         wild_bootstrap(M.MeanModel(), data, [0.0], 20, seed=0)
 
 
-def test_wild_bootstrap_zero_multiplier_linear_is_exact():
-    # u = 0 rebuilds the fitted values exactly, so every refit returns beta_hat
-    model, data, beta_hat = linear_setup()
-    sample = wild_bootstrap(model, data, beta_hat, 30, seed=8,
-                            spec=BaselineSpec(multiplier="zero"))
-    assert np.allclose(sample.betas, beta_hat[None, :], atol=1e-10)
-
-
 def test_wild_bootstrap_linear_tracks_heteroscedastic_variance():
     # heteroscedastic noise: WB variance should track the sandwich variance
     r = rng(9)
@@ -213,21 +193,21 @@ def test_wild_bootstrap_glm_synthetic_binary_refits():
     assert np.std(sample.betas[:, 1]) > 0.01
 
 
-def _wild_logistic_per_draw(data, beta_hat, n_boot, seed, spec):
+def _wild_logistic_per_draw(data, beta_hat, n_boot, seed):
     """Reference: the per-trial refit of each draw's synthetic binary response."""
     y, x, group = data["y_ind"], data["x_ind"], data["group"]
     t_hat = beta_hat[0] + beta_hat[1] * x
-    p_obs = (y + spec.delta) / (1.0 + 2.0 * spec.delta)
+    p_obs = (y + WB_DELTA) / (1.0 + 2.0 * WB_DELTA)
     r = np.log(p_obs / (1.0 - p_obs)) - t_hat
     order = np.lexsort((y, group))
     block_id = np.empty(len(y), int)
-    block_id[order] = np.arange(len(y)) // spec.block
+    block_id[order] = np.arange(len(y)) // WB_BLOCK
     n_blocks = int(block_id.max()) + 1
 
     def systems():
         for b in range(n_boot):
             rng_b = draw_rng(seed, b)
-            u = spec.draw_multipliers(rng_b, n_blocks)[block_id]
+            u = rng_b.standard_normal(n_blocks)[block_id]
             p_star = 1.0 / (1.0 + np.exp(-np.clip(t_hat + u * r, -500.0, 500.0)))
             ys = (rng_b.random(len(y)) < p_star).astype(float)
             boot = M.Dataset(n=data.n, arrays={**data.arrays, "y_ind": ys})
@@ -268,15 +248,14 @@ def _assert_matches_oracle(sample, ref):
 
 
 def test_wild_bootstrap_logistic_matches_per_draw_refits():
-    spec = BaselineSpec()
     fallbacks = 0
     for data, n_boot in _wild_logistic_cases():
         beta_hat = solve_weighted(M.LogisticGroupModel(), data, np.ones(data.n),
                                   SolveOptions(init=np.zeros(2))).beta
         sample = _sample_or_degenerate(lambda: wild_bootstrap(
-            M.LogisticIndividualModel(), data, beta_hat, n_boot, seed=20, spec=spec))
+            M.LogisticIndividualModel(), data, beta_hat, n_boot, seed=20))
         _assert_matches_oracle(sample, _wild_logistic_per_draw(
-            data, beta_hat, n_boot, 20, spec))
+            data, beta_hat, n_boot, 20))
         fallbacks += sample.fallback_count
     assert fallbacks > 0
 

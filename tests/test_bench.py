@@ -32,6 +32,12 @@ def test_config_defaults_fill_in():
     {"experiment": "ar1", "methods": ()},
     {"experiment": "ar1", "seed": -1},
     {"experiment": "nls", "sims": 3},
+    # options the experiment would ignore, even at their default values
+    {"experiment": "glm", "n": 10},
+    {"experiment": "nls", "n": 24},
+    {"experiment": "weights-check", "n": 320},
+    {"experiment": "weights-check", "sims": 1},
+    {"experiment": "weights-check", "boots": 200},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ConfigError):
@@ -113,10 +119,25 @@ def test_run_glm_smoke():
 
 
 def test_run_weights_check_smoke():
-    cfg = bench.ExperimentConfig("weights-check", methods=("multinomial",), seed=0)
+    # names follow the --methods scheme grammar, plus jackknife-sqrt
+    names = ("multinomial", "dirichlet:alpha=1")
+    cfg = bench.ExperimentConfig("weights-check", methods=names, seed=0)
     report = bench.run_experiment(cfg)
+    assert [r["scheme"] for r in report.rows] == [s for s in names for _ in range(4)]
     verdicts = {r["condition"]: r["passed"] for r in report.rows}
     assert set(verdicts) == {"bw", "cltw", "vw_a", "vw_b"}
+
+
+@pytest.mark.parametrize("bad", ["bogus", "dirichlet:1", "jackknife:d=0"])
+def test_weights_check_rejects_a_bad_name_before_any_check(bad, monkeypatch, capsys):
+    def no_check(*args, **kwargs):
+        raise AssertionError("a scheme was checked before every name was read")
+
+    monkeypatch.setattr(bench.wmod, "check_conditions", no_check)
+    code = cli.main(["run", "--experiment", "weights-check",
+                     "--methods", f"multinomial,{bad}"])
+    assert code == cli.EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_unknown_method_rejected():
@@ -228,6 +249,14 @@ def test_cli_nls_rejects_sims_other_than_one(tmp_path, capsys):
                      "--boots", "50", "--out", str(out)])
     assert code == cli.EXIT_CONFIG
     assert "sims" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rejects_n_on_bundled_data(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    code = cli.main(["run", "--experiment", "glm", "--n", "77", "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "ar1 only" in capsys.readouterr().err
     assert not out.exists()
 
 

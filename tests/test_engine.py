@@ -268,7 +268,7 @@ def test_percentile_ci_order_statistics():
     lo, hi = percentile_ci(draws, 0.95)
     # (B+1) rule: k_lo = ceil(100 * 0.025) = 3, k_hi = floor(100 * 0.975) = 97
     assert (lo, hi) == (3.0, 97.0)
-    lo2, hi2 = percentile_ci(draws, 0.95, transform=lambda v: -v)
+    lo2, hi2 = percentile_ci(-draws, 0.95)
     assert (lo2, hi2) == (-97.0, -3.0)
     with pytest.raises(InsufficientSampleError):
         percentile_ci(draws[:5], 0.95)

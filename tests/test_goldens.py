@@ -1,0 +1,39 @@
+"""Report bytes of every benchmark workload match the committed golden digests.
+
+The benchmark checks these digests only when it runs; this test checks the
+check round and the first rounds of the default seed on every test run.
+"""
+
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from gebs import cli
+
+BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
+_spec = importlib.util.spec_from_file_location("gebs_workloads", BENCH / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+GOLDENS = json.loads((BENCH / "goldens.json").read_text(encoding="utf-8"))
+ROUNDS = 3
+
+
+def _cases():
+    for name, workload in workloads.WORKLOADS.items():
+        golden = GOLDENS[name]
+        yield pytest.param(workload, workloads.CHECK_SEED, golden["check"],
+                           id=f"{name}-check")
+        for r in range(ROUNDS):
+            yield pytest.param(workload, workloads.round_seed(0, r),
+                               golden["rounds"][r], id=f"{name}-round{r}")
+
+
+@pytest.mark.parametrize("workload, seed, golden", list(_cases()))
+def test_report_matches_golden(workload, seed, golden, tmp_path):
+    out = tmp_path / "report.csv"
+    assert cli.main(workload.argv(seed, out)) == cli.EXIT_OK
+    text = out.read_text(encoding="utf-8")
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == golden
