@@ -23,8 +23,8 @@ from .models import (Ar1Model, Dataset, IsomerizationModel, LinearModel,
                      LogisticGroupModel, LogisticIndividualModel, MeanModel,
                      load_fumigant, load_isomerization, simulate_ar1,
                      simulate_glm, simulate_linear)
-from .solver import (BatchSolution, Solution, SolveOptions, solve_weighted,
-                     solve_weighted_batch, weighted_jacobian, weighted_score)
+from .solver import (Solution, solve_weighted, solve_weighted_batch,
+                     weighted_jacobian, weighted_score)
 from .weights import (WeightScheme, check_conditions, constant,
                       delete_d_jackknife, dirichlet, downweight_d_jackknife,
                       empirical_moments, enumerate_support, iid_exponential,

@@ -1,23 +1,38 @@
-"""Residual-bootstrap and wild-bootstrap comparators.
+"""Residual-bootstrap (rb) and wild-bootstrap (wb) comparators.
 
 Both rebuild synthetic responses from fitted residuals and refit, returning
 the same BootstrapSample record as the generalized bootstrap (with unit
 weight variance, so the shared variance estimator applies unscaled). Both
 refit a whole block of draws at once; the residual bootstrap's refit is the
-same block hook as ``run_bootstrap``'s ``solve_fn``.
+same block hook as ``run_bootstrap``'s ``solve_fn``, by default
+``solve_weighted_batch``. ``SUPPORTED`` names the models each baseline is
+defined for; ``require_support`` checks it.
 """
 
 import numpy as np
 
 from . import models as M
-from .engine import newton_block, resample
+from .engine import resample
 from .engine import draw_rng  # noqa: F401  (public name; tracers patch it here)
 from .errors import SingularSystemError, UnsupportedModelError
-from .solver import COND_LIMIT
+from .solver import COND_LIMIT, solve_weighted_batch
 from .solver import solve_weighted  # noqa: F401  (public name; tracers patch it here)
 
 WB_DELTA = 0.001   # wild bootstrap: logit-residual guard for grouped binary data
 WB_BLOCK = 2       # wild bootstrap: like-response trials sharing one multiplier
+
+# the model classes each baseline is defined for
+SUPPORTED = {
+    "rb": (M.Ar1Model, M.LinearModel, M.IsomerizationModel),
+    "wb": (M.Ar1Model, M.LinearModel, M.LogisticGroupModel, M.LogisticIndividualModel),
+}
+
+
+def require_support(method, model):
+    """Raise ``UnsupportedModelError`` unless baseline ``method`` ("rb" or
+    "wb") is defined for ``model``."""
+    if not isinstance(model, SUPPORTED[method]):
+        raise UnsupportedModelError(f"{method} is undefined for {type(model).__name__}")
 
 
 def residual_bootstrap(model, data, beta_hat, n_boot, seed, solve_fn=None):
@@ -28,13 +43,14 @@ def residual_bootstrap(model, data, beta_hat, n_boot, seed, solve_fn=None):
     regression responses, the AR(1) series recursively from X_0 = 0. Each
     block is refit from ``beta_hat`` with unit weights by ``solve_fn``, which
     has ``run_bootstrap``'s block hook contract and defaults to the batched
-    Newton solve (``newton_block``); the rebuilt block's ``drawn`` arrays
-    carry draw b's data in row b.
+    Newton solve (``solve_weighted_batch``); the rebuilt block's ``drawn``
+    arrays carry draw b's data in row b.
     """
+    require_support("rb", model)
     beta_hat = np.atleast_1d(np.asarray(beta_hat, float))
     resid, rebuild = model.residual_resampler(data, beta_hat)
     resid = resid - resid.mean()
-    hook = solve_fn or newton_block
+    hook = solve_fn or solve_weighted_batch
     return resample(beta_hat, n_boot, seed,
                     lambda rng: rng.choice(resid, size=len(resid)),
                     lambda E: hook(model, rebuild(E), np.ones(E.shape), beta_hat),
@@ -58,6 +74,7 @@ def wild_bootstrap(model, data, beta_hat, n_boot, seed):
     ``solve_weighted_batch`` call and the sample records Newton steps per
     draw.
     """
+    require_support("wb", model)
     beta_hat = np.atleast_1d(np.asarray(beta_hat, float))
 
     if isinstance(model, (M.Ar1Model, M.LinearModel)):
@@ -78,7 +95,7 @@ def wild_bootstrap(model, data, beta_hat, n_boot, seed):
             betas = np.linalg.solve(XtX, X.T @ (fit + U * resid).T).T
             return betas, np.full(B, "", dtype=object), None
 
-    elif isinstance(model, (M.LogisticGroupModel, M.LogisticIndividualModel)):
+    else:   # grouped binary data
         y = data["y_ind"]
         x = data["x_ind"]
         group = data["group"]
@@ -110,9 +127,6 @@ def wild_bootstrap(model, data, beta_hat, n_boot, seed):
             return np.concatenate([S, trials - S])
 
         def solve_block(V):
-            return newton_block(M.LogisticGroupModel(), slots, V, beta_hat)
+            return solve_weighted_batch(M.LogisticGroupModel(), slots, V, beta_hat)
 
-    else:
-        raise UnsupportedModelError(
-            f"wild bootstrap undefined for {type(model).__name__}")
     return resample(beta_hat, n_boot, seed, draw, solve_block, "wild bootstrap")

@@ -21,7 +21,7 @@ from . import models as mmod
 from . import weights as wmod
 from .errors import (ConfigError, DegenerateRunError, EmptyRootSetError,
                      EvaluationError, NonConvergenceError, ParameterError)
-from .solver import SolveOptions, solve_weighted
+from .solver import solve_weighted
 
 EXPERIMENTS = ("ar1", "glm", "nls", "weights-check")
 FORMATS = ("csv", "json")
@@ -160,22 +160,29 @@ def _jsonable(v):
     return _sig6(v)
 
 
-def _method_sample(method, model, data, beta_hat, boots, seed, n_weights,
-                   solve_fn):
-    """Run one resampling method; degenerate runs return a flagged sample."""
+def _resolve_method(method, model, n_weights):
+    """Check one method name before any work is done: returns the parsed
+    scheme of a ``gbs-*`` name, or None for a baseline defined for ``model``."""
+    if method in bmod.SUPPORTED:
+        bmod.require_support(method, model)
+        return None
+    if method.startswith("gbs-"):
+        return wmod.parse_scheme(method[4:], n_weights)
+    raise ConfigError(f"unknown method {method!r}")
+
+
+def _method_sample(method, scheme, model, data, beta_hat, boots, seed, solve_fn):
+    """Run one resolved method; degenerate runs return a flagged sample."""
     try:
         if method == "rb":
             return bmod.residual_bootstrap(model, data, beta_hat, boots, seed,
                                            solve_fn=solve_fn), False
         if method == "wb":
             return bmod.wild_bootstrap(model, data, beta_hat, boots, seed), False
-        if method.startswith("gbs-"):
-            scheme = wmod.parse_scheme(method[4:], n_weights)
-            return emod.run_bootstrap(model, data, beta_hat, scheme, boots, seed,
-                                      solve_fn=solve_fn, store_weights=False), False
+        return emod.run_bootstrap(model, data, beta_hat, scheme, boots, seed,
+                                  solve_fn=solve_fn, store_weights=False), False
     except DegenerateRunError as exc:
         return exc.sample, True
-    raise ConfigError(f"unknown method {method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +191,17 @@ def _method_sample(method, model, data, beta_hat, boots, seed, n_weights,
 def _replicates(config, model, n_weights, fit, summarize, solve_fn=None):
     """Run every method (block hook ``solve_fn``) on each replicate ``k``, with
     ``fit(k) -> (data, beta_hat)``; returns ``summarize(sample)`` per replicate,
-    the fallback rate and the degenerate-run flags, keyed by method."""
+    the fallback rate and the degenerate-run flags, keyed by method. Every
+    method name is resolved once, before the first fit."""
+    schemes = [_resolve_method(m, model, n_weights) for m in config.methods]
     cells = []
     for k in range(config.sims):
         data, beta_hat = fit(k)
         row = []
-        for m_idx, method in enumerate(config.methods):
+        for m_idx, (method, scheme) in enumerate(zip(config.methods, schemes)):
             sample, bad = _method_sample(
-                method, model, data, beta_hat, config.boots,
-                child_seed(config.seed, k, 1 + m_idx), n_weights, solve_fn)
+                method, scheme, model, data, beta_hat, config.boots,
+                child_seed(config.seed, k, 1 + m_idx), solve_fn)
             row.append((summarize(sample), sample.fallback_count, bad))
         cells.append(row)
     per_method = {m: [r[i][0] for r in cells] for i, m in enumerate(config.methods)}
@@ -212,8 +221,7 @@ def _run_ar1(config):
     def fit(k):
         data = mmod.simulate_ar1(AR1_PHI, AR1_VAR_ODD, AR1_VAR_EVEN, n,
                                  emod.draw_rng(config.seed, k, 0))
-        beta_hat = solve_weighted(model, data, np.ones(n),
-                                  SolveOptions(init=np.array([AR1_PHI]))).beta
+        beta_hat = solve_weighted(model, data, np.ones(n), np.array([AR1_PHI])).beta
         sq_devs.append(n * (beta_hat[0] - AR1_PHI) ** 2)
         return data, beta_hat
 
@@ -246,8 +254,7 @@ def _run_glm(config):
 
     def fit(k):
         data = mmod.simulate_glm(beta0, N, X, emod.draw_rng(config.seed, k, 0))
-        beta_hat = solve_weighted(group_model, data, np.ones(n_cases),
-                                  SolveOptions(init=np.zeros(2))).beta
+        beta_hat = solve_weighted(group_model, data, np.ones(n_cases)).beta
         return data, beta_hat
 
     def summarize(sample):
@@ -393,22 +400,25 @@ def _run_nls(config):
     model = mmod.IsomerizationModel()
     n = data.n
     ones = np.ones(n)
-    fits = sorted(nls_roots(model, data, ones), key=lambda f: f[1])
-    anchors = tuple(th for th, _ in fits)
-    beta_hat = anchors[0]
+    anchors = []   # the known roots, best fit first
+
+    def fit(k):
+        fits = sorted(nls_roots(model, data, ones), key=lambda f: f[1])
+        anchors[:] = [th for th, _ in fits]
+        return data, anchors[0]
 
     def solve_fn(mdl, dat, W, _beta_hat):
         return nls_draw_root(mdl, dat, W, anchors)
 
+    per_method, _, flags = _replicates(config, model, n, fit,
+                                       lambda sample: sample.betas, solve_fn)
+    beta_hat = anchors[0]
     rows = []
     fit_obj = model.objective(data, ones, beta_hat)
     for j in range(model.p):
         rows.append({"method": "fit", "param": j, "kind": "root",
                      "x_lo": float(beta_hat[j]), "x_hi": float(beta_hat[j]),
                      "value": float(fit_obj)})
-
-    per_method, _, flags = _replicates(config, model, n, lambda k: (data, beta_hat),
-                                       lambda sample: sample.betas, solve_fn)
     for method in config.methods:
         betas, = per_method[method]
         for j in range(model.p):

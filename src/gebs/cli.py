@@ -7,11 +7,13 @@ report is still written with the offending cells flagged).
 """
 
 import argparse
+import re
 import sys
 
 from .bench import (EXPERIMENTS, FORMATS, SCALES, ExperimentConfig,
                     emit_report, run_experiment)
-from .errors import ConfigError, DegenerateRunError, ParameterError, ParseError
+from .errors import (ConfigError, DegenerateRunError, ParameterError, ParseError,
+                     UnsupportedModelError)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -32,10 +34,9 @@ def build_parser():
     run.add_argument("--boots", type=int, default=None,
                      help="bootstrap resamples per replicate")
     run.add_argument("--methods", default=None,
-                     help="comma-separated list, e.g. rb,wb,gbs-multinomial")
-    run.add_argument("--scheme-args", default=None,
-                     help="parameter tail appended to bare gbs-* methods, "
-                          "e.g. 0.5,1.5 for gbs-uniform")
+                     help="comma-separated list, e.g. rb,wb,gbs-uniform:0.5,1.5; "
+                          "a comma before a digit, sign or '.' continues a "
+                          "scheme's parameters")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--scale", choices=SCALES, default="desk")
     run.add_argument("--format", choices=FORMATS, default="csv")
@@ -43,15 +44,12 @@ def build_parser():
     return parser
 
 
-def _methods_from(args):
-    if args.methods is None:
+def _methods_from(text):
+    """Method names of a ``--methods`` list: a comma starts a new name unless
+    a digit, sign or '.' follows it, as in ``gbs-uniform:0.5,1.5``."""
+    if text is None:
         return None
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    if args.scheme_args:
-        methods = tuple(
-            f"{m}:{args.scheme_args}" if m.startswith("gbs-") and ":" not in m else m
-            for m in methods)
-    return methods
+    return tuple(m.strip() for m in re.split(r",(?!\s*[-+.\d])", text) if m.strip())
 
 
 def main(argv=None):
@@ -59,13 +57,14 @@ def main(argv=None):
     try:
         config = ExperimentConfig(
             experiment=args.experiment, n=args.n, sims=args.sims,
-            boots=args.boots, methods=_methods_from(args), seed=args.seed,
+            boots=args.boots, methods=_methods_from(args.methods), seed=args.seed,
             scale=args.scale, out=args.out, format=args.format)
         report = run_experiment(config)
     except DegenerateRunError as exc:
         print(f"gebs: degenerate run: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (ConfigError, ParameterError, ParseError, OSError) as exc:
+    except (ConfigError, ParameterError, ParseError, UnsupportedModelError,
+            OSError) as exc:
         print(f"gebs: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

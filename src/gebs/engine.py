@@ -4,9 +4,8 @@ studentized statistics, enumeration oracles.
 
 Only ``resample`` knows the per-draw streams: it hands ``draw_rng(seed, b)`` to
 a method's ``draw(rng)``. A block is solved by a ``solve_fn(model, data, W,
-beta_hat) -> (betas, failures, iterations or None)`` hook, by default
-``newton_block``; ``per_draw`` adapts a per-draw root function to that
-contract and is not used by the library itself."""
+beta_hat) -> (betas, failures, iterations or None)`` hook, by default the
+batched Newton solve ``solver.solve_weighted_batch``."""
 
 import itertools
 import math
@@ -17,8 +16,8 @@ import numpy as np
 from scipy.stats import norm
 
 from . import weights as wmod
-from .errors import (SOLVER_ERRORS, DegenerateRunError, InsufficientSampleError,
-                     ParameterError, ShapeError)
+from .errors import (DegenerateRunError, InsufficientSampleError, ParameterError,
+                     ShapeError)
 from .solver import solve_weighted_batch
 from .solver import solve_weighted  # noqa: F401  (public name; tracers patch it here)
 
@@ -145,35 +144,6 @@ def resample(beta_hat, n_boot, seed, draw, solve_block, label, scheme=None,
     return sample
 
 
-def newton_block(model, data, W, beta_hat):
-    """Default ``solve_fn`` hook: the batched Newton solve of each weight row
-    from ``beta_hat``."""
-    sol = solve_weighted_batch(model, data, W, beta_hat)
-    return sol.betas, sol.failures, sol.iterations
-
-
-def per_draw(fn):
-    """Adapter: the block hook that calls ``fn(model, data, w, beta_hat) -> beta``
-    on each row w of the weight block, with that draw's data ``data.take(b)``.
-
-    A solver error (``SOLVER_ERRORS``) marks that draw as a fallback; any
-    other exception is a bug and propagates. This is the only place where a
-    hook's solver error is caught; the library's own hooks solve a block at
-    once and return its failures.
-    """
-    def hook(model, data, W, beta_hat):
-        betas, failures = [], []
-        for b, w in enumerate(W):
-            try:
-                beta, failure = fn(model, data.take(b), w, beta_hat), ""
-            except SOLVER_ERRORS as exc:
-                beta, failure = beta_hat, type(exc).__name__
-            betas.append(np.atleast_1d(np.asarray(beta, float)))
-            failures.append(failure)
-        return np.stack(betas), np.array(failures, dtype=object), None
-    return hook
-
-
 def run_bootstrap(model, data, beta_hat, scheme, n_boot, seed,
                   solve_fn=None, store_weights=True):
     """Draw ``n_boot`` weight vectors and solve the reweighted equations.
@@ -183,12 +153,11 @@ def run_bootstrap(model, data, beta_hat, scheme, n_boot, seed,
     carrying the (still inspectable) sample.
 
     ``solve_fn(model, data, W, beta_hat) -> (betas, failures, iterations or
-    None)`` replaces the default batched Newton solve (``newton_block``) of
-    each (B, n) block of weight rows; ``per_draw`` turns a per-draw root
-    function into such a hook.
+    None)`` solves each (B, n) block of weight rows; the default is the
+    batched Newton solve from ``beta_hat``, ``solve_weighted_batch``.
     """
     beta_hat = np.atleast_1d(np.asarray(beta_hat, float))
-    hook = solve_fn or newton_block
+    hook = solve_fn or solve_weighted_batch
     return resample(beta_hat, n_boot, seed, lambda rng: wmod.sample(scheme, rng),
                     lambda W: hook(model, data, W, beta_hat),
                     "generalized bootstrap", scheme, store_weights)
@@ -246,9 +215,9 @@ def exact_variance_enumeration(model, data, beta_hat, scheme, scale=1.0):
     while block := list(itertools.islice(atoms, BLOCK_DRAWS)):
         W = np.stack([w for w, _ in block])
         probs = np.array([prob for _, prob in block])
-        sol = solve_weighted_batch(model, data, W, beta_hat)
-        ok = sol.converged   # definitional fallback contributes zero
-        d = sol.betas[ok] - beta_hat
+        betas, failures, _ = solve_weighted_batch(model, data, W, beta_hat)
+        ok = failures == ""   # definitional fallback contributes zero
+        d = betas[ok] - beta_hat
         acc += (probs[ok, None] * d).T @ d
         failed_mass += float(np.sum(probs[~ok]))
     v = scale / mom.sigma2 * acc

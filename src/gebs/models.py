@@ -107,9 +107,6 @@ class Model:
     def in_domain(self, data, beta):
         return bool(np.all(np.isfinite(beta)))
 
-    def default_init(self, data):
-        return np.zeros(self.p)
-
     def score_all(self, data, beta):
         raise NotImplementedError
 
@@ -200,9 +197,6 @@ class MeanModel(IndexModel):
 
     def response(self, data):
         return data["z"]
-
-    def default_init(self, data):
-        return np.array([float(np.mean(data["z"]))])
 
 
 class LinearModel(IndexModel):
@@ -404,9 +398,6 @@ class IsomerizationModel(Model):
 
     def residual_resampler(self, data, beta):
         return _response_resampler(data, self.f(data, beta))
-
-    def default_init(self, data):
-        return np.array([30.0, 0.1, 0.05, 0.2])
 
 
 # ---------------------------------------------------------------------------

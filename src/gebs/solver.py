@@ -4,53 +4,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (EvaluationError, NonConvergenceError, ParameterError,
-                     ShapeError, SingularSystemError)
+from .errors import (EvaluationError, NonConvergenceError, ShapeError,
+                     SingularSystemError)
 
 COND_LIMIT = 1e12
-
-
-@dataclass
-class SolveOptions:
-    tol: float = 1e-10
-    max_iter: int = 100
-    max_halvings: int = 30
-    init: np.ndarray = None
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ParameterError(f"tol must be > 0, got {self.tol!r}")
-        require_int("max_iter", self.max_iter, 1)
-        require_int("max_halvings", self.max_halvings, 0)
-
-
-def require_int(name, value, low):
-    """Raise ``ParameterError`` unless ``value`` is a non-bool integer >= ``low``."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < low):
-        raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+TOL = 1e-10          # relative to 1 + the largest score component at ``init``
+MAX_ITER = 100
+MAX_HALVINGS = 30
 
 
 @dataclass
 class Solution:
     beta: np.ndarray
-    residual_norm: float
     iterations: int
-    jacobian_at_root: np.ndarray
-    converged: bool
-
-
-@dataclass
-class BatchSolution:
-    """Roots of B reweighted systems solved together."""
-
-    betas: np.ndarray          # (B, p); a failed draw keeps its last iterate
-    iterations: np.ndarray     # (B,) accepted Newton steps per draw
-    failures: np.ndarray       # (B,) error class name per draw, "" if converged
-
-    @property
-    def converged(self):
-        return self.failures == ""
 
 
 def weighted_score(model, data, weights, beta):
@@ -68,40 +34,41 @@ def weighted_jacobian(model, data, weights, beta):
     return np.tensordot(weights, J, axes=(0, 0))
 
 
-def solve_weighted(model, data, weights, options=None):
-    """Damped Newton iteration on one weight vector: the one-row case of
-    ``solve_weighted_batch``, raising the failure recorded for the row."""
-    sol = solve_weighted_batch(model, data, np.asarray(weights, float)[None], None, options)
-    beta, failure, iterations = sol.betas[0], sol.failures[0], int(sol.iterations[0])
+def solve_weighted(model, data, weights, init=None):
+    """Damped Newton iteration on one weight vector from ``init`` (zeros if
+    omitted): the one-row case of ``solve_weighted_batch``, raising the
+    failure recorded for the row."""
+    init = np.zeros(model.p) if init is None else init
+    betas, failures, iterations = solve_weighted_batch(
+        model, data, np.asarray(weights, float)[None], init)
+    beta, failure, iterations = betas[0], failures[0], int(iterations[0])
     if failure == EvaluationError.__name__:
         raise EvaluationError("model evaluation failed at the initial point")
     if failure == SingularSystemError.__name__:
         raise SingularSystemError(f"weighted Jacobian ill-conditioned at step {iterations}")
-    res = float(np.max(np.abs(weighted_score(model, data, weights, beta))))
     if failure:
+        res = float(np.max(np.abs(weighted_score(model, data, weights, beta))))
         raise NonConvergenceError(f"no convergence after {iterations} steps",
                                   last_beta=beta, residual_norm=res)
-    return Solution(beta, res, iterations,
-                    weighted_jacobian(model, data, weights, beta), True)
+    return Solution(beta, iterations)
 
 
-def solve_weighted_batch(model, data, W, init=None, options=None):
-    """Damped Newton iteration for every row of the (B, n) weight matrix ``W`` at once.
+def solve_weighted_batch(model, data, W, init):
+    """Damped Newton iteration for every row of the (B, n) weight matrix ``W``
+    at once, each from ``init``; the default ``solve_fn`` block hook.
 
-    Each draw stops when its score is within the tolerance, fails when its
-    Jacobian is ill-conditioned, and takes a step-halving line search on
-    ||F||^2; an active mask keeps a finished draw out of later iterations.
-    Failures are recorded per draw by error class instead of raised. On a
-    rebuilt block (``data.drawn``) row b of the data belongs to draw b, and
-    the data rows are sliced wherever ``W`` is.
+    Each draw stops when its score is within ``TOL``, fails when its Jacobian
+    is ill-conditioned, and takes a step-halving line search on ||F||^2; an
+    active mask keeps a finished draw out of later iterations. Returns
+    ``(betas, failures, iterations)``: the (B, p) roots (a failed draw keeps
+    its last iterate), each draw's error class ("" if it converged) and its
+    accepted Newton steps. On a rebuilt block (``data.drawn``) row b of the
+    data belongs to draw b, and the data rows are sliced wherever ``W`` is.
     """
-    opts = options or SolveOptions()
     W = np.asarray(W, float)
     if W.ndim != 2 or W.shape[1] != model.weight_count(data):
         raise ShapeError(f"weight matrix shape {W.shape} != (B, "
                          f"{model.weight_count(data)} score slots)")
-    if init is None:
-        init = opts.init if opts.init is not None else model.default_init(data)
     init = np.atleast_1d(np.asarray(init, float))
     B = W.shape[0]
     betas = np.tile(init, (B, 1))
@@ -109,18 +76,18 @@ def solve_weighted_batch(model, data, W, init=None, options=None):
     failures = np.full(B, "", dtype=object)
     if not model.in_domain(data, init):
         failures[:] = EvaluationError.__name__
-        return BatchSolution(betas, iterations, failures)
+        return betas, failures, iterations
     try:
         # every draw starts at ``init``: on shared data one score evaluation serves all B
         F = (model.weighted_score_batch(data, W, betas) if data.drawn
              else W @ model.score_all(data, init))
     except EvaluationError:
         failures[:] = EvaluationError.__name__
-        return BatchSolution(betas, iterations, failures)
-    tol = opts.tol * (1.0 + np.max(np.abs(F), axis=1))
+        return betas, failures, iterations
+    tol = TOL * (1.0 + np.max(np.abs(F), axis=1))
 
     active = np.arange(B)
-    for _ in range(opts.max_iter):
+    for _ in range(MAX_ITER):
         active = active[~(np.max(np.abs(F[active]), axis=1) <= tol[active])]
         if active.size == 0:
             break
@@ -137,7 +104,7 @@ def solve_weighted_batch(model, data, W, init=None, options=None):
         base = np.sum(F[active] ** 2, axis=1)
         pending = np.arange(active.size)
         lam = 1.0
-        for _ in range(opts.max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             rows = active[pending]
             trial = betas[rows] + lam * step[pending]
             F_trial = model.weighted_score_batch(data.take(rows), W[rows], trial)
@@ -155,5 +122,4 @@ def solve_weighted_batch(model, data, W, init=None, options=None):
 
     unconverged = active[~(np.max(np.abs(F[active]), axis=1) <= tol[active])]
     failures[unconverged] = NonConvergenceError.__name__
-    return BatchSolution(betas, iterations, failures)
-
+    return betas, failures, iterations

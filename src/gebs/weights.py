@@ -64,10 +64,7 @@ class WeightScheme:
             if abs(lo + hi - 2.0) > 1e-12:
                 raise ParameterError(
                     f"uniform weights must have mean 1 (lo + hi = 2), got lo={lo}, hi={hi}")
-        elif self.kind == IID_EXPONENTIAL:
-            if not p.get("rate", 0) > 0:
-                raise ParameterError(f"exponential rate must be > 0, got {p.get('rate')}")
-        elif self.kind not in (MULTINOMIAL, CONSTANT):
+        elif self.kind not in (MULTINOMIAL, IID_EXPONENTIAL, CONSTANT):
             raise ParameterError(f"unknown weight scheme kind {self.kind!r}")
 
     @property
@@ -105,8 +102,8 @@ def iid_uniform(n, lo, hi):
     return WeightScheme(IID_UNIFORM, n, {"lo": float(lo), "hi": float(hi)})
 
 
-def iid_exponential(n, rate=1.0):
-    return WeightScheme(IID_EXPONENTIAL, n, {"rate": float(rate)})
+def iid_exponential(n):
+    return WeightScheme(IID_EXPONENTIAL, n)
 
 
 def constant(n):
@@ -117,11 +114,13 @@ def parse_scheme(spec, n):
     """Build a scheme from a CLI specification string.
 
     Grammar: ``multinomial``, ``jackknife:d=2``, ``downweight:d=2``,
-    ``dirichlet:alpha=1``, ``uniform:0.5,1.5``, ``exp:1``, ``moon:m=10``,
+    ``dirichlet:alpha=1``, ``uniform:0.5,1.5``, ``exp``, ``moon:m=10``,
     ``constant``.
     """
     head, _, tail = spec.partition(":")
     head = head.strip().lower()
+    if tail and head in (MULTINOMIAL, IID_EXPONENTIAL, CONSTANT):
+        raise ParseError(f"bad scheme specification {spec!r}: {head} takes no parameters")
     try:
         if head == MULTINOMIAL:
             return multinomial(n)
@@ -139,7 +138,7 @@ def parse_scheme(spec, n):
             lo, hi = (tail or "0.5,1.5").split(",")
             return iid_uniform(n, float(lo), float(hi))
         if head == IID_EXPONENTIAL:
-            return iid_exponential(n, float(tail or "1"))
+            return iid_exponential(n)
     except (ValueError, ParameterError) as exc:
         if isinstance(exc, ParameterError):
             raise
@@ -183,8 +182,7 @@ def sample(scheme, rng):
     if kind == IID_UNIFORM:
         return rng.uniform(scheme.params["lo"], scheme.params["hi"], size=n)
     if kind == IID_EXPONENTIAL:
-        # normalized to mean 1; the rate only sets the underlying scale
-        return rng.exponential(1.0 / scheme.params["rate"], size=n) * scheme.params["rate"]
+        return rng.exponential(size=n)
     if kind == CONSTANT:
         return np.ones(n)
     raise ParameterError(f"unknown scheme kind {kind!r}")

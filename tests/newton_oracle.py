@@ -3,36 +3,38 @@
 ``newton_oracle`` is a scalar damped Newton iteration on one weight vector,
 written directly against ``weighted_score`` and ``weighted_jacobian``: the
 same stopping rule, conditioning guard and step-halving line search that
-``solve_weighted_batch`` applies to every row of a block. Tests compare the
-library's solves with it draw by draw.
+``solve_weighted_batch`` applies to every row of a block, with the same
+``solver.TOL``, ``solver.MAX_ITER`` and ``solver.MAX_HALVINGS``, read at call
+time so that a test can patch them for both. Tests compare the library's
+solves with it draw by draw.
 """
 
 import numpy as np
 
+from gebs import solver
 from gebs.errors import (SOLVER_ERRORS, EvaluationError, NonConvergenceError,
                          SingularSystemError)
-from gebs.solver import (COND_LIMIT, Solution, SolveOptions, weighted_jacobian,
-                         weighted_score)
+from gebs.solver import COND_LIMIT, Solution, weighted_jacobian, weighted_score
 
 
-def newton_oracle(model, data, weights, options=None):
-    """Damped Newton iteration on the weighted score with analytic Jacobian."""
-    opts = options or SolveOptions()
+def newton_oracle(model, data, weights, init=None):
+    """Damped Newton iteration on the weighted score with analytic Jacobian,
+    from ``init`` (zeros if omitted)."""
+    max_iter, max_halvings = solver.MAX_ITER, solver.MAX_HALVINGS
     weights = np.asarray(weights, float)
     beta = np.atleast_1d(np.asarray(
-        opts.init if opts.init is not None else model.default_init(data), float)).copy()
+        np.zeros(model.p) if init is None else init, float)).copy()
     if not model.in_domain(data, beta):
         raise EvaluationError("initial point outside model domain")
 
     F = weighted_score(model, data, weights, beta)
     scale = 1.0 + float(np.max(np.abs(F)))
-    tol = opts.tol * scale
+    tol = solver.TOL * scale
 
-    for it in range(opts.max_iter):
+    for it in range(max_iter):
         res = float(np.max(np.abs(F)))
         if res <= tol:
-            J = weighted_jacobian(model, data, weights, beta)
-            return Solution(beta, res, it, J, True)
+            return Solution(beta, it)
         J = weighted_jacobian(model, data, weights, beta)
         if not np.all(np.isfinite(J)) or np.linalg.cond(J) > COND_LIMIT:
             raise SingularSystemError(
@@ -42,7 +44,7 @@ def newton_oracle(model, data, weights, options=None):
         # step-halving line search on ||F||^2
         base = float(F @ F)
         lam, accepted = 1.0, False
-        for _ in range(opts.max_halvings + 1):
+        for _ in range(max_halvings + 1):
             trial = beta + lam * step
             if model.in_domain(data, trial):
                 try:
@@ -56,19 +58,19 @@ def newton_oracle(model, data, weights, options=None):
             lam *= 0.5
         if not accepted:
             raise NonConvergenceError(
-                f"no descent after {opts.max_halvings} halvings",
+                f"no descent after {max_halvings} halvings",
                 last_beta=beta, residual_norm=res)
 
     res = float(np.max(np.abs(F)))
     if res <= tol:
-        J = weighted_jacobian(model, data, weights, beta)
-        return Solution(beta, res, opts.max_iter, J, True)
-    raise NonConvergenceError(f"no convergence in {opts.max_iter} iterations",
+        return Solution(beta, max_iter)
+    raise NonConvergenceError(f"no convergence in {max_iter} iterations",
                               last_beta=beta, residual_norm=res)
 
 
-def oracle_outcomes(systems, init, options):
-    """``newton_oracle`` on each ``(model, data, weights)`` of ``systems``.
+def oracle_outcomes(systems, init):
+    """``newton_oracle`` from ``init`` on each ``(model, data, weights)`` of
+    ``systems``.
 
     Returns the roots (``init`` where the solve failed), the failure classes
     ("" if converged), the iteration counts (-1 on failure) and the condition
@@ -77,7 +79,7 @@ def oracle_outcomes(systems, init, options):
     betas, failures, iterations, conds = [], [], [], []
     for model, data, w in systems:
         try:
-            sol = newton_oracle(model, data, w, options)
+            sol = newton_oracle(model, data, w, init)
         except SOLVER_ERRORS as exc:
             betas.append(np.asarray(init, float))
             failures.append(type(exc).__name__)
@@ -87,6 +89,6 @@ def oracle_outcomes(systems, init, options):
         betas.append(sol.beta)
         failures.append("")
         iterations.append(sol.iterations)
-        conds.append(np.linalg.cond(sol.jacobian_at_root))
+        conds.append(np.linalg.cond(weighted_jacobian(model, data, w, sol.beta)))
     return (np.array(betas), np.array(failures, dtype=object), np.array(iterations),
             np.array(conds))

@@ -5,7 +5,7 @@
 for one weight vector and takes one damped Gauss-Newton step from the primary
 root with scalar objective calls. It returns the root or raises
 ``EvaluationError`` from the model, so tests run it through
-``gebs.engine.per_draw`` and compare its samples with the block root's.
+``per_draw.per_draw`` and compare its samples with the block root's.
 """
 
 import numpy as np

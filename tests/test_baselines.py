@@ -7,11 +7,12 @@ from gebs import models as M
 from gebs import weights as W
 from gebs.baselines import WB_BLOCK, WB_DELTA, residual_bootstrap, wild_bootstrap
 from gebs.bench import GLM_BETA
-from gebs.engine import draw_rng, per_draw, run_bootstrap
+from gebs.engine import draw_rng, run_bootstrap
 from gebs.errors import (DegenerateRunError, NonConvergenceError, ParameterError,
                          UnsupportedModelError)
-from gebs.solver import SolveOptions, solve_weighted
+from gebs.solver import solve_weighted
 from newton_oracle import oracle_outcomes
+from per_draw import per_draw
 from test_batch import agreement_tol
 
 
@@ -184,8 +185,7 @@ def test_baselines_need_one_draw():
 
 def test_wild_bootstrap_glm_synthetic_binary_refits():
     data = M.simulate_glm([-1.0, 2.0], np.full(8, 30), np.linspace(-1, 2, 8), rng(13))
-    beta_hat = solve_weighted(M.LogisticGroupModel(), data, np.ones(8),
-                              SolveOptions(init=np.zeros(2))).beta
+    beta_hat = solve_weighted(M.LogisticGroupModel(), data, np.ones(8)).beta
     sample = wild_bootstrap(M.LogisticIndividualModel(), data, beta_hat, 60, seed=14)
     assert sample.betas.shape == (60, 2)
     assert sample.fallback_count <= 12
@@ -213,7 +213,7 @@ def _wild_logistic_per_draw(data, beta_hat, n_boot, seed):
             boot = M.Dataset(n=data.n, arrays={**data.arrays, "y_ind": ys})
             yield M.LogisticIndividualModel(), boot, np.ones(len(y))
 
-    return oracle_outcomes(systems(), beta_hat, SolveOptions(init=beta_hat))
+    return oracle_outcomes(systems(), beta_hat)
 
 
 def _wild_logistic_cases():
@@ -250,8 +250,7 @@ def _assert_matches_oracle(sample, ref):
 def test_wild_bootstrap_logistic_matches_per_draw_refits():
     fallbacks = 0
     for data, n_boot in _wild_logistic_cases():
-        beta_hat = solve_weighted(M.LogisticGroupModel(), data, np.ones(data.n),
-                                  SolveOptions(init=np.zeros(2))).beta
+        beta_hat = solve_weighted(M.LogisticGroupModel(), data, np.ones(data.n)).beta
         sample = _sample_or_degenerate(lambda: wild_bootstrap(
             M.LogisticIndividualModel(), data, beta_hat, n_boot, seed=20))
         _assert_matches_oracle(sample, _wild_logistic_per_draw(
@@ -271,7 +270,7 @@ def _rb_per_draw(model, data, beta_hat, n_boot, seed):
             e = draw_rng(seed, b).choice(resid, size=len(resid))
             yield model, rebuild(e[None]).take(0), np.ones(len(resid))
 
-    return oracle_outcomes(systems(), beta_hat, SolveOptions(init=beta_hat))
+    return oracle_outcomes(systems(), beta_hat)
 
 
 def _rb_cases():

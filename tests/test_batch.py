@@ -1,15 +1,18 @@
 """Batched reweighted solve: agreement with the per-draw solver."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gebs import models as M
+from gebs import solver
 from gebs import weights as W
 from gebs.engine import draw_rng, exact_variance_enumeration, run_bootstrap
 from gebs.errors import SOLVER_ERRORS, DegenerateRunError, ShapeError
-from gebs.solver import COND_LIMIT, SolveOptions, solve_weighted_batch
+from gebs.solver import COND_LIMIT, solve_weighted_batch, weighted_jacobian
 from newton_oracle import newton_oracle, oracle_outcomes
 
 MODELS = ("mean", "linear1", "linear2", "linear3", "ar1",
@@ -42,9 +45,18 @@ def make_scheme(kind, n):
     return W.iid_exponential(n)
 
 
-def per_draw(model, data, Wm, init, options):
-    """Reference: one newton_oracle call per row."""
-    return oracle_outcomes(((model, data, w) for w in Wm), init, options)
+def assert_batch_matches_per_draw(model, data, Wm, init):
+    """The batched solve of the rows of ``Wm`` against one newton_oracle call
+    per row."""
+    ref_betas, ref_failures, ref_iters, conds = oracle_outcomes(
+        ((model, data, w) for w in Wm), init)
+    betas, failures, iterations = solve_weighted_batch(model, data, Wm, init)
+    assert list(failures) == list(ref_failures)
+    ok = failures == ""
+    assert np.array_equal(iterations[ok], ref_iters[ok])
+    scale = 1.0 + np.max(np.abs(ref_betas[ok]), axis=1)
+    dev = np.max(np.abs(betas[ok] - ref_betas[ok]), axis=1) / scale
+    assert np.all(dev <= agreement_tol(conds[ok]))
 
 
 def agreement_tol(cond):
@@ -66,16 +78,10 @@ def test_batch_matches_per_draw(model_name, scheme_kind, n, seed, start, max_ite
     scheme = make_scheme(scheme_kind, model.weight_count(data))
     Wm = np.stack([W.sample(scheme, draw_rng(seed, b)) for b in range(12)])
     init = start * (-1.0) ** np.arange(model.p)
-    opts = SolveOptions(max_iter=max_iter, max_halvings=max_halvings, init=init)
-    ref_betas, ref_failures, ref_iters, conds = per_draw(model, data, Wm, init, opts)
-
-    sol = solve_weighted_batch(model, data, Wm, init, opts)
-    assert list(sol.failures) == list(ref_failures)
-    ok = sol.converged
-    assert np.array_equal(sol.iterations[ok], ref_iters[ok])
-    scale = 1.0 + np.max(np.abs(ref_betas[ok]), axis=1)
-    dev = np.max(np.abs(sol.betas[ok] - ref_betas[ok]), axis=1) / scale
-    assert np.all(dev <= agreement_tol(conds[ok]))
+    # the oracle reads the same constants, so both solve under the patch
+    with mock.patch.object(solver, "MAX_ITER", max_iter), \
+            mock.patch.object(solver, "MAX_HALVINGS", max_halvings):
+        assert_batch_matches_per_draw(model, data, Wm, init)
 
 
 @given(model_name=st.sampled_from(MODELS), n=st.integers(4, 7),
@@ -93,12 +99,13 @@ def test_blocked_enumeration_matches_per_atom(model_name, n, d, multinomial, see
     worst_cond = 1.0
     for w, prob in W.enumerate_support(scheme):
         try:
-            sol = newton_oracle(model, data, w, SolveOptions(init=beta_hat))
+            sol = newton_oracle(model, data, w, beta_hat)
         except SOLVER_ERRORS:
             continue
         dev = sol.beta - beta_hat
         ref += prob * np.outer(dev, dev)
-        worst_cond = max(worst_cond, np.linalg.cond(sol.jacobian_at_root))
+        worst_cond = max(worst_cond, np.linalg.cond(
+            weighted_jacobian(model, data, w, sol.beta)))
     ref /= W.theoretical_moments(scheme).sigma2
 
     got = np.atleast_2d(exact_variance_enumeration(model, data, beta_hat, scheme).v_gbs)
@@ -112,9 +119,10 @@ def test_init_outside_domain_fails_every_draw():
     bad = np.array([30.0, 0.0, 0.0, 0.0])
     bad[1] = -(1.0 + bad[2] * data["P"][0] + bad[3] * data["I"][0]) / data["H"][0]
     assert not model.in_domain(data, bad)
-    sol = solve_weighted_batch(model, data, Wm, bad)
-    assert list(sol.failures) == ["EvaluationError"] * 3
-    assert not sol.converged.any()
+    betas, failures, iterations = solve_weighted_batch(model, data, Wm, bad)
+    assert list(failures) == ["EvaluationError"] * 3
+    assert np.array_equal(betas, np.tile(bad, (3, 1)))
+    assert np.array_equal(iterations, np.zeros(3, int))
 
 
 def test_default_batch_methods_match_per_row():
@@ -145,7 +153,7 @@ def test_vectorized_overrides_mark_nonfinite_rows():
 def test_batch_shape_check():
     model, data = make_case("mean", 5, 0)
     with pytest.raises(ShapeError):
-        solve_weighted_batch(model, data, np.ones((2, 4)))
+        solve_weighted_batch(model, data, np.ones((2, 4)), np.zeros(1))
 
 
 def test_run_bootstrap_records_iterations_and_failure_classes():
@@ -193,16 +201,8 @@ def test_index_model_hooks_batch_matches_per_draw(scheme_kind, seed, max_iter):
     model, data = poisson_case(20, seed)
     Wm = np.stack([W.sample(make_scheme(scheme_kind, data.n), draw_rng(seed, b))
                    for b in range(24)])
-    opts = SolveOptions(init=np.zeros(2), max_iter=max_iter)
-    ref_betas, ref_failures, ref_iters, conds = per_draw(model, data, Wm, opts.init, opts)
-
-    sol = solve_weighted_batch(model, data, Wm, opts.init, opts)
-    assert list(sol.failures) == list(ref_failures)
-    ok = sol.converged
-    assert np.array_equal(sol.iterations[ok], ref_iters[ok])
-    scale = 1.0 + np.max(np.abs(ref_betas[ok]), axis=1)
-    dev = np.max(np.abs(sol.betas[ok] - ref_betas[ok]), axis=1) / scale
-    assert np.all(dev <= agreement_tol(conds[ok]))
+    with mock.patch.object(solver, "MAX_ITER", max_iter):
+        assert_batch_matches_per_draw(model, data, Wm, np.zeros(2))
 
 
 def test_index_model_jacobian_matches_central_differences():

@@ -147,6 +147,32 @@ def test_unknown_method_rejected():
         bench.run_experiment(cfg)
 
 
+@pytest.mark.parametrize("experiment, methods, first_work", [
+    ("ar1", "rb,gbs-bogus", "simulate_ar1"),
+    ("ar1", "wb,bogus", "simulate_ar1"),
+    ("ar1", "rb,gbs-uniform:0.5", "simulate_ar1"),
+    ("glm", "wb,rb", "simulate_glm"),
+    ("nls", "rb,wb", "nls_roots"),
+], ids=["bad-scheme", "bad-name", "bad-tail", "glm-rb", "nls-wb"])
+def test_methods_resolve_before_any_work(experiment, methods, first_work,
+                                         monkeypatch, tmp_path, capsys):
+    # a bad name, a bad scheme or a baseline the model lacks is a configuration
+    # error raised before the first replicate is fit, and no report is written
+    def no_work(*args, **kwargs):
+        raise AssertionError("a replicate was fit before every method was resolved")
+
+    owner = bench if first_work == "nls_roots" else bench.mmod
+    monkeypatch.setattr(owner, first_work, no_work)
+    out = tmp_path / "report.csv"
+    argv = ["run", "--experiment", experiment, "--boots", "20",
+            "--methods", methods, "--out", str(out)]
+    if experiment == "glm":
+        argv += ["--sims", "1"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nls_multistart_finds_two_roots():
     from gebs import models as M
     data = M.load_isomerization()
@@ -223,11 +249,24 @@ def test_cli_stdout_default(capsys):
     assert capsys.readouterr().out.startswith("method,")
 
 
-def test_cli_scheme_args_expansion():
-    args = cli.build_parser().parse_args(
-        ["run", "--experiment", "ar1", "--methods", "rb,gbs-uniform",
-         "--scheme-args", "0.5,1.5"])
-    assert cli._methods_from(args) == ("rb", "gbs-uniform:0.5,1.5")
+def test_cli_methods_grammar():
+    # a comma starts a new method unless a digit, sign or '.' follows it
+    assert cli._methods_from("rb,gbs-uniform:0.5,1.5,gbs-exp") == (
+        "rb", "gbs-uniform:0.5,1.5", "gbs-exp")
+    assert cli._methods_from("uniform:.5, 1.5,exp") == ("uniform:.5, 1.5", "exp")
+    assert cli._methods_from(" rb , wb,") == ("rb", "wb")
+    assert cli._methods_from(None) is None
+
+
+def test_cli_scheme_tail_with_a_comma_runs(tmp_path):
+    out = tmp_path / "report.csv"
+    assert cli.main(["run", "--experiment", "weights-check",
+                     "--methods", "uniform:0.5,1.5", "--out", str(out)]) == cli.EXIT_OK
+    rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert len(rows) == 1 + 4   # header, then one row per condition
+    assert cli.main(["run", "--experiment", "ar1", "--n", "20", "--sims", "2",
+                     "--boots", "15", "--methods", "gbs-uniform:0.5,1.5",
+                     "--out", str(out)]) == cli.EXIT_OK
 
 
 def test_cli_config_error_exit_code(capsys):

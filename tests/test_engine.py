@@ -12,12 +12,13 @@ from gebs.baselines import residual_bootstrap, wild_bootstrap
 from gebs.bench import GLM_BETA
 from gebs.engine import (EmpiricalDistribution, STATUS_CONVERGED, STATUS_FALLBACK,
                          draw_rng, empirical_distribution,
-                         exact_variance_enumeration, ks_distance, per_draw,
+                         exact_variance_enumeration, ks_distance,
                          percentile_ci, percentile_cis_batch, run_bootstrap,
                          studentized_stats, variance_estimate)
 from gebs.errors import (DegenerateRunError, InsufficientSampleError,
                          NonConvergenceError, ParameterError, ShapeError)
-from gebs.solver import solve_weighted
+from gebs.solver import solve_weighted, solve_weighted_batch
+from per_draw import per_draw
 
 
 def rng(seed=0):
@@ -70,6 +71,25 @@ def test_fallback_draws_pin_to_beta_hat():
     fell = [i for i, s in enumerate(sample.statuses) if s == STATUS_FALLBACK]
     assert np.array_equal(sample.betas[fell],
                           np.tile(beta_hat, (len(fell), 1)))
+
+
+def test_default_hook_is_solve_weighted_batch():
+    # the batched solver is the solve_fn contract itself, so passing it
+    # explicitly gives the default sample bit for bit
+    model, data, beta_hat = mean_setup()
+    scheme = W.multinomial(12)
+    default = run_bootstrap(model, data, beta_hat, scheme, 300, seed=8)
+    hooked = run_bootstrap(model, data, beta_hat, scheme, 300, seed=8,
+                           solve_fn=solve_weighted_batch)
+    series = M.simulate_ar1(0.2, 1.0, 9.0, 40, rng(9))
+    phi_hat = solve_weighted(M.Ar1Model(), series, np.ones(40)).beta
+    rb = residual_bootstrap(M.Ar1Model(), series, phi_hat, 300, seed=8)
+    rb_hooked = residual_bootstrap(M.Ar1Model(), series, phi_hat, 300, seed=8,
+                                   solve_fn=solve_weighted_batch)
+    for a, b in ((default, hooked), (rb, rb_hooked)):
+        assert np.array_equal(a.betas, b.betas)
+        assert np.array_equal(a.iterations, b.iterations)
+        assert a.statuses == b.statuses and a.failures == b.failures
 
 
 def test_too_many_fallbacks_degenerate():

@@ -1,7 +1,8 @@
 """Report bytes of every benchmark workload match the committed golden digests.
 
 The benchmark checks these digests only when it runs; this test checks the
-check round and the first rounds of the default seed on every test run.
+check round and the first rounds of the default seed on every test run. The
+default weights-check report, which no workload runs, has its digest here.
 """
 
 import hashlib
@@ -37,3 +38,13 @@ def test_report_matches_golden(workload, seed, golden, tmp_path):
     assert cli.main(workload.argv(seed, out)) == cli.EXIT_OK
     text = out.read_text(encoding="utf-8")
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == golden
+
+
+WEIGHTS_CHECK_GOLDEN = "9c025ec7fbd7e385"
+
+
+def test_default_weights_check_report_matches_golden(tmp_path):
+    out = tmp_path / "report.csv"
+    assert cli.main(["run", "--experiment", "weights-check", "--out", str(out)]) == cli.EXIT_OK
+    text = out.read_text(encoding="utf-8")
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == WEIGHTS_CHECK_GOLDEN

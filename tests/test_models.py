@@ -51,7 +51,7 @@ def test_group_scores_aggregate_individual_scores():
 def test_mean_model_root_is_mean():
     data = M.Dataset(n=5, arrays={"z": np.array([1.0, 2.0, 3.0, 4.0, 10.0])})
     model = M.MeanModel()
-    beta = model.default_init(data)
+    beta = np.array([np.mean(data["z"])])
     assert np.sum(model.score_all(data, beta)) == pytest.approx(0.0, abs=1e-12)
 
 

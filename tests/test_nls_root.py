@@ -7,9 +7,10 @@ from gebs import bench
 from gebs import models as M
 from gebs import weights as W
 from gebs.baselines import residual_bootstrap
-from gebs.engine import draw_rng, per_draw, run_bootstrap
+from gebs.engine import draw_rng, run_bootstrap
 from gebs.errors import DegenerateRunError, EvaluationError
 from nls_oracle import _gn_step, nls_draw_root as oracle_root
+from per_draw import per_draw
 
 
 @pytest.fixture(scope="module")

@@ -26,8 +26,6 @@ def test_constructor_validation():
     with pytest.raises(ParameterError):
         W.iid_uniform(5, 0.3, 1.5)  # lo + hi != 2
     with pytest.raises(ParameterError):
-        W.iid_exponential(5, rate=0.0)
-    with pytest.raises(ParameterError):
         W.WeightScheme("nope", 5)
     with pytest.raises(ParameterError):
         W.multinomial(0)
@@ -40,7 +38,7 @@ def test_parse_scheme_grammar():
     assert W.parse_scheme("dirichlet:alpha=4", 7) == W.dirichlet(7, 4.0)
     assert W.parse_scheme("uniform:0.5,1.5", 7) == W.iid_uniform(7, 0.5, 1.5)
     assert W.parse_scheme("uniform", 7) == W.iid_uniform(7, 0.5, 1.5)
-    assert W.parse_scheme("exp", 7) == W.iid_exponential(7, 1.0)
+    assert W.parse_scheme("exp", 7) == W.iid_exponential(7)
     assert W.parse_scheme("moon:m=3", 7) == W.m_out_of_n(7, 3)
     assert W.parse_scheme("constant", 7) == W.constant(7)
 
@@ -52,11 +50,15 @@ def test_parse_scheme_errors():
         W.parse_scheme("jackknife:k=2", 7)
     with pytest.raises(ParameterError):
         W.parse_scheme("jackknife:d=9", 7)  # d >= n
+    for spec in ("exp:1", "multinomial:2", "constant:1"):
+        with pytest.raises(ParseError):
+            W.parse_scheme(spec, 7)  # these schemes take no parameters
 
 
 def test_labels():
     assert W.multinomial(5).label() == "multinomial"
     assert W.delete_d_jackknife(5, 2).label() == "jackknife(d=2)"
+    assert W.iid_exponential(5).label() == "exp"
 
 
 # ---------------------------------------------------------------------------
