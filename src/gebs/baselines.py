@@ -50,9 +50,10 @@ def residual_bootstrap(model, data, beta_hat, n_boot, seed, solve_fn=None):
     beta_hat = np.atleast_1d(np.asarray(beta_hat, float))
     resid, rebuild = model.residual_resampler(data, beta_hat)
     resid = resid - resid.mean()
+    n = len(resid)
     hook = solve_fn or solve_weighted_batch
     return resample(beta_hat, n_boot, seed,
-                    lambda rng: rng.choice(resid, size=len(resid)),
+                    lambda rng: resid[rng.integers(0, n, size=n)],
                     lambda E: hook(model, rebuild(E), np.ones(E.shape), beta_hat),
                     "residual bootstrap")
 

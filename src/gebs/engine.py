@@ -2,13 +2,16 @@
 block solvers, variance and distribution estimates, percentile intervals,
 studentized statistics, enumeration oracles.
 
-Only ``resample`` knows the per-draw streams: it hands ``draw_rng(seed, b)`` to
-a method's ``draw(rng)``. A block is solved by a ``solve_fn(model, data, W,
-beta_hat) -> (betas, failures, iterations or None)`` hook, by default the
-batched Newton solve ``solver.solve_weighted_batch``."""
+Only ``resample`` knows the per-draw streams: it hands draw b's stream to a
+method's ``draw(rng)``. ``block_streams`` seeds a whole block of streams with
+array arithmetic, and each equals ``draw_rng(seed, b)`` bit for bit. A block is
+solved by a ``solve_fn(model, data, W, beta_hat) -> (betas, failures,
+iterations or None)`` hook, by default the batched Newton solve
+``solver.solve_weighted_batch``."""
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -28,9 +31,93 @@ MAX_FALLBACK_FRAC = 0.2
 BLOCK_DRAWS = 128
 
 
+# numpy's SeedSequence (bit_generator.pyx): pool size and hash constants
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier (pcg64.h)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
 def draw_rng(seed, *path):
     """Independent stream for one resample draw; deterministic in (seed, path)."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=path))
+
+
+def _hasher(init, mult):
+    """SeedSequence's ``hashmix``: each call xors in the running constant,
+    steps it and multiplies by the new one. Words are Python ints or uint64
+    arrays of 32-bit values; masking every product keeps them below 2^64."""
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x, y):
+    # MIX_MULT_L x - MIX_MULT_R y (mod 2^32), adding -MIX_MULT_R mod 2^32
+    # so that no unsigned array underflows
+    result = (_MIX_MULT_L * x & _MASK32) + ((-_MIX_MULT_R & _MASK32) * y & _MASK32)
+    result &= _MASK32
+    return result ^ result >> 16
+
+
+def block_streams(seed, start, stop):
+    """Streams of draws ``start .. stop - 1``; stream b equals ``draw_rng(seed, b)``.
+
+    ``SeedSequence(entropy=seed, spawn_key=(b,))``'s pool mixing and
+    ``generate_state(4, uint64)`` run once for the whole block, over a uint64
+    array of the b, and ``pcg64_set_seed`` turns each draw's four words into
+    a PCG64 state. Every stream is the same ``Generator``, set to draw b's
+    state just before it is yielded, so a consumer must be done with it before
+    asking for the next one and must not keep it.
+    """
+    seed = operator.index(seed)   # TypeError for floats, None, strings
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    if start < 0 or stop > 1 << 32:
+        raise ParameterError(f"draw indices must lie in [0, 2^32), got {start}..{stop}")
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    # a spawn key pads the entropy to the pool size; b < 2^32 is one word
+    words += [0] * (_POOL_SIZE - len(words))
+    words.append(np.arange(start, stop, dtype=np.uint64))
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
+    for w in words[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = _mix(pool[i_dst], hashmix(w))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = [hashmix(pool[i % _POOL_SIZE]) for i in range(2 * _POOL_SIZE)]
+    s0, s1, i0, i1 = ((lo | hi << 32).tolist()
+                      for lo, hi in zip(state[::2], state[1::2]))
+
+    bit_gen = np.random.PCG64(0)
+    rng = np.random.Generator(bit_gen)
+
+    def streams():
+        for s_hi, s_lo, i_hi, i_lo in zip(s0, s1, i0, i1):
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            bit_gen.state = {
+                "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                "state": {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc)
+                          & _MASK128, "inc": inc}}
+            yield rng
+    return streams()
 
 
 @dataclass
@@ -99,8 +186,9 @@ def resample(beta_hat, n_boot, seed, draw, solve_block, label, scheme=None,
     """Draw ``n_boot`` resamples, solve them in blocks and collect the sample.
 
     Draw b's input vector (weights, multipliers or resampled residuals) is
-    ``draw(draw_rng(seed, b))``: each draw has its own stream, so the sample
-    does not depend on the block size. Blocks of ``BLOCK_DRAWS`` rows, stacked
+    ``draw(rng)`` on its own stream, which equals ``draw_rng(seed, b)`` and is
+    seeded a block at a time by ``block_streams``; so the sample does not
+    depend on the block size. Blocks of ``BLOCK_DRAWS`` rows, stacked
     into a matrix ``R``, go to ``solve_block(R) -> (betas, failures,
     iterations or None)``, where ``failures`` holds each draw's error class
     ("" if it solved); other shapes than (len(R), p) roots and len(R) failures
@@ -114,8 +202,8 @@ def resample(beta_hat, n_boot, seed, draw, solve_block, label, scheme=None,
         raise ParameterError("need n_boot >= 1")
     blocks, kept = [], []
     for start in range(0, n_boot, BLOCK_DRAWS):
-        R = np.stack([draw(draw_rng(seed, b))
-                      for b in range(start, min(start + BLOCK_DRAWS, n_boot))])
+        R = np.stack([draw(rng) for rng in
+                      block_streams(seed, start, min(start + BLOCK_DRAWS, n_boot))])
         block = solve_block(R)
         if (np.shape(block[0]) != (len(R), len(beta_hat))
                 or np.shape(block[1]) != (len(R),)):

@@ -1,0 +1,72 @@
+"""Block draw streams: ``engine.block_streams`` against numpy's own seeding.
+
+The oracle is written out here, not taken from ``draw_rng``, so a numpy
+release that changes ``SeedSequence`` or PCG64 seeding fails this file
+instead of silently changing every report.
+"""
+
+import numpy as np
+import pytest
+
+from gebs import models as M
+from gebs import weights as W
+from gebs.bench import child_seed
+from gebs.engine import block_streams, draw_rng, run_bootstrap
+from gebs.errors import ParameterError
+
+# 1-, 2-, 3- and 5-word seeds (five words run SeedSequence's third mixing loop
+# over seed words too), the word boundaries and 64-bit child seeds
+SEEDS = (0, 7, 2**32 - 1, 2**32, 2**64 - 1, 2**70 + 5, 2**130 + 17,
+         child_seed(3, 1), child_seed(11, 40, 2), child_seed(2**40, 7))
+BLOCKS = ((0, 128), (300, 428), (2**32 - 3, 2**32))
+P50 = np.full(50, 1 / 50)
+
+
+def oracle(seed, b):
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("start, stop", BLOCKS)
+def test_block_streams_equal_numpy_seeding(seed, start, stop):
+    streams = block_streams(seed, start, stop)
+    for b, rng in zip(range(start, stop), streams, strict=True):
+        ref = oracle(seed, b)
+        assert rng.bit_generator.state == ref.bit_generator.state, (seed, b)
+        assert np.array_equal(rng.multinomial(50, P50), ref.multinomial(50, P50))
+
+
+def test_buffered_uint32_does_not_leak_into_the_next_stream():
+    streams = block_streams(child_seed(5, 2), 40, 44)
+    for b in range(40, 44):
+        rng = next(streams)
+        ref = oracle(child_seed(5, 2), b)
+        assert rng.bit_generator.state == ref.bit_generator.state, b
+        # an odd number of 32-bit draws leaves half a 64-bit output buffered
+        rng.integers(0, 2**32, size=3, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+
+
+def test_streams_equal_draw_rng_and_accept_numpy_integer_seeds():
+    for seed in (np.int64(9), np.uint64(2**63 + 1), True):
+        for b, rng in zip(range(5, 9), block_streams(seed, 5, 9), strict=True):
+            assert rng.bit_generator.state == draw_rng(seed, b).bit_generator.state
+
+
+def test_empty_block_and_draw_indices_beyond_one_word():
+    assert list(block_streams(1, 4, 4)) == []
+    with pytest.raises(ParameterError):
+        block_streams(1, 0, 2**32 + 1)
+    with pytest.raises(ParameterError):
+        block_streams(1, -1, 3)
+
+
+@pytest.mark.parametrize("seed", [-1, -2**40, 1.5, np.float64(2.0), None, "7"])
+def test_bad_seeds_raise_like_draw_rng(seed):
+    z = np.linspace(-1.0, 1.0, 8)
+    data = M.Dataset(n=8, arrays={"z": z})
+    with pytest.raises((TypeError, ValueError)) as streams_error:
+        run_bootstrap(M.MeanModel(), data, np.array([0.0]), W.multinomial(8), 5, seed)
+    if seed is not None:   # draw_rng(None, b) draws fresh OS entropy instead
+        with pytest.raises(streams_error.type):
+            draw_rng(seed, 0)
