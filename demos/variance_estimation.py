@@ -19,7 +19,7 @@ from gebs.solver import solve_weighted
 
 rng = np.random.default_rng(0)
 n = 10
-data = M.simulate_linear([2.0], n, rng, noise_sd=1.0)
+data = M.simulate_linear([2.0], n, rng)
 model = M.LinearModel(p=1)
 beta_hat = solve_weighted(model, data, np.ones(n)).beta
 print(f"full-data estimate: {beta_hat[0]:.4f}  (n = {n})")

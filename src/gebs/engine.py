@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from . import weights as wmod
 from .errors import (DegenerateRunError, InsufficientSampleError, ParameterError,
@@ -221,7 +221,7 @@ def resample(beta_hat, n_boot, seed, draw, solve_block, label, scheme=None,
     betas[fell] = beta_hat
     statuses = [STATUS_FALLBACK if f else STATUS_CONVERGED for f in fell]
     fallback = int(np.count_nonzero(fell))
-    sigma2 = 1.0 if scheme is None else wmod.theoretical_moments(scheme).sigma2
+    sigma2 = 1.0 if scheme is None else wmod.central_moment(scheme, (2,))
     sample = BootstrapSample(beta_hat, betas, statuses, scheme, sigma2, fallback,
                              np.concatenate(kept) if store_rows else None, iterations,
                              dict(sorted(Counter(failures[fell]).items())))
@@ -291,9 +291,9 @@ def exact_variance_enumeration(model, data, beta_hat, scheme, scale=1.0):
     probability mass.
     """
     beta_hat = np.atleast_1d(np.asarray(beta_hat, float))
-    mom = wmod.theoretical_moments(scheme)
+    sigma2 = wmod.central_moment(scheme, (2,))
     p = len(beta_hat)
-    if mom.sigma2 <= 0:
+    if sigma2 <= 0:
         zero = 0.0 if p == 1 else np.zeros((p, p))
         return VarianceEstimate(zero, "degenerate scheme (sigma_n^2 = 0)",
                                 zero, degenerate=True)
@@ -308,7 +308,7 @@ def exact_variance_enumeration(model, data, beta_hat, scheme, scale=1.0):
         d = betas[ok] - beta_hat
         acc += (probs[ok, None] * d).T @ d
         failed_mass += float(np.sum(probs[~ok]))
-    v = scale / mom.sigma2 * acc
+    v = scale / sigma2 * acc
     zero = 0.0 if p == 1 else np.zeros((p, p))
     return VarianceEstimate(float(v[0, 0]) if p == 1 else v,
                             "exact enumeration variance", zero,
@@ -409,7 +409,7 @@ def ks_distance(a, b="normal"):
     if isinstance(b, str):
         if b != "normal":
             raise ParameterError(f"unknown reference distribution {b!r}")
-        cdf = norm.cdf(a)
+        cdf = ndtr(a)
         hi = np.arange(1, na + 1) / na - cdf
         lo = cdf - np.arange(0, na) / na
         return float(max(hi.max(), lo.max()))

@@ -433,11 +433,11 @@ def _glm_dataset(N, X, y_ind, meta):
     })
 
 
-def simulate_linear(beta, n, rng, noise_sd=1.0, x_sd=1.0):
+def simulate_linear(beta, n, rng):
     beta = np.atleast_1d(np.asarray(beta, float))
     p = len(beta)
-    X = rng.standard_normal((n, p)) * x_sd
-    y = X @ beta + rng.standard_normal(n) * noise_sd
+    X = rng.standard_normal((n, p))
+    y = X @ beta + rng.standard_normal(n)
     return Dataset(n=n, meta="linear-sim", arrays={"X": X, "y": y})
 
 

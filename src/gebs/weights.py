@@ -1,10 +1,16 @@
 """Exchangeable bootstrap weight schemes.
 
 Each scheme draws a nonnegative exchangeable weight vector with unit mean.
-Exact mixed moments of the standardized weights are available in closed
-form for every scheme, built from raw moments over distinct indices
-(factorial-moment identities for count schemes, rising-factorial formulas
-for Dirichlet, products for i.i.d. laws).
+Sampling, exact moments and support enumeration branch once per law family.
+Count laws (``multinomial``, ``moon``) scale multinomial counts of ``trials``
+over n equal cells by ``scale``; Efron's bootstrap is m-out-of-n at m = n.
+d-subset laws (``jackknife``, ``downweight``) give d indices drawn without
+replacement the weight ``lo`` and the rest ``hi``; delete-d has lo = 0.
+``dirichlet``, i.i.d. ``uniform`` and ``exp``, and ``constant`` are one kind
+each. Exact mixed moments of the standardized weights are in closed form,
+built from raw moments over distinct indices (factorial moments for count
+laws, subset membership for d-subset laws, rising factorials for Dirichlet,
+products for i.i.d. laws).
 """
 
 import itertools
@@ -24,9 +30,6 @@ DIRICHLET = "dirichlet"
 IID_UNIFORM = "uniform"
 IID_EXPONENTIAL = "exp"
 CONSTANT = "constant"
-
-FIXED_SUM_KINDS = (MULTINOMIAL, M_OUT_OF_N, DELETE_D_JACKKNIFE,
-                   DOWNWEIGHT_D_JACKKNIFE, CONSTANT)
 
 MAX_ATOMS = 10 ** 6   # largest finite support that enumeration walks
 
@@ -55,21 +58,18 @@ class WeightScheme:
             if not isinstance(m, int) or m < 1:
                 raise ParameterError(f"m-out-of-n needs integer m >= 1, got {m}")
         elif self.kind == DIRICHLET:
-            if not p.get("alpha", 0) > 0:
-                raise ParameterError(f"Dirichlet alpha must be > 0, got {p.get('alpha')}")
+            alpha = p.get("alpha", 0)
+            if not (math.isfinite(alpha) and alpha > 0):
+                raise ParameterError(f"Dirichlet alpha must be finite and > 0, got {alpha}")
         elif self.kind == IID_UNIFORM:
-            lo, hi = p.get("lo"), p.get("hi")
-            if lo is None or hi is None or hi <= lo or lo < 0:
-                raise ParameterError(f"uniform needs 0 <= lo < hi, got lo={lo}, hi={hi}")
+            lo, hi = p.get("lo", math.nan), p.get("hi", math.nan)
+            if not (math.isfinite(lo) and math.isfinite(hi) and 0 <= lo < hi):
+                raise ParameterError(f"uniform needs finite 0 <= lo < hi, got lo={lo}, hi={hi}")
             if abs(lo + hi - 2.0) > 1e-12:
                 raise ParameterError(
                     f"uniform weights must have mean 1 (lo + hi = 2), got lo={lo}, hi={hi}")
         elif self.kind not in (MULTINOMIAL, IID_EXPONENTIAL, CONSTANT):
             raise ParameterError(f"unknown weight scheme kind {self.kind!r}")
-
-    @property
-    def fixed_sum(self):
-        return self.kind in FIXED_SUM_KINDS
 
     def label(self):
         if self.params:
@@ -110,6 +110,11 @@ def constant(n):
     return WeightScheme(CONSTANT, n)
 
 
+# the one parameter a kind's specification names, and its type
+_PARAMETER = {DELETE_D_JACKKNIFE: ("d", int), DOWNWEIGHT_D_JACKKNIFE: ("d", int),
+              M_OUT_OF_N: ("m", int), DIRICHLET: ("alpha", float)}
+
+
 def parse_scheme(spec, n):
     """Build a scheme from a CLI specification string.
 
@@ -122,26 +127,17 @@ def parse_scheme(spec, n):
     if tail and head in (MULTINOMIAL, IID_EXPONENTIAL, CONSTANT):
         raise ParseError(f"bad scheme specification {spec!r}: {head} takes no parameters")
     try:
-        if head == MULTINOMIAL:
-            return multinomial(n)
-        if head == CONSTANT:
-            return constant(n)
-        if head == DELETE_D_JACKKNIFE:
-            return delete_d_jackknife(n, int(_kv(tail, "d")))
-        if head == DOWNWEIGHT_D_JACKKNIFE:
-            return downweight_d_jackknife(n, int(_kv(tail, "d")))
-        if head == M_OUT_OF_N:
-            return m_out_of_n(n, int(_kv(tail, "m")))
-        if head == DIRICHLET:
-            return dirichlet(n, float(_kv(tail, "alpha")))
+        if head in (MULTINOMIAL, IID_EXPONENTIAL, CONSTANT):
+            return WeightScheme(head, n)
+        if head in _PARAMETER:
+            key, cast = _PARAMETER[head]
+            return WeightScheme(head, n, {key: cast(_kv(tail, key))})
         if head == IID_UNIFORM:
             lo, hi = (tail or "0.5,1.5").split(",")
             return iid_uniform(n, float(lo), float(hi))
-        if head == IID_EXPONENTIAL:
-            return iid_exponential(n)
-    except (ValueError, ParameterError) as exc:
-        if isinstance(exc, ParameterError):
-            raise
+    except ParameterError:
+        raise
+    except ValueError as exc:
         raise ParseError(f"bad scheme specification {spec!r}: {exc}") from exc
     raise ParseError(f"unknown weight scheme {spec!r}")
 
@@ -154,26 +150,41 @@ def _kv(tail, key):
 
 
 # ---------------------------------------------------------------------------
+# Law families
+
+def _count_law(scheme):
+    """``(trials, scale)`` of a count law, or None for any other kind."""
+    if scheme.kind == MULTINOMIAL:
+        return scheme.n, 1.0
+    if scheme.kind == M_OUT_OF_N:
+        return scheme.params["m"], scheme.n / scheme.params["m"]
+    return None
+
+
+def _subset_law(scheme):
+    """``(d, lo, hi)`` of a d-subset law, or None for any other kind."""
+    n, d = scheme.n, scheme.params.get("d")
+    if scheme.kind == DELETE_D_JACKKNIFE:
+        return d, 0.0, n / (n - d)
+    if scheme.kind == DOWNWEIGHT_D_JACKKNIFE:
+        return d, d / n, (n + d) / n
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Sampling
 
 def sample(scheme, rng):
     """Draw one weight vector from the scheme's law."""
     n = scheme.n
     kind = scheme.kind
-    if kind == MULTINOMIAL:
-        return rng.multinomial(n, np.full(n, 1.0 / n)).astype(float)
-    if kind == M_OUT_OF_N:
-        m = scheme.params["m"]
-        return rng.multinomial(m, np.full(n, 1.0 / n)) * (n / m)
-    if kind == DELETE_D_JACKKNIFE:
-        d = scheme.params["d"]
-        w = np.full(n, n / (n - d))
-        w[rng.choice(n, size=d, replace=False)] = 0.0
-        return w
-    if kind == DOWNWEIGHT_D_JACKKNIFE:
-        d = scheme.params["d"]
-        w = np.full(n, (n + d) / n)
-        w[rng.choice(n, size=d, replace=False)] = d / n
+    if count := _count_law(scheme):
+        trials, scale = count
+        return rng.multinomial(trials, np.full(n, 1.0 / n)) * scale
+    if subset := _subset_law(scheme):
+        d, lo, hi = subset
+        w = np.full(n, hi)
+        w[rng.choice(n, size=d, replace=False)] = lo
         return w
     if kind == DIRICHLET:
         alpha = scheme.params["alpha"]
@@ -183,9 +194,7 @@ def sample(scheme, rng):
         return rng.uniform(scheme.params["lo"], scheme.params["hi"], size=n)
     if kind == IID_EXPONENTIAL:
         return rng.exponential(size=n)
-    if kind == CONSTANT:
-        return np.ones(n)
-    raise ParameterError(f"unknown scheme kind {kind!r}")
+    return np.ones(n)   # constant
 
 
 # ---------------------------------------------------------------------------
@@ -214,19 +223,6 @@ def _rising(x, k):
     return out
 
 
-def _count_raw_moment(trials, cells, scale, pattern):
-    # E[prod_j (scale * c_j)^{k_j}] for distinct multinomial cells with p = 1/cells
-    total = 0.0
-    ranges = [range(1, k + 1) for k in pattern]
-    for ls in itertools.product(*ranges):
-        coef = 1.0
-        for k, l in zip(pattern, ls):
-            coef *= _stirling2(k, l)
-        L = sum(ls)
-        total += coef * _falling(trials, L) * float(cells) ** (-L)
-    return scale ** sum(pattern) * total
-
-
 def raw_moment(scheme, pattern):
     """E[w_a^{k1} w_b^{k2} ...] over distinct indices a, b, ..."""
     pattern = tuple(int(k) for k in pattern if k > 0)
@@ -237,20 +233,20 @@ def raw_moment(scheme, pattern):
     if m > n:
         raise ParameterError(f"pattern uses {m} indices but n={n}")
     kind = scheme.kind
-    if kind == MULTINOMIAL:
-        return _count_raw_moment(n, n, 1.0, pattern)
-    if kind == M_OUT_OF_N:
-        mm = scheme.params["m"]
-        return _count_raw_moment(mm, n, n / mm, pattern)
-    if kind == DELETE_D_JACKKNIFE:
-        d = scheme.params["d"]
-        p_keep = 1.0
-        for t in range(m):
-            p_keep *= (n - d - t) / (n - t)
-        return p_keep * (n / (n - d)) ** sum(pattern)
-    if kind == DOWNWEIGHT_D_JACKKNIFE:
-        d = scheme.params["d"]
-        lo, hi = d / n, (n + d) / n
+    if count := _count_law(scheme):
+        # E[prod_j (scale * c_j)^{k_j}] for distinct multinomial cells with p = 1/n
+        trials, scale = count
+        total = 0.0
+        for ls in itertools.product(*[range(1, k + 1) for k in pattern]):
+            coef = 1.0
+            for k, l in zip(pattern, ls):
+                coef *= _stirling2(k, l)
+            L = sum(ls)
+            total += coef * _falling(trials, L) * float(n) ** (-L)
+        return scale ** sum(pattern) * total
+    if subset := _subset_law(scheme):
+        # sum over which of the m indices fall in the subset of d
+        d, lo, hi = subset
         total = 0.0
         for mask in itertools.product((False, True), repeat=m):
             s = sum(mask)
@@ -280,9 +276,7 @@ def raw_moment(scheme, pattern):
         for k in pattern:
             out *= math.factorial(k)
         return out
-    if kind == CONSTANT:
-        return 1.0
-    raise ParameterError(f"unknown scheme kind {kind!r}")
+    return 1.0   # constant
 
 
 def central_moment(scheme, pattern):
@@ -308,16 +302,6 @@ class WeightMoments:
     c4: float
     third_order: dict
     fourth_order: dict
-
-    def c(self, pattern):
-        pattern = tuple(sorted((int(k) for k in pattern), reverse=True))
-        if pattern == (1, 1):
-            return self.c11
-        if sum(pattern) == 3:
-            return self.third_order[pattern]
-        if sum(pattern) == 4:
-            return self.fourth_order[pattern]
-        raise KeyError(pattern)
 
 
 def theoretical_moments(scheme):
@@ -407,15 +391,11 @@ def empirical_moments(draws, probs=None):
 
 def support_size(scheme):
     n = scheme.n
-    if scheme.kind == CONSTANT:
-        return 1
-    if scheme.kind == MULTINOMIAL:
-        return math.comb(2 * n - 1, n - 1)
-    if scheme.kind == M_OUT_OF_N:
-        return math.comb(scheme.params["m"] + n - 1, n - 1)
-    if scheme.kind in (DELETE_D_JACKKNIFE, DOWNWEIGHT_D_JACKKNIFE):
-        return math.comb(n, scheme.params["d"])
-    return None
+    if count := _count_law(scheme):
+        return math.comb(count[0] + n - 1, n - 1)
+    if subset := _subset_law(scheme):
+        return math.comb(n, subset[0])
+    return 1 if scheme.kind == CONSTANT else None
 
 
 def enumerate_support(scheme):
@@ -439,29 +419,23 @@ def iter_support(scheme):
 
 def _atoms(scheme):
     n = scheme.n
-    kind = scheme.kind
-    if kind == CONSTANT:
-        yield np.ones(n), 1.0
-    elif kind in (MULTINOMIAL, M_OUT_OF_N):
-        trials = n if kind == MULTINOMIAL else scheme.params["m"]
-        scale = 1.0 if kind == MULTINOMIAL else n / scheme.params["m"]
+    if count := _count_law(scheme):
+        trials, scale = count
         log_t_fact = math.lgamma(trials + 1)
         for counts in _compositions(trials, n):
             logp = log_t_fact - trials * math.log(n)
             for k in counts:
                 logp -= math.lgamma(k + 1)
             yield np.array(counts, float) * scale, math.exp(logp)
-    else:
-        d = scheme.params["d"]
-        if kind == DELETE_D_JACKKNIFE:
-            lo, hi = 0.0, n / (n - d)
-        else:
-            lo, hi = d / n, (n + d) / n
+    elif subset := _subset_law(scheme):
+        d, lo, hi = subset
         prob = 1.0 / math.comb(n, d)
         for idx in itertools.combinations(range(n), d):
             w = np.full(n, hi)
             w[list(idx)] = lo
             yield w, prob
+    else:
+        yield np.ones(n), 1.0
 
 
 def _compositions(total, parts):
@@ -478,6 +452,7 @@ def _compositions(total, parts):
 
 SLOPE_TOL = 0.2
 MEAN_TOL = 1e-12   # |E[w_i] - 1| allowed by the unit-mean clause
+MC_DRAWS = 200     # Monte Carlo draws per n for the bounded-away-from-zero clause
 
 # exponent bounds for the third- and fourth-moment decay clauses; the
 # sigma^{-1} factor in the third-moment clause is added per scheme
@@ -523,7 +498,7 @@ def _slope_ok(slope, bound):
     return slope <= bound + SLOPE_TOL
 
 
-def check_conditions(scheme_factory, n_grid, mc_draws=200, seed=0):
+def check_conditions(scheme_factory, n_grid, seed=0):
     """Certify the weight conditions over a grid of sample sizes.
 
     Asymptotic o(.)/O(.) clauses are decided by log-log regression of the
@@ -584,9 +559,9 @@ def check_conditions(scheme_factory, n_grid, mc_draws=200, seed=0):
         scheme = scheme_factory(n)
         m0 = math.ceil(n / 2)
         fails = 0
-        for _ in range(mc_draws):
+        for _ in range(MC_DRAWS):
             fails += int(np.count_nonzero(sample(scheme, rng) > k2) < m0)
-        fail_fracs.append(fails / mc_draws)
+        fail_fracs.append(fails / MC_DRAWS)
     w_ok = all(f <= frac_cap for f in fail_fracs)
 
     # (2.6): third-moment decay, bound n^{-k+1} sigma^{-1}

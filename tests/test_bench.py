@@ -1,6 +1,10 @@
 """Experiment harness: configuration, histograms, reports, CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,8 @@ import pytest
 from gebs import bench
 from gebs import cli
 from gebs.errors import ConfigError, EmptyRootSetError, ParameterError
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +285,31 @@ def test_cli_negative_seed_exit_code(capsys):
     code = cli.main(["run", "--experiment", "ar1", "--seed", "-1"])
     assert code == cli.EXIT_CONFIG
     assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--experiment", "ar1", "--sims", "2", "--boots", "20",
+     "--methods", "gbs-uniform:nan,1.5"],
+    ["--experiment", "ar1", "--sims", "2", "--boots", "20",
+     "--methods", "gbs-dirichlet:alpha=inf"],
+    ["--experiment", "weights-check", "--methods", "dirichlet:alpha=inf"],
+])
+def test_cli_rejects_non_finite_scheme_parameters(argv, tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    assert cli.main(["run", *argv, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats dominates the import time of the CLI and nothing needs it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    code = "import sys, gebs.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_nls_rejects_sims_other_than_one(tmp_path, capsys):
