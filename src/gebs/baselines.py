@@ -71,9 +71,9 @@ def wild_bootstrap(model, data, beta_hat, n_boot, seed):
     like-response trials; the perturbed logit is mapped back to a success
     probability, a synthetic binary response is drawn from it, and the
     logistic fit is recomputed. That refit is a batched reweighted solve over
-    (covariate cell, outcome) slots, so blocks of draws share one
-    ``solve_weighted_batch`` call and the sample records Newton steps per
-    draw.
+    the per-trial model's (covariate cell, outcome) ``slots``, so blocks of
+    draws share one ``solve_weighted_batch`` call and the sample records
+    Newton steps per draw.
     """
     require_support("wb", model)
     beta_hat = np.atleast_1d(np.asarray(beta_hat, float))
@@ -98,36 +98,29 @@ def wild_bootstrap(model, data, beta_hat, n_boot, seed):
 
     else:   # grouped binary data
         y = data["y_ind"]
-        x = data["x_ind"]
-        group = data["group"]
-        t_hat = beta_hat[0] + beta_hat[1] * x
+        t_hat = beta_hat[0] + beta_hat[1] * data["x_ind"]
         p_obs = (y + WB_DELTA) / (1.0 + 2.0 * WB_DELTA)
         r = np.log(p_obs / (1.0 - p_obs)) - t_hat
         # one multiplier per block of like-response trials within a group;
         # perturbed logits become success probabilities and a synthetic binary
         # response is drawn, so each refit is an ordinary logistic fit
-        order = np.lexsort((y, group))
+        order = np.lexsort((y, data["group"]))
         block_id = np.empty(len(y), int)
         block_id[order] = np.arange(len(y)) // WB_BLOCK
         n_blocks = int(block_id.max()) + 1
-        # the per-trial score sum_i (y*_i - P(x_i)) D_i equals the weighted
-        # score over two slots per covariate cell: an always-success slot
-        # weighted by the cell's synthetic successes S and an always-failure
-        # slot weighted by its failures n - S
-        xs, cell = np.unique(x, return_inverse=True)
-        trials = np.bincount(cell)
-        slots = M.Dataset(n=2 * len(xs), meta="wb", arrays={
-            "X": np.concatenate([xs, xs]), "N": np.ones(2 * len(xs)),
-            "Y": np.concatenate([np.ones(len(xs)), np.zeros(len(xs))])})
+        # the refit is a weighted solve over the per-trial model's slots: a
+        # cell's synthetic successes weight its always-success slot and its
+        # synthetic failures its always-failure slot
+        per_trial = M.LogisticIndividualModel()
+        slot_data, G = per_trial.slots(data)
+        cell = np.add(*np.hsplit(G, 2))   # one-hot trial -> cell map for binary y
 
         def draw(rng):
             u = rng.standard_normal(n_blocks)[block_id]
-            p_star = 1.0 / (1.0 + np.exp(-np.clip(t_hat + u * r, -500.0, 500.0)))
-            ys = (rng.random(len(y)) < p_star).astype(float)
-            S = np.bincount(cell, weights=ys)
-            return np.concatenate([S, trials - S])
+            ys = (rng.random(len(y)) < M._sigmoid(t_hat + u * r)).astype(float)
+            return np.concatenate([ys @ cell, (1.0 - ys) @ cell])
 
         def solve_block(V):
-            return solve_weighted_batch(M.LogisticGroupModel(), slots, V, beta_hat)
+            return solve_weighted_batch(per_trial, slot_data, V, beta_hat)
 
     return resample(beta_hat, n_boot, seed, draw, solve_block, "wild bootstrap")

@@ -11,7 +11,10 @@ maps a (B, n) weight matrix and (B, p) parameters to (B, p) scores, and
 ``weighted_jacobian_batch`` to (B, p, p) Jacobians. A row outside the domain
 is NaN. The base class builds both row by row from ``score_all`` and
 ``jacobian_all``; the single-index models (``IndexModel``) write all four
-evaluations once, as array algebra over a design matrix.
+evaluations once, as array algebra over a design matrix. On shared data the
+solver first applies ``slots(data)`` unless it is None: ``(slot_data, G)`` such
+that weights W solve as ``W @ G`` on ``slot_data``; the per-trial logistic
+model keeps an always-success and an always-failure slot per covariate cell.
 
 For the residual bootstrap a model says how its data is regenerated from
 errors: ``residual_resampler(data, beta)`` returns the residuals at ``beta``
@@ -106,6 +109,10 @@ class Model:
 
     def in_domain(self, data, beta):
         return bool(np.all(np.isfinite(beta)))
+
+    def slots(self, data):
+        """``(slot_data, G)`` if weights W solve as ``W @ G`` on ``slot_data``, else None."""
+        return None
 
     def score_all(self, data, beta):
         raise NotImplementedError
@@ -276,6 +283,15 @@ class LogisticIndividualModel(LogisticGroupModel):
 
     def _outcomes(self, data):
         return data["y_ind"], 1.0
+
+    def slots(self, data):
+        # the score (y_i - P(x_i)) D_i is linear in y_i: trial i's weight goes
+        # y_i to its cell's always-success slot, 1 - y_i to its always-failure slot
+        xs, cell = np.unique(data["x_ind"], return_inverse=True)
+        y, onehot = data["y_ind"][:, None], cell[:, None] == np.arange(len(xs))
+        return Dataset(2 * len(xs), "slots", {
+            "x_ind": np.tile(xs, 2), "y_ind": np.repeat([1.0, 0.0], len(xs)),
+        }), np.hstack([onehot * y, onehot * (1.0 - y)])
 
 
 class IsomerizationModel(Model):

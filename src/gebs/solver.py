@@ -19,19 +19,23 @@ class Solution:
     iterations: int
 
 
-def weighted_score(model, data, weights, beta):
-    """Left-hand side of the weighted estimating equations."""
+def _checked(model, data, weights, beta):
     weights = np.asarray(weights, float)
     if len(weights) != model.weight_count(data):
         raise ShapeError(f"weights length {len(weights)} != "
                          f"{model.weight_count(data)} score slots")
-    return weights @ model.score_all(data, np.atleast_1d(np.asarray(beta, float)))
+    return weights, np.atleast_1d(np.asarray(beta, float))
+
+
+def weighted_score(model, data, weights, beta):
+    """Left-hand side of the weighted estimating equations."""
+    weights, beta = _checked(model, data, weights, beta)
+    return weights @ model.score_all(data, beta)
 
 
 def weighted_jacobian(model, data, weights, beta):
-    weights = np.asarray(weights, float)
-    J = model.jacobian_all(data, np.atleast_1d(np.asarray(beta, float)))
-    return np.tensordot(weights, J, axes=(0, 0))
+    weights, beta = _checked(model, data, weights, beta)
+    return np.tensordot(weights, model.jacobian_all(data, beta), axes=(0, 0))
 
 
 def solve_weighted(model, data, weights, init=None):
@@ -62,13 +66,15 @@ def solve_weighted_batch(model, data, W, init):
     active mask keeps a finished draw out of later iterations. Returns
     ``(betas, failures, iterations)``: the (B, p) roots (a failed draw keeps
     its last iterate), each draw's error class ("" if it converged) and its
-    accepted Newton steps. On a rebuilt block (``data.drawn``) row b of the
-    data belongs to draw b, and the data rows are sliced wherever ``W`` is.
+    accepted Newton steps. Shared data is first reduced by ``model.slots``; on a
+    rebuilt block (``data.drawn``) data row b belongs to draw b and is sliced with W.
     """
     W = np.asarray(W, float)
     if W.ndim != 2 or W.shape[1] != model.weight_count(data):
         raise ShapeError(f"weight matrix shape {W.shape} != (B, "
                          f"{model.weight_count(data)} score slots)")
+    if not data.drawn and (slots := model.slots(data)) is not None:
+        data, W = slots[0], W @ slots[1]
     init = np.atleast_1d(np.asarray(init, float))
     B = W.shape[0]
     betas = np.tile(init, (B, 1))

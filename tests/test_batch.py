@@ -150,6 +150,25 @@ def test_vectorized_overrides_mark_nonfinite_rows():
     assert np.isnan(model.weighted_jacobian_batch(data, Wm, betas)[1]).all()
 
 
+@pytest.mark.parametrize("scheme_kind", ("multinomial", "exp"))
+def test_slot_reduction_matches_unreduced_solve(scheme_kind):
+    # per-trial fumigant weights summed into (cell, outcome) slots before the
+    # Newton loop: the same outcomes, and roots equal up to rounding
+    fum = M.load_fumigant()
+    beta_hat = solver.solve_weighted(M.LogisticGroupModel(), fum, np.ones(fum.n)).beta
+    model = M.LogisticIndividualModel()
+    scheme = make_scheme(scheme_kind, model.weight_count(fum))
+    Wm = np.stack([W.sample(scheme, draw_rng(5, b)) for b in range(512)])
+    for init in (beta_hat, np.zeros(2)):
+        betas, failures, iterations = solve_weighted_batch(model, fum, Wm, init)
+        with mock.patch.object(M.LogisticIndividualModel, "slots", M.Model.slots):
+            ref_betas, ref_failures, ref_iters = solve_weighted_batch(model, fum, Wm, init)
+        assert list(failures) == list(ref_failures)
+        assert np.array_equal(iterations, ref_iters)
+        dev = np.max(np.abs(betas - ref_betas), axis=1) / np.max(np.abs(ref_betas), axis=1)
+        assert np.all(dev <= 1e-12)
+
+
 def test_batch_shape_check():
     model, data = make_case("mean", 5, 0)
     with pytest.raises(ShapeError):

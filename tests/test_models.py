@@ -48,6 +48,39 @@ def test_group_scores_aggregate_individual_scores():
     assert summed == pytest.approx(grp)
 
 
+def _slot_cases():
+    r = rng(3)
+    # x = -3 and x = 4 give cells that are all failures and all successes
+    X = np.array([-3.0, -0.5, 0.0, 0.3, 0.5, 1.0, 4.0])
+    binary = M.simulate_glm([-1.0, 2.0], np.full(7, 9), X, r)
+    assert {0.0, 9.0} <= set(binary["Y"])
+    fractional = M.Dataset(n=binary.n, arrays={
+        **binary.arrays, "y_ind": r.uniform(0.0, 1.0, len(binary["y_ind"]))})
+    return {"binary": binary, "fractional": fractional}
+
+
+@pytest.mark.parametrize("case", sorted(_slot_cases()))
+def test_individual_slots_reproduce_weighted_sums(case):
+    data = _slot_cases()[case]
+    model = M.LogisticIndividualModel()
+    slot_data, G = model.slots(data)
+    assert model.weight_count(slot_data) == 2 * len(np.unique(data["x_ind"]))
+    assert G.shape == (model.weight_count(data), model.weight_count(slot_data))
+    W = rng(4).exponential(size=(6, model.weight_count(data)))
+    for beta in (np.array([-1.0, 2.0]), np.array([0.4, -3.0])):
+        for evaluate in (model.score_all, model.jacobian_all):
+            ref = np.tensordot(W, evaluate(data, beta), axes=(1, 0))
+            got = np.tensordot(W @ G, evaluate(slot_data, beta), axes=(1, 0))
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("model,data,beta", [c for c in _datasets()
+                                             if type(c[0]) is not M.LogisticIndividualModel],
+                         ids=lambda v: type(v).__name__ if isinstance(v, M.Model) else None)
+def test_other_models_have_no_slots(model, data, beta):
+    assert model.slots(data) is None
+
+
 def test_mean_model_root_is_mean():
     data = M.Dataset(n=5, arrays={"z": np.array([1.0, 2.0, 3.0, 4.0, 10.0])})
     model = M.MeanModel()

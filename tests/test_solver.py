@@ -29,6 +29,12 @@ def test_weighted_score_shape_check():
         weighted_score(M.MeanModel(), data, np.ones(3), [0.0])
 
 
+def test_weighted_jacobian_shape_check():
+    data = M.Dataset(n=5, arrays={"z": np.arange(5.0)})
+    with pytest.raises(ShapeError):
+        weighted_jacobian(M.MeanModel(), data, np.ones(4), [0.0])
+
+
 def test_mean_model_weighted_root():
     z = np.array([1.0, 2.0, 3.0, 10.0])
     w = np.array([1.0, 2.0, 0.5, 0.5])
