@@ -2,8 +2,11 @@
 
 Both rebuild synthetic responses from fitted residuals and refit, returning
 the same BootstrapSample record as the generalized bootstrap (with unit
-weight variance, so the shared variance estimator applies unscaled). Both
-refit a whole block of draws at once; the residual bootstrap's refit is the
+weight variance, so the shared variance estimator applies unscaled). Per draw
+each takes only its stream's numbers: rb its residual indices, wb its
+standard normals (and, for grouped binary data, its uniforms). The residual
+gather and wb's synthetic binary responses are made once per block of draws,
+and both refit a whole block at once; the residual bootstrap's refit is the
 same block hook as ``run_bootstrap``'s ``solve_fn``, by default
 ``solve_weighted_batch``. ``SUPPORTED`` names the models each baseline is
 defined for; ``require_support`` checks it.
@@ -12,10 +15,10 @@ defined for; ``require_support`` checks it.
 import numpy as np
 
 from . import models as M
-from .engine import resample
+from .engine import Draws, resample
 from .engine import draw_rng  # noqa: F401  (public name; tracers patch it here)
 from .errors import SingularSystemError, UnsupportedModelError
-from .solver import COND_LIMIT, solve_weighted_batch
+from .solver import COND_LIMIT, newton_batch, solve_weighted_batch
 from .solver import solve_weighted  # noqa: F401  (public name; tracers patch it here)
 
 WB_DELTA = 0.001   # wild bootstrap: logit-residual guard for grouped binary data
@@ -52,8 +55,11 @@ def residual_bootstrap(model, data, beta_hat, n_boot, seed, solve_fn=None):
     resid = resid - resid.mean()
     n = len(resid)
     hook = solve_fn or solve_weighted_batch
-    return resample(beta_hat, n_boot, seed,
-                    lambda rng: resid[rng.integers(0, n, size=n)],
+
+    def fill(rng, row):
+        row[:] = rng.integers(0, n, size=n)
+
+    return resample(beta_hat, n_boot, seed, Draws(n, fill, lambda I: resid[I], int),
                     lambda E: hook(model, rebuild(E), np.ones(E.shape), beta_hat),
                     "residual bootstrap")
 
@@ -71,9 +77,9 @@ def wild_bootstrap(model, data, beta_hat, n_boot, seed):
     like-response trials; the perturbed logit is mapped back to a success
     probability, a synthetic binary response is drawn from it, and the
     logistic fit is recomputed. That refit is a batched reweighted solve over
-    the per-trial model's (covariate cell, outcome) ``slots``, so blocks of
-    draws share one ``solve_weighted_batch`` call and the sample records
-    Newton steps per draw.
+    the per-trial model's (covariate cell, outcome) ``cell_slots``, built once
+    per call, so blocks of draws share one Newton solve (``newton_batch``) and
+    the sample records Newton steps per draw.
     """
     require_support("wb", model)
     beta_hat = np.atleast_1d(np.asarray(beta_hat, float))
@@ -85,8 +91,7 @@ def wild_bootstrap(model, data, beta_hat, n_boot, seed):
         XtX = X.T @ X
         singular = np.linalg.cond(XtX) > COND_LIMIT
 
-        def draw(rng):
-            return rng.standard_normal(data.n)
+        draw = Draws(data.n, lambda rng, row: rng.standard_normal(out=row))
 
         def solve_block(U):
             B = len(U)
@@ -112,15 +117,25 @@ def wild_bootstrap(model, data, beta_hat, n_boot, seed):
         # cell's synthetic successes weight its always-success slot and its
         # synthetic failures its always-failure slot
         per_trial = M.LogisticIndividualModel()
-        slot_data, G = per_trial.slots(data)
+        slot_data, G = per_trial.cell_slots(data)
         cell = np.add(*np.hsplit(G, 2))   # one-hot trial -> cell map for binary y
+        cell_trials = cell.sum(axis=0)
 
-        def draw(rng):
-            u = rng.standard_normal(n_blocks)[block_id]
-            ys = (rng.random(len(y)) < M._sigmoid(t_hat + u * r)).astype(float)
-            return np.concatenate([ys @ cell, (1.0 - ys) @ cell])
+        def fill(rng, row):
+            # a draw's multipliers, then its uniforms for the Bernoulli draws
+            rng.standard_normal(out=row[:n_blocks])
+            rng.random(out=row[n_blocks:])
+
+        def synthetic_slots(R):
+            # elementwise maps and sums of 0/1 values: exact for any block shape
+            u = R[:, :n_blocks][:, block_id]
+            ys = (R[:, n_blocks:] < M._sigmoid(t_hat + u * r)).astype(float)
+            successes = ys @ cell
+            return np.hstack([successes, cell_trials - successes])
+
+        draw = Draws(n_blocks + len(y), fill, synthetic_slots)
 
         def solve_block(V):
-            return solve_weighted_batch(per_trial, slot_data, V, beta_hat)
+            return newton_batch(per_trial, slot_data, V, beta_hat)
 
     return resample(beta_hat, n_boot, seed, draw, solve_block, "wild bootstrap")

@@ -2,12 +2,16 @@
 block solvers, variance and distribution estimates, percentile intervals,
 studentized statistics, enumeration oracles.
 
-Only ``resample`` knows the per-draw streams: it hands draw b's stream to a
-method's ``draw(rng)``. ``block_streams`` seeds a whole block of streams with
-array arithmetic, and each equals ``draw_rng(seed, b)`` bit for bit. A block is
+Only ``resample`` knows the per-draw streams. Its per-draw loop does only what
+needs draw b's own stream: it sets the stream and lets the method's
+``Draws.fill(rng, row)`` write row b of a fresh block; what does not use the
+stream (a gather, a multiplier expansion) runs once per block in
+``Draws.finish``. ``block_streams`` seeds a whole block of streams with array
+arithmetic, and each equals ``draw_rng(seed, b)`` bit for bit. A block is
 solved by a ``solve_fn(model, data, W, beta_hat) -> (betas, failures,
 iterations or None)`` hook, by default the batched Newton solve
-``solver.solve_weighted_batch``."""
+``solver.solve_weighted_batch``, whose slot reduction ``block_solver`` builds
+once per run."""
 
 import itertools
 import math
@@ -21,7 +25,7 @@ from scipy.special import ndtr
 from . import weights as wmod
 from .errors import (DegenerateRunError, InsufficientSampleError, ParameterError,
                      ShapeError)
-from .solver import solve_weighted_batch
+from .solver import block_solver
 from .solver import solve_weighted  # noqa: F401  (public name; tracers patch it here)
 
 STATUS_CONVERGED = "converged"
@@ -181,29 +185,51 @@ class StudentizedStats:
     undefined: np.ndarray      # mask of draws with degenerate g_hat_b
 
 
+@dataclass(frozen=True)
+class Draws:
+    """How ``resample`` draws its rows, a block at a time.
+
+    ``fill(rng, row)`` writes draw b's raw row into row b of a fresh
+    (B, ``width``) block of ``dtype``, using only draw b's own stream ``rng``;
+    ``finish(R)``, when given, maps the whole raw block at once to the rows
+    the block solver gets. Everything that does not need a draw's stream
+    belongs in ``finish`` or in what ``fill`` closes over.
+    """
+
+    width: int
+    fill: object
+    finish: object = None
+    dtype: object = float
+
+
 def resample(beta_hat, n_boot, seed, draw, solve_block, label, scheme=None,
              store_rows=False):
     """Draw ``n_boot`` resamples, solve them in blocks and collect the sample.
 
-    Draw b's input vector (weights, multipliers or resampled residuals) is
-    ``draw(rng)`` on its own stream, which equals ``draw_rng(seed, b)`` and is
-    seeded a block at a time by ``block_streams``; so the sample does not
-    depend on the block size. Blocks of ``BLOCK_DRAWS`` rows, stacked
-    into a matrix ``R``, go to ``solve_block(R) -> (betas, failures,
-    iterations or None)``, where ``failures`` holds each draw's error class
-    ("" if it solved); other shapes than (len(R), p) roots and len(R) failures
-    raise ``ShapeError``. Failed draws are pinned to ``beta_hat``. ``sigma2`` is
-    the scheme's weight variance, or 1 for the baselines (no scheme). More
-    than ``MAX_FALLBACK_FRAC`` fallbacks raise ``DegenerateRunError``
-    carrying the (still inspectable) sample. ``store_rows`` keeps the rows as
-    ``weight_draws``.
+    ``draw`` (a ``Draws``) makes draw b's input vector (weights, multipliers
+    or resampled residuals) from its own stream, which equals
+    ``draw_rng(seed, b)`` and is seeded a block at a time by
+    ``block_streams``; so the sample does not depend on the block size.
+    Blocks of ``BLOCK_DRAWS`` rows ``R`` go to ``solve_block(R) -> (betas,
+    failures, iterations or None)``, where ``failures`` holds each draw's
+    error class ("" if it solved); other shapes than (len(R), p) roots and
+    len(R) failures raise ``ShapeError``. Failed draws are pinned to
+    ``beta_hat``. ``sigma2`` is the scheme's weight variance, or 1 for the
+    baselines (no scheme). More than ``MAX_FALLBACK_FRAC`` fallbacks raise
+    ``DegenerateRunError`` carrying the (still inspectable) sample.
+    ``store_rows`` keeps the rows as ``weight_draws``.
     """
     if n_boot < 1:
         raise ParameterError("need n_boot >= 1")
     blocks, kept = [], []
     for start in range(0, n_boot, BLOCK_DRAWS):
-        R = np.stack([draw(rng) for rng in
-                      block_streams(seed, start, min(start + BLOCK_DRAWS, n_boot))])
+        stop = min(start + BLOCK_DRAWS, n_boot)
+        # a fresh block each time: the solver or ``kept`` may hold on to it
+        R = np.empty((stop - start, draw.width), draw.dtype)
+        for row, rng in zip(R, block_streams(seed, start, stop)):
+            draw.fill(rng, row)
+        if draw.finish is not None:
+            R = draw.finish(R)
         block = solve_block(R)
         if (np.shape(block[0]) != (len(R), len(beta_hat))
                 or np.shape(block[1]) != (len(R),)):
@@ -245,10 +271,10 @@ def run_bootstrap(model, data, beta_hat, scheme, n_boot, seed,
     batched Newton solve from ``beta_hat``, ``solve_weighted_batch``.
     """
     beta_hat = np.atleast_1d(np.asarray(beta_hat, float))
-    hook = solve_fn or solve_weighted_batch
-    return resample(beta_hat, n_boot, seed, lambda rng: wmod.sample(scheme, rng),
-                    lambda W: hook(model, data, W, beta_hat),
-                    "generalized bootstrap", scheme, store_weights)
+    solve_block = (block_solver(model, data, beta_hat) if solve_fn is None
+                   else lambda W: solve_fn(model, data, W, beta_hat))
+    return resample(beta_hat, n_boot, seed, Draws(scheme.n, wmod.sampler(scheme)),
+                    solve_block, "generalized bootstrap", scheme, store_weights)
 
 
 def variance_estimate(sample, scale=1.0):
@@ -300,10 +326,11 @@ def exact_variance_enumeration(model, data, beta_hat, scheme, scale=1.0):
     acc = np.zeros((p, p))
     failed_mass = 0.0
     atoms = wmod.iter_support(scheme)
+    solve = block_solver(model, data, beta_hat)
     while block := list(itertools.islice(atoms, BLOCK_DRAWS)):
         W = np.stack([w for w, _ in block])
         probs = np.array([prob for _, prob in block])
-        betas, failures, _ = solve_weighted_batch(model, data, W, beta_hat)
+        betas, failures, _ = solve(W)
         ok = failures == ""   # definitional fallback contributes zero
         d = betas[ok] - beta_hat
         acc += (probs[ok, None] * d).T @ d
@@ -376,6 +403,8 @@ def studentized_stats(model, data, beta_hat, sample, beta0=None):
     gamma1 = float(np.sum(model.jacobian_all(data, beta_hat)[:, 0, 0])) / n
     gamma2 = float(np.sum(model.hessian_all(data, beta_hat)[:, 0, 0, 0])) / n
     g_hat = math.sqrt(float(np.mean(scores ** 2)))
+    if g_hat == 0:
+        raise ParameterError("every score is zero at beta_hat: the studentizer vanishes")
     sigma = math.sqrt(sample.sigma2)
     if sigma == 0:
         raise ParameterError("degenerate scheme: all standardized weights are zero")

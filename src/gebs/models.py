@@ -12,9 +12,10 @@ maps a (B, n) weight matrix and (B, p) parameters to (B, p) scores, and
 is NaN. The base class builds both row by row from ``score_all`` and
 ``jacobian_all``; the single-index models (``IndexModel``) write all four
 evaluations once, as array algebra over a design matrix. On shared data the
-solver first applies ``slots(data)`` unless it is None: ``(slot_data, G)`` such
-that weights W solve as ``W @ G`` on ``slot_data``; the per-trial logistic
-model keeps an always-success and an always-failure slot per covariate cell.
+solver first applies ``slots(data)``, once per run, unless it is None:
+``(slot_data, G)`` such that weights W solve as ``W @ G`` on fewer slots
+``slot_data``; the per-trial logistic model keeps an always-success and an
+always-failure slot per covariate cell when there are fewer of them than trials.
 
 For the residual bootstrap a model says how its data is regenerated from
 errors: ``residual_resampler(data, beta)`` returns the residuals at ``beta``
@@ -111,7 +112,8 @@ class Model:
         return bool(np.all(np.isfinite(beta)))
 
     def slots(self, data):
-        """``(slot_data, G)`` if weights W solve as ``W @ G`` on ``slot_data``, else None."""
+        """``(slot_data, G)`` if weights W solve as ``W @ G`` on fewer slots
+        ``slot_data``, else None."""
         return None
 
     def score_all(self, data, beta):
@@ -285,6 +287,13 @@ class LogisticIndividualModel(LogisticGroupModel):
         return data["y_ind"], 1.0
 
     def slots(self, data):
+        # None when the cell slots would not be fewer than the trials (slot data)
+        slot_data, G = self.cell_slots(data)
+        return (slot_data, G) if slot_data.n < len(G) else None
+
+    def cell_slots(self, data):
+        """``slots(data)`` whether or not it shrinks the data: an
+        always-success and an always-failure slot per covariate cell."""
         # the score (y_i - P(x_i)) D_i is linear in y_i: trial i's weight goes
         # y_i to its cell's always-success slot, 1 - y_i to its always-failure slot
         xs, cell = np.unique(data["x_ind"], return_inverse=True)

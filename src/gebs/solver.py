@@ -69,12 +69,29 @@ def solve_weighted_batch(model, data, W, init):
     accepted Newton steps. Shared data is first reduced by ``model.slots``; on a
     rebuilt block (``data.drawn``) data row b belongs to draw b and is sliced with W.
     """
-    W = np.asarray(W, float)
-    if W.ndim != 2 or W.shape[1] != model.weight_count(data):
-        raise ShapeError(f"weight matrix shape {W.shape} != (B, "
-                         f"{model.weight_count(data)} score slots)")
-    if not data.drawn and (slots := model.slots(data)) is not None:
-        data, W = slots[0], W @ slots[1]
+    return block_solver(model, data, init)(W)
+
+
+def block_solver(model, data, init):
+    """``W -> solve_weighted_batch(model, data, W, init)`` for a run of blocks
+    on the same data: ``model.slots(data)`` is called once, here, and each
+    block is reduced by ``W @ G``."""
+    width = model.weight_count(data)
+    slots = None if data.drawn else model.slots(data)
+
+    def solve(W):
+        W = np.asarray(W, float)
+        if W.ndim != 2 or W.shape[1] != width:
+            raise ShapeError(f"weight matrix shape {W.shape} != (B, {width} score slots)")
+        if slots is None:
+            return newton_batch(model, data, W, init)
+        return newton_batch(model, slots[0], W @ slots[1], init)
+    return solve
+
+
+def newton_batch(model, data, W, init):
+    """The Newton iteration of ``solve_weighted_batch`` on ``data`` and the
+    (B, n) float matrix ``W`` as given, with no shape check or slot reduction."""
     init = np.atleast_1d(np.asarray(init, float))
     B = W.shape[0]
     betas = np.tile(init, (B, 1))

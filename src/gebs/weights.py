@@ -2,6 +2,9 @@
 
 Each scheme draws a nonnegative exchangeable weight vector with unit mean.
 Sampling, exact moments and support enumeration branch once per law family.
+``sampler(scheme)`` branches once per run and returns the law's
+``fill(rng, row)``, which draws one vector into a preallocated row with the
+stream's ``out=`` methods; ``sample(scheme, rng)`` is its one-row case.
 Count laws (``multinomial``, ``moon``) scale multinomial counts of ``trials``
 over n equal cells by ``scale``; Efron's bootstrap is m-out-of-n at m = n.
 d-subset laws (``jackknife``, ``downweight``) give d indices drawn without
@@ -174,27 +177,53 @@ def _subset_law(scheme):
 # ---------------------------------------------------------------------------
 # Sampling
 
-def sample(scheme, rng):
-    """Draw one weight vector from the scheme's law."""
+def sampler(scheme):
+    """``fill(rng, row)``, which draws one weight vector of the scheme's law
+    into the float row ``row`` of length n from ``rng``. Everything that does
+    not use the stream (the multinomial cell probabilities, the law's
+    constants) is built here, once."""
     n = scheme.n
-    kind = scheme.kind
     if count := _count_law(scheme):
         trials, scale = count
-        return rng.multinomial(trials, np.full(n, 1.0 / n)) * scale
-    if subset := _subset_law(scheme):
+        pvals = np.full(n, 1.0 / n)
+
+        def fill(rng, row):
+            row[:] = rng.multinomial(trials, pvals)
+            row *= scale
+    elif subset := _subset_law(scheme):
         d, lo, hi = subset
-        w = np.full(n, hi)
-        w[rng.choice(n, size=d, replace=False)] = lo
-        return w
-    if kind == DIRICHLET:
+
+        def fill(rng, row):
+            row.fill(hi)
+            row[rng.choice(n, size=d, replace=False)] = lo
+    elif scheme.kind == DIRICHLET:
         alpha = scheme.params["alpha"]
-        g = rng.gamma(alpha, size=n)
-        return n * g / g.sum()
-    if kind == IID_UNIFORM:
-        return rng.uniform(scheme.params["lo"], scheme.params["hi"], size=n)
-    if kind == IID_EXPONENTIAL:
-        return rng.exponential(size=n)
-    return np.ones(n)   # constant
+
+        def fill(rng, row):
+            total = rng.standard_gamma(alpha, out=row).sum()
+            row *= n
+            row /= total
+    elif scheme.kind == IID_UNIFORM:
+        lo, span = scheme.params["lo"], scheme.params["hi"] - scheme.params["lo"]
+
+        def fill(rng, row):
+            rng.random(out=row)
+            row *= span
+            row += lo
+    elif scheme.kind == IID_EXPONENTIAL:
+        def fill(rng, row):
+            rng.standard_exponential(out=row)
+    else:   # constant
+        def fill(rng, row):
+            row.fill(1.0)
+    return fill
+
+
+def sample(scheme, rng):
+    """Draw one weight vector from the scheme's law."""
+    row = np.empty(scheme.n)
+    sampler(scheme)(rng, row)
+    return row
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,157 @@
+"""Block draws: the rows ``engine.resample`` hands to its block solver against
+the per-draw reference ``draw_oracle``, byte for byte, for every weight law
+and both baselines; and the slot reduction is built once per call."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from gebs import baselines, engine
+from gebs import models as M
+from gebs import weights as W
+from gebs.baselines import residual_bootstrap, wild_bootstrap
+from gebs.engine import BLOCK_DRAWS, exact_variance_enumeration, run_bootstrap
+from gebs.solver import solve_weighted
+from draw_oracle import oracle_rows, residual_draw, weight_draw, wild_draw
+
+N_BOOT = 300   # two full blocks and a partial one
+SEED = 2**40 + 11
+LAWS = {
+    "multinomial": W.multinomial,
+    "moon": lambda n: W.m_out_of_n(n, 5),
+    "jackknife": lambda n: W.delete_d_jackknife(n, 2),
+    "downweight": lambda n: W.downweight_d_jackknife(n, 3),
+    "dirichlet": lambda n: W.dirichlet(n, 0.7),
+    "constant": W.constant,
+    "exp": W.iid_exponential,
+    "uniform": lambda n: W.iid_uniform(n, 0.2, 1.8),
+}
+
+
+def rng(seed=0):
+    return np.random.default_rng(seed)
+
+
+def pinned(model, data, W, beta_hat):
+    """A block hook that solves nothing: every draw keeps ``beta_hat``."""
+    return np.tile(beta_hat, (len(W), 1)), np.full(len(W), "", dtype=object), None
+
+
+def spy_blocks(monkeypatch, module):
+    """The list every block that ``resample``, called from ``module``, hands
+    to its block solver is appended to, as handed over."""
+    blocks, resample = [], engine.resample
+
+    def spy(beta_hat, n_boot, seed, draw, solve_block, *args, **kwargs):
+        def recording(R):
+            blocks.append(R)
+            return solve_block(R)
+        return resample(beta_hat, n_boot, seed, draw, recording, *args, **kwargs)
+
+    monkeypatch.setattr(module, "resample", spy)
+    return blocks
+
+
+def assert_blocks_equal_oracle(blocks, ref):
+    sizes = [BLOCK_DRAWS] * (N_BOOT // BLOCK_DRAWS) + [N_BOOT % BLOCK_DRAWS]
+    assert [len(R) for R in blocks] == sizes
+    for a, b in itertools.combinations(blocks, 2):
+        assert not np.shares_memory(a, b)
+    got = np.concatenate(blocks)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [7, 50, 240])
+@pytest.mark.parametrize("law", sorted(LAWS))
+def test_weight_blocks_equal_per_draw_sampling(monkeypatch, law, n):
+    scheme = LAWS[law](n)
+    data = M.Dataset(n=n, arrays={"z": rng(n).standard_normal(n)})
+    blocks = spy_blocks(monkeypatch, engine)
+    sample = run_bootstrap(M.MeanModel(), data, np.zeros(1), scheme, N_BOOT, SEED,
+                           solve_fn=pinned)
+    ref = oracle_rows(weight_draw(scheme), SEED, N_BOOT)
+    assert_blocks_equal_oracle(blocks, ref)
+    # the stored rows are copies of distinct blocks, not one reused buffer
+    assert sample.weight_draws.tobytes() == ref.tobytes()
+    assert W.sample(scheme, engine.draw_rng(SEED, 3)).tobytes() == ref[3].tobytes()
+
+
+def _rb_cases():
+    ar1 = M.simulate_ar1(0.4, 1.0, 1.0, 60, rng(4))
+    linear = M.simulate_linear([2.0, -1.0], 40, rng(1))
+    iso = M.load_isomerization()
+    return {"ar1": (M.Ar1Model(), ar1, np.array([0.35])),
+            "linear": (M.LinearModel(p=2), linear, np.array([1.9, -1.1])),
+            "isomerization": (M.IsomerizationModel(), iso,
+                              np.array([35.0, 0.07, 0.04, 0.17]))}
+
+
+@pytest.mark.parametrize("case", sorted(_rb_cases()))
+def test_residual_blocks_equal_per_draw_resampling(monkeypatch, case):
+    model, data, beta_hat = _rb_cases()[case]
+    blocks = spy_blocks(monkeypatch, baselines)
+    residual_bootstrap(model, data, beta_hat, N_BOOT, SEED, solve_fn=pinned)
+    assert_blocks_equal_oracle(blocks, oracle_rows(residual_draw(model, data, beta_hat),
+                                                   SEED, N_BOOT))
+
+
+def _wb_cases():
+    ar1 = M.simulate_ar1(0.4, 1.0, 9.0, 50, rng(5))
+    linear = M.simulate_linear([2.0, -1.0], 40, rng(6))
+    fum = M.load_fumigant()
+    glm = M.simulate_glm([-1.0, 2.0], np.full(8, 30), np.linspace(-1, 2, 8), rng(13))
+    return {"ar1": (M.Ar1Model(), ar1, np.array([0.35])),
+            "linear": (M.LinearModel(p=2), linear, np.array([1.9, -1.1])),
+            "fumigant": (M.LogisticIndividualModel(), fum,
+                         solve_weighted(M.LogisticGroupModel(), fum, np.ones(fum.n)).beta),
+            "glm": (M.LogisticIndividualModel(), glm,
+                    solve_weighted(M.LogisticGroupModel(), glm, np.ones(glm.n)).beta)}
+
+
+@pytest.mark.parametrize("case", sorted(_wb_cases()))
+def test_wild_blocks_equal_per_draw_multipliers(monkeypatch, case):
+    model, data, beta_hat = _wb_cases()[case]
+    blocks = spy_blocks(monkeypatch, baselines)
+    wild_bootstrap(model, data, beta_hat, N_BOOT, SEED)
+    assert_blocks_equal_oracle(blocks, oracle_rows(wild_draw(model, data, beta_hat),
+                                                   SEED, N_BOOT))
+
+
+def test_slot_reduction_is_built_once_per_call(monkeypatch):
+    # ``slots`` builds through ``cell_slots``; the wild bootstrap calls
+    # ``cell_slots`` itself, since its rows are slot rows already
+    calls = []
+    for name in ("slots", "cell_slots"):
+        def counting(self, data, _name=name, _real=getattr(M.LogisticIndividualModel, name)):
+            calls.append(_name)
+            return _real(self, data)
+        monkeypatch.setattr(M.LogisticIndividualModel, name, counting)
+    model, fum = M.LogisticIndividualModel(), M.load_fumigant()
+    beta_hat = solve_weighted(M.LogisticGroupModel(), fum, np.ones(fum.n)).beta
+    calls.clear()
+    run_bootstrap(model, fum, beta_hat, W.multinomial(240), N_BOOT, SEED)
+    assert calls == ["slots", "cell_slots"]
+    calls.clear()
+    wild_bootstrap(model, fum, beta_hat, N_BOOT, SEED)
+    assert calls == ["cell_slots"]
+    # 3 groups of 4 trials: 6 slots for 12 trials; 220 atoms, two blocks
+    small = M.simulate_glm([-1.0, 2.0], np.full(3, 4), np.array([-1.0, 0.0, 1.0]), rng(2))
+    assert W.support_size(W.delete_d_jackknife(12, 3)) > BLOCK_DRAWS
+    calls.clear()
+    exact_variance_enumeration(model, small, np.array([-0.5, 1.5]),
+                               W.delete_d_jackknife(12, 3))
+    assert calls == ["slots", "cell_slots"]
+
+
+def test_no_reduction_unless_it_shrinks_the_slots():
+    model = M.LogisticIndividualModel()
+    fum = M.load_fumigant()
+    slot_data, G = model.slots(fum)
+    assert model.weight_count(slot_data) < model.weight_count(fum)
+    # slot data has two slots per cell already; one trial per cell has two per trial
+    assert model.slots(slot_data) is None
+    single = M.simulate_glm([-1.0, 2.0], np.ones(5, int), np.linspace(-1, 1, 5), rng(3))
+    assert model.slots(single) is None
+    assert model.cell_slots(single)[1].shape == (5, 10)

@@ -323,6 +323,16 @@ def test_studentized_stats_mean_model():
         studentized_stats(model, data, beta_hat, no_w)
 
 
+def test_studentized_stats_reject_all_zero_scores():
+    # constant z: every mean-model score z_i - beta_hat is zero, so g_hat = 0
+    data = M.Dataset(n=10, arrays={"z": np.full(10, 2.5)})
+    model, beta_hat = M.MeanModel(), np.array([2.5])
+    sample = run_bootstrap(model, data, beta_hat, W.multinomial(10), 20, seed=3)
+    for beta0 in (None, 0.0):
+        with pytest.raises(ParameterError, match="every score is zero"):
+            studentized_stats(model, data, beta_hat, sample, beta0=beta0)
+
+
 def _block_size_cases():
     """Name -> (run, rtol). One Newton step or a closed form fixes an AR(1)
     root to rounding; an iterated logistic root stops at the score tolerance,
