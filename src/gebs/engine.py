@@ -6,13 +6,15 @@ Only ``resample`` knows the per-draw streams. Its per-draw loop does only what
 needs draw b's own stream: it sets the stream and lets the method's
 ``Draws.fill(rng, row)`` write row b of a fresh block; what does not use the
 stream (a gather, a multiplier expansion) runs once per block in
-``Draws.finish``. ``block_streams`` seeds a whole block of streams with array
-arithmetic, and each equals ``draw_rng(seed, b)`` bit for bit. A block is
+``Draws.finish``. ``block_streams`` seeds every stream of a run with one pass
+of array arithmetic and sets each by a direct write into the bit generator;
+each equals ``draw_rng(seed, b)`` bit for bit. A block is
 solved by a ``solve_fn(model, data, W, beta_hat) -> (betas, failures,
 iterations or None)`` hook, by default the batched Newton solve
 ``solver.solve_weighted_batch``, whose slot reduction ``block_solver`` builds
 once per run."""
 
+import ctypes
 import itertools
 import math
 import operator
@@ -43,7 +45,11 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 # PCG64's 128-bit LCG multiplier (pcg64.h)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+_MASK64 = (1 << 64) - 1
+# memory order of a row of _pcg64_words in numpy's pcg_state_setseq_128: two
+# native uint128 words, low limb first on little-endian hosts
+_LIMBS = (1, 0, 3, 2)
+_NO_BUFFER = bytes(8)
 
 
 def draw_rng(seed, *path):
@@ -52,16 +58,22 @@ def draw_rng(seed, *path):
 
 
 def _hasher(init, mult):
-    """SeedSequence's ``hashmix``: each call xors in the running constant,
-    steps it and multiplies by the new one. Words are Python ints or uint64
-    arrays of 32-bit values; masking every product keeps them below 2^64."""
+    """SeedSequence's ``hashmix``: each hashed word xors in the running
+    constant, steps it and multiplies by the new one. ``hashmix(word)`` hashes
+    a Python int; ``hashmix(words, m)`` hashes m words in turn, the rows of a
+    uint64 array of 32-bit values broadcast to m rows. Masking every product
+    keeps the words below 2^64."""
     const = init
 
-    def hashmix(value):
+    def hashmix(value, m=None):
         nonlocal const
-        value = value ^ const
-        const = const * mult & _MASK32
-        value = value * const & _MASK32
+        consts = [const]
+        for _ in range(m or 1):
+            consts.append(consts[-1] * mult & _MASK32)
+        const = consts[-1]
+        xor, times = consts if m is None else (
+            np.array(c, np.uint64)[:, None] for c in (consts[:-1], consts[1:]))
+        value = (value ^ xor) * times & _MASK32
         return value ^ value >> 16
     return hashmix
 
@@ -74,21 +86,33 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
-def block_streams(seed, start, stop):
-    """Streams of draws ``start .. stop - 1``; stream b equals ``draw_rng(seed, b)``.
+def _mul128(a, m):
+    """Product mod 2^128 of a (high, low) uint64 pair and a Python int ``m``:
+    the full product of the low words from 32-bit halves, plus the cross
+    terms mod 2^64."""
+    m_hi, m_lo = m >> 64, m & _MASK64
+    x0, x1, y0, y1 = a[1] & _MASK32, a[1] >> 32, m_lo & _MASK32, m_lo >> 32
+    p00, p01, p10 = x0 * y0, x0 * y1, x1 * y0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return (x1 * y1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + a[0] * m_lo + a[1] * m_hi,
+            p00 & _MASK32 | mid << 32)
+
+
+def _add128(a, b):
+    """Sum mod 2^128 of (high, low) uint64 pairs; uint64 arrays wrap."""
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < a[1]), lo
+
+
+def _pcg64_words(seed, start, stop):
+    """(k, 4) uint64 PCG64 words of draws ``start .. stop - 1``: each row is
+    (state high, state low, inc high, inc low) of ``draw_rng(seed, b)``.
 
     ``SeedSequence(entropy=seed, spawn_key=(b,))``'s pool mixing and
-    ``generate_state(4, uint64)`` run once for the whole block, over a uint64
-    array of the b, and ``pcg64_set_seed`` turns each draw's four words into
-    a PCG64 state. Every stream is the same ``Generator``, set to draw b's
-    state just before it is yielded, so a consumer must be done with it before
-    asking for the next one and must not keep it.
+    ``generate_state(4, uint64)`` run over a uint64 array of the b, and
+    ``pcg64_set_seed``'s ``inc = 2 i + 1``, ``state = (inc + s) MULT + inc``
+    (mod 2^128) over uint64 limbs.
     """
-    seed = operator.index(seed)   # TypeError for floats, None, strings
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    if start < 0 or stop > 1 << 32:
-        raise ParameterError(f"draw indices must lie in [0, 2^32), got {start}..{stop}")
     words = [seed & _MASK32]
     while seed := seed >> 32:
         words.append(seed & _MASK32)
@@ -102,26 +126,78 @@ def block_streams(seed, start, stop):
         for i_dst in range(_POOL_SIZE):
             if i_src != i_dst:
                 pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
+    # from here on the pool is a (4, 1) and then a (4, k) array
+    pool = np.array(pool, np.uint64)[:, None]
     for w in words[_POOL_SIZE:]:
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = _mix(pool[i_dst], hashmix(w))
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    state = [hashmix(pool[i % _POOL_SIZE]) for i in range(2 * _POOL_SIZE)]
-    s0, s1, i0, i1 = ((lo | hi << 32).tolist()
-                      for lo, hi in zip(state[::2], state[1::2]))
+        pool = _mix(pool, hashmix(w, _POOL_SIZE))
+    state = _hasher(_INIT_B, _MULT_B)(pool[np.arange(2 * _POOL_SIZE) % _POOL_SIZE],
+                                      2 * _POOL_SIZE)
+    s_hi, s_lo, i_hi, i_lo = state[::2] | state[1::2] << 32
+    inc = (i_hi << 1 | i_lo >> 63, i_lo << 1 | 1)
+    s = _add128(_mul128(_add128(inc, (s_hi, s_lo)), _PCG64_MULT), inc)
+    return np.stack([*s, *inc], axis=1)
 
+
+def _state_memory(bit_gen):
+    """Writable byte views of a PCG64's 32 bytes of (state, inc) words and of
+    its 8 bytes of buffered-uint32 flags. numpy's ``pcg64_state`` holds a
+    pointer to the words, then the int ``has_uint32`` and the uint32
+    ``uinteger``; ``block_streams`` checks this layout before relying on it."""
+    address = bit_gen.ctypes.state_address
+    words = ctypes.c_void_p.from_address(address).value
+    flags = address + ctypes.sizeof(ctypes.c_void_p)
+    return (memoryview((ctypes.c_uint8 * 32).from_address(words)).cast("B"),
+            memoryview((ctypes.c_uint8 * 8).from_address(flags)).cast("B"))
+
+
+def _state_dict(words, buffered=0):
+    """``bit_gen.state`` of one row of ``_pcg64_words``; ``buffered`` sets both
+    ``has_uint32`` and ``uinteger``."""
+    s_hi, s_lo, i_hi, i_lo = words
+    return {"bit_generator": "PCG64", "has_uint32": buffered, "uinteger": buffered,
+            "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}}
+
+
+def block_streams(seed, start, stop):
+    """Streams of draws ``start .. stop - 1``; stream b equals ``draw_rng(seed, b)``.
+
+    Every draw's PCG64 words come from one array pass (``_pcg64_words``).
+    Every stream is the same ``Generator``, set to draw b's state just before
+    it is yielded, so a consumer must be done with it before asking for the
+    next one and must not keep it. The state is set by writing its 32 bytes
+    straight into the bit generator and zeroing the buffered uint32; a probe
+    on the first draw compares that write with ``bit_gen.state``, and where
+    numpy lays the state out otherwise (say, 128-bit words stored high limb
+    first) every draw goes through the ``bit_gen.state`` setter instead.
+    """
+    seed = operator.index(seed)   # TypeError for floats, None, strings
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    if start < 0 or stop > 1 << 32:
+        raise ParameterError(f"draw indices must lie in [0, 2^32), got {start}..{stop}")
+    words = _pcg64_words(seed, start, stop)
+    if not len(words):
+        return iter(())
+    raw = words[:, _LIMBS].tobytes()
     bit_gen = np.random.PCG64(0)
     rng = np.random.Generator(bit_gen)
+    state, flags = _state_memory(bit_gen)
 
-    def streams():
-        for s_hi, s_lo, i_hi, i_lo in zip(s0, s1, i0, i1):
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-            bit_gen.state = {
-                "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                "state": {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc)
-                          & _MASK128, "inc": inc}}
+    def written():
+        for i in range(0, len(raw), 32):
+            state[:] = raw[i:i + 32]
+            flags[:] = _NO_BUFFER
             yield rng
-    return streams()
+
+    def by_setter():
+        for row in words.tolist():
+            bit_gen.state = _state_dict(row)
+            yield rng
+
+    # the probe: from another state with a buffered uint32, write the first draw
+    bit_gen.state = _state_dict([0, 1, 0, 1], buffered=1)
+    state[:], flags[:] = raw[:32], _NO_BUFFER
+    return written() if bit_gen.state == _state_dict(words[0].tolist()) else by_setter()
 
 
 @dataclass
@@ -208,8 +284,8 @@ def resample(beta_hat, n_boot, seed, draw, solve_block, label, scheme=None,
 
     ``draw`` (a ``Draws``) makes draw b's input vector (weights, multipliers
     or resampled residuals) from its own stream, which equals
-    ``draw_rng(seed, b)`` and is seeded a block at a time by
-    ``block_streams``; so the sample does not depend on the block size.
+    ``draw_rng(seed, b)``; ``block_streams`` seeds all ``n_boot`` streams
+    once, and the sample does not depend on the block size.
     Blocks of ``BLOCK_DRAWS`` rows ``R`` go to ``solve_block(R) -> (betas,
     failures, iterations or None)``, where ``failures`` holds each draw's
     error class ("" if it solved); other shapes than (len(R), p) roots and
@@ -222,11 +298,11 @@ def resample(beta_hat, n_boot, seed, draw, solve_block, label, scheme=None,
     if n_boot < 1:
         raise ParameterError("need n_boot >= 1")
     blocks, kept = [], []
+    streams = block_streams(seed, 0, n_boot)
     for start in range(0, n_boot, BLOCK_DRAWS):
-        stop = min(start + BLOCK_DRAWS, n_boot)
         # a fresh block each time: the solver or ``kept`` may hold on to it
-        R = np.empty((stop - start, draw.width), draw.dtype)
-        for row, rng in zip(R, block_streams(seed, start, stop)):
+        R = np.empty((min(BLOCK_DRAWS, n_boot - start), draw.width), draw.dtype)
+        for row, rng in zip(R, streams):   # R first: zip takes exactly len(R) streams
             draw.fill(rng, row)
         if draw.finish is not None:
             R = draw.finish(R)

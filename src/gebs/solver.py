@@ -89,6 +89,24 @@ def block_solver(model, data, init):
     return solve
 
 
+def well_conditioned(J):
+    """``np.linalg.cond(J) <= COND_LIMIT`` for a finite (B, p, p) stack, with
+    no SVD for p <= 2. The 2-norm condition number c = sigma_1 / sigma_2 of a
+    2 x 2 matrix has ||J||_F^2 / |det J| = c + 1/c, so ``||J||_F^2 <
+    COND_LIMIT |det J|`` decides it except within 1 / COND_LIMIT of the limit,
+    and a zero determinant fails. Each matrix is first divided by its largest
+    |entry|, which leaves c as it is, so that no square overflows."""
+    p = J.shape[-1]
+    if p == 1:
+        return J[:, 0, 0] != 0
+    if p > 2:
+        return np.linalg.cond(J) <= COND_LIMIT
+    with np.errstate(invalid="ignore"):   # a zero matrix scales to nan and fails
+        A = J / np.max(np.abs(J), axis=(1, 2))[:, None, None]
+    det = np.abs(A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0])
+    return np.sum(A * A, axis=(1, 2)) < COND_LIMIT * det
+
+
 def newton_batch(model, data, W, init):
     """The Newton iteration of ``solve_weighted_batch`` on ``data`` and the
     (B, n) float matrix ``W`` as given, with no shape check or slot reduction."""
@@ -116,7 +134,7 @@ def newton_batch(model, data, W, init):
             break
         J = model.weighted_jacobian_batch(data.take(active), W[active], betas[active])
         ok = np.all(np.isfinite(J), axis=(1, 2))
-        ok[ok] = np.linalg.cond(J[ok]) <= COND_LIMIT
+        ok[ok] = well_conditioned(J[ok])
         failures[active[~ok]] = SingularSystemError.__name__
         active, J = active[ok], J[ok]
         if active.size == 0:

@@ -109,3 +109,42 @@ def test_weighted_jacobian_is_weight_linear():
     J = weighted_jacobian(model, data, w, beta)
     J_manual = np.sum(w[:, None, None] * model.jacobian_all(data, beta), axis=0)
     assert J == pytest.approx(J_manual)
+
+
+def rotations(angles):
+    c, s = np.cos(angles), np.sin(angles)
+    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+
+
+def test_closed_form_guard_agrees_with_svd_condition_number():
+    gen = rng(9)
+    B = 4000
+    sigma = np.zeros((B, 2, 2))
+    sigma[:, 0, 0] = 1.0
+    sigma[:, 1, 1] = 10.0 ** -gen.uniform(0.0, 16.0, B)   # cond log-uniform in 1..1e16
+    J = rotations(gen.uniform(0, 2 * np.pi, B)) @ sigma @ rotations(gen.uniform(0, 2 * np.pi, B))
+    J[:, 0] *= gen.choice([-1.0, 1.0], B)[:, None]          # both signs of det
+    J *= 10.0 ** gen.uniform(-3.0, 3.0, B)[:, None, None]
+    huge = J / np.max(np.abs(J), axis=(1, 2))[:, None, None] * 1e200
+    special = np.array([
+        [[1.0, 2.0], [2.0, 4.0]],            # exactly singular
+        [[0.0, 0.0], [0.0, 0.0]],            # zero matrix
+        [[0.0, 0.0], [1.0, -3.0]],           # zero row
+        [[3.0, 0.0], [0.0, 0.0]],
+        [[1e200, 2e200], [3e200, 4e200]],
+        [[1e200, 1e200], [1e200, 1e200]],
+        [[1e200, -1e200], [1e200, 1e200]],
+        [[1e-200, 0.0], [0.0, 1e-200]],
+        [[1.0, 0.0], [0.0, 1e-12 * 1.01]],
+        [[1.0, 0.0], [0.0, 1e-12 * 0.99]],
+    ])
+    scalars = np.concatenate([gen.standard_normal(50), [0.0, -0.0, 1e-300, 1e200]])
+    decided = []
+    for stack in (J, huge, special, scalars[:, None, None]):
+        cond = np.linalg.cond(stack)
+        clear = np.abs(cond - solver.COND_LIMIT) > 1e-3 * solver.COND_LIMIT
+        assert np.array_equal(solver.well_conditioned(stack)[clear],
+                              (cond <= solver.COND_LIMIT)[clear])
+        decided.append(cond[clear] <= solver.COND_LIMIT)
+    assert np.any(decided[0]) and not np.all(decided[0])
+    assert decided[2].tolist() == [False] * 4 + [True, False, True, True, True, False]

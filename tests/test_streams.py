@@ -2,12 +2,17 @@
 
 The oracle is written out here, not taken from ``draw_rng``, so a numpy
 release that changes ``SeedSequence`` or PCG64 seeding fails this file
-instead of silently changing every report.
+instead of silently changing every report. Both ways of setting a stream
+are checked against it: the direct write into the bit generator and, with
+the layout probe made to fail, the ``bit_gen.state`` setter.
 """
+
+import sys
 
 import numpy as np
 import pytest
 
+from gebs import engine
 from gebs import models as M
 from gebs import weights as W
 from gebs.bench import child_seed
@@ -70,3 +75,29 @@ def test_bad_seeds_raise_like_draw_rng(seed):
     if seed is not None:   # draw_rng(None, b) draws fresh OS entropy instead
         with pytest.raises(streams_error.type):
             draw_rng(seed, 0)
+
+
+@pytest.fixture
+def probe_fails(monkeypatch):
+    """Direct writes land in a scratch buffer instead of the bit generator, as
+    they would where numpy lays out the PCG64 state otherwise; the probe must
+    then choose the ``bit_gen.state`` setter."""
+    monkeypatch.setattr(engine, "_state_memory",
+                        lambda bit_gen: (memoryview(bytearray(32)), memoryview(bytearray(8))))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("start, stop", BLOCKS)
+def test_probe_falls_back_to_the_state_setter(probe_fails, seed, start, stop):
+    assert block_streams(seed, start, stop).__name__ == "by_setter"
+    test_block_streams_equal_numpy_seeding(seed, start, stop)
+
+
+def test_setter_fallback_clears_buffered_uint32(probe_fails):
+    test_buffered_uint32_does_not_leak_into_the_next_stream()
+
+
+@pytest.mark.skipif(sys.byteorder != "little" or sys.platform == "win32",
+                    reason="the direct write assumes little-endian GCC/Clang uint128 words")
+def test_probe_accepts_the_direct_write_on_little_endian_hosts():
+    assert block_streams(7, 0, 3).__name__ == "written"
