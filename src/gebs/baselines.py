@@ -4,7 +4,9 @@ Both rebuild synthetic responses from fitted residuals and refit, returning
 the same BootstrapSample record as the generalized bootstrap (with unit
 weight variance, so the shared variance estimator applies unscaled). Per draw
 each takes only its stream's numbers: rb its residual indices, wb its
-standard normals (and, for grouped binary data, its uniforms). The residual
+standard normals (and, for grouped binary data, its uniforms). rb's draw is
+its stream's first ceil(n / 2) raw words; its indices (numpy's
+``integers(0, n, size=n)``, by ``engine.integers_block``), the residual
 gather and wb's synthetic binary responses are made once per block of draws,
 and both refit a whole block at once; the residual bootstrap's refit is the
 same block hook as ``run_bootstrap``'s ``solve_fn``, by default
@@ -15,7 +17,7 @@ defined for; ``require_support`` checks it.
 import numpy as np
 
 from . import models as M
-from .engine import Draws, resample
+from .engine import Draws, fill_raw, integers_block, resample
 from .engine import draw_rng  # noqa: F401  (public name; tracers patch it here)
 from .errors import SingularSystemError, UnsupportedModelError
 from .solver import COND_LIMIT, newton_batch, solve_weighted_batch
@@ -56,10 +58,10 @@ def residual_bootstrap(model, data, beta_hat, n_boot, seed, solve_fn=None):
     n = len(resid)
     hook = solve_fn or solve_weighted_batch
 
-    def fill(rng, row):
-        row[:] = rng.integers(0, n, size=n)
+    def finish(raw, redraw):
+        return resid[integers_block(raw, n, n, redraw)]
 
-    return resample(beta_hat, n_boot, seed, Draws(n, fill, lambda I: resid[I], int),
+    return resample(beta_hat, n_boot, seed, Draws((n + 1) // 2, fill_raw, finish, np.uint64),
                     lambda E: hook(model, rebuild(E), np.ones(E.shape), beta_hat),
                     "residual bootstrap")
 
@@ -126,7 +128,7 @@ def wild_bootstrap(model, data, beta_hat, n_boot, seed):
             rng.standard_normal(out=row[:n_blocks])
             rng.random(out=row[n_blocks:])
 
-        def synthetic_slots(R):
+        def synthetic_slots(R, redraw):
             # elementwise maps and sums of 0/1 values: exact for any block shape
             u = R[:, :n_blocks][:, block_id]
             ys = (R[:, n_blocks:] < M._sigmoid(t_hat + u * r)).astype(float)

@@ -5,10 +5,13 @@ studentized statistics, enumeration oracles.
 Only ``resample`` knows the per-draw streams. Its per-draw loop does only what
 needs draw b's own stream: it sets the stream and lets the method's
 ``Draws.fill(rng, row)`` write row b of a fresh block; what does not use the
-stream (a gather, a multiplier expansion) runs once per block in
-``Draws.finish``. ``block_streams`` seeds every stream of a run with one pass
-of array arithmetic and sets each by a direct write into the bit generator;
-each equals ``draw_rng(seed, b)`` bit for bit. A block is
+stream (a gather, a multiplier expansion, a law's scaling) runs once per block
+in ``Draws.finish``. ``block_streams`` seeds every stream of a run with one
+pass of array arithmetic and sets each by a direct write into the bit
+generator; each equals ``draw_rng(seed, b)`` bit for bit. Bounded integers
+(the residual bootstrap's indices) are drawn per draw as raw PCG64 words
+(``fill_raw``) and reduced per block by numpy's own rejection method
+(``integers_block``). A block is
 solved by a ``solve_fn(model, data, W, beta_hat) -> (betas, failures,
 iterations or None)`` hook, by default the batched Newton solve
 ``solver.solve_weighted_batch``, whose slot reduction ``block_solver`` builds
@@ -200,6 +203,35 @@ def block_streams(seed, start, stop):
     return written() if bit_gen.state == _state_dict(words[0].tolist()) else by_setter()
 
 
+def fill_raw(rng, row):
+    """Write the stream's next ``len(row)`` raw 64-bit words into the uint64 ``row``."""
+    row[:] = rng.bit_generator.random_raw(len(row))
+
+
+def integers_block(raw, bound, count, redraw):
+    """(B, count) int64 block whose row b equals ``rng.integers(0, bound,
+    size=count)`` on draw b's stream, from the (B, ceil(count / 2)) block
+    ``raw`` of each stream's first raw words (``fill_raw``).
+
+    numpy draws such a value by Lemire's multiply-shift rejection on the
+    stream's next 32-bit half, the low half of a PCG64 word before its high
+    half: with ``m = u * bound`` it yields ``m >> 32`` unless ``m mod 2^32 <
+    (2^32 - bound) mod bound``, when it rejects u and takes the next half. A
+    row with a rejection among its first ``count`` halves needs halves past
+    its words, so it is drawn again from ``redraw(b)``, a fresh stream equal to
+    draw b's. Bounds from 2^32 up take another path in numpy and are refused.
+    """
+    if not 1 <= bound < 1 << 32:
+        raise ParameterError(f"integer bound must lie in [1, 2^32), got {bound}")
+    halves = np.stack([raw & _MASK32, raw >> 32], axis=2).reshape(len(raw), -1)
+    m = halves[:, :count] * np.uint64(bound)
+    out = (m >> 32).astype(np.int64)
+    rejected = (m & _MASK32) < ((1 << 32) - bound) % bound
+    for b in np.flatnonzero(rejected.any(axis=1)).tolist():
+        out[b] = redraw(b).integers(0, bound, size=count)
+    return out
+
+
 @dataclass
 class BootstrapSample:
     """B resampled estimates plus per-draw status."""
@@ -267,9 +299,12 @@ class Draws:
 
     ``fill(rng, row)`` writes draw b's raw row into row b of a fresh
     (B, ``width``) block of ``dtype``, using only draw b's own stream ``rng``;
-    ``finish(R)``, when given, maps the whole raw block at once to the rows
-    the block solver gets. Everything that does not need a draw's stream
-    belongs in ``finish`` or in what ``fill`` closes over.
+    ``finish(R, redraw)``, when given, maps the whole raw block at once to the
+    rows the block solver gets (it may work in place and return ``R``).
+    ``redraw(b)`` returns a fresh ``Generator`` equal to the stream of the
+    block's row b, for a row whose raw words did not suffice. Everything that
+    does not need a draw's stream belongs in ``finish`` or in what ``fill``
+    closes over.
     """
 
     width: int
@@ -305,7 +340,7 @@ def resample(beta_hat, n_boot, seed, draw, solve_block, label, scheme=None,
         for row, rng in zip(R, streams):   # R first: zip takes exactly len(R) streams
             draw.fill(rng, row)
         if draw.finish is not None:
-            R = draw.finish(R)
+            R = draw.finish(R, lambda b: draw_rng(seed, start + b))
         block = solve_block(R)
         if (np.shape(block[0]) != (len(R), len(beta_hat))
                 or np.shape(block[1]) != (len(R),)):
@@ -349,7 +384,7 @@ def run_bootstrap(model, data, beta_hat, scheme, n_boot, seed,
     beta_hat = np.atleast_1d(np.asarray(beta_hat, float))
     solve_block = (block_solver(model, data, beta_hat) if solve_fn is None
                    else lambda W: solve_fn(model, data, W, beta_hat))
-    return resample(beta_hat, n_boot, seed, Draws(scheme.n, wmod.sampler(scheme)),
+    return resample(beta_hat, n_boot, seed, Draws(scheme.n, *wmod.sampler(scheme)),
                     solve_block, "generalized bootstrap", scheme, store_weights)
 
 

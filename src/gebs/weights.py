@@ -3,8 +3,10 @@
 Each scheme draws a nonnegative exchangeable weight vector with unit mean.
 Sampling, exact moments and support enumeration branch once per law family.
 ``sampler(scheme)`` branches once per run and returns the law's
-``fill(rng, row)``, which draws one vector into a preallocated row with the
-stream's ``out=`` methods; ``sample(scheme, rng)`` is its one-row case.
+``(fill, finish)``: ``fill(rng, row)`` draws one vector into a preallocated
+row with the stream's ``out=`` methods, and ``finish(R, redraw)``, or None,
+applies the law's stream-free arithmetic to a whole block of rows in place;
+``sample(scheme, rng)`` is their one-row case.
 Count laws (``multinomial``, ``moon``) scale multinomial counts of ``trials``
 over n equal cells by ``scale``; Efron's bootstrap is m-out-of-n at m = n.
 d-subset laws (``jackknife``, ``downweight``) give d indices drawn without
@@ -178,18 +180,25 @@ def _subset_law(scheme):
 # Sampling
 
 def sampler(scheme):
-    """``fill(rng, row)``, which draws one weight vector of the scheme's law
-    into the float row ``row`` of length n from ``rng``. Everything that does
-    not use the stream (the multinomial cell probabilities, the law's
-    constants) is built here, once."""
+    """``(fill, finish)`` of the scheme's law. ``fill(rng, row)`` draws one
+    weight vector's stream values into the float row ``row`` of length n from
+    ``rng``; ``finish(R, redraw)`` scales a (B, n) block of such rows in place
+    and returns it, or is None where ``fill`` leaves nothing to do. Its
+    arithmetic is elementwise, so a row's bits do not depend on the block;
+    weight laws never redraw. Everything that does not use the stream (the
+    multinomial cell probabilities, the law's constants) is built here, once."""
     n = scheme.n
+    finish = None
     if count := _count_law(scheme):
         trials, scale = count
         pvals = np.full(n, 1.0 / n)
 
         def fill(rng, row):
             row[:] = rng.multinomial(trials, pvals)
-            row *= scale
+
+        def finish(R, redraw):
+            R *= scale
+            return R
     elif subset := _subset_law(scheme):
         d, lo, hi = subset
 
@@ -199,6 +208,7 @@ def sampler(scheme):
     elif scheme.kind == DIRICHLET:
         alpha = scheme.params["alpha"]
 
+        # a block's sums need not match the row's to the last bit: normalise here
         def fill(rng, row):
             total = rng.standard_gamma(alpha, out=row).sum()
             row *= n
@@ -208,22 +218,26 @@ def sampler(scheme):
 
         def fill(rng, row):
             rng.random(out=row)
-            row *= span
-            row += lo
+
+        def finish(R, redraw):
+            R *= span
+            R += lo
+            return R
     elif scheme.kind == IID_EXPONENTIAL:
         def fill(rng, row):
             rng.standard_exponential(out=row)
     else:   # constant
         def fill(rng, row):
             row.fill(1.0)
-    return fill
+    return fill, finish
 
 
 def sample(scheme, rng):
     """Draw one weight vector from the scheme's law."""
-    row = np.empty(scheme.n)
-    sampler(scheme)(rng, row)
-    return row
+    fill, finish = sampler(scheme)
+    R = np.empty((1, scheme.n))
+    fill(rng, R[0])
+    return (R if finish is None else finish(R, None))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Block draws: the rows ``engine.resample`` hands to its block solver against
 the per-draw reference ``draw_oracle``, byte for byte, for every weight law
-and both baselines; and the slot reduction is built once per call."""
+and both baselines; bounded integers from raw words against numpy's
+``integers``, rejected rows included; and the slot reduction is built once
+per call."""
 
 import itertools
 
@@ -12,6 +14,7 @@ from gebs import models as M
 from gebs import weights as W
 from gebs.baselines import residual_bootstrap, wild_bootstrap
 from gebs.engine import BLOCK_DRAWS, exact_variance_enumeration, run_bootstrap
+from gebs.errors import ParameterError
 from gebs.solver import solve_weighted
 from draw_oracle import oracle_rows, residual_draw, weight_draw, wild_draw
 
@@ -117,6 +120,40 @@ def test_wild_blocks_equal_per_draw_multipliers(monkeypatch, case):
     wild_bootstrap(model, data, beta_hat, N_BOOT, SEED)
     assert_blocks_equal_oracle(blocks, oracle_rows(wild_draw(model, data, beta_hat),
                                                    SEED, N_BOOT))
+
+
+# (bound, count) and how many of the 300 rows hold a Lemire rejection: near
+# 2^32 most rows reject and are redrawn; small bounds almost never reject
+INTEGER_CASES = [(3 * 2**30, 8, 262), (2**31 + 1, 6, 298), (2**32 - 1, 9, 0),
+                 (7, 7, 0), (1, 5, 0)]
+
+
+@pytest.mark.parametrize("bound, count, n_redrawn", INTEGER_CASES)
+def test_integer_blocks_equal_numpy_integers(bound, count, n_redrawn):
+    blocks, redrawn = [], []
+
+    def finish(raw, redraw):
+        def counting(b):
+            redrawn.append(b)
+            return redraw(b)
+        return engine.integers_block(raw, bound, count, counting)
+
+    def recording(R):
+        blocks.append(R)
+        return pinned(None, None, R, np.zeros(1))
+
+    draw = engine.Draws((count + 1) // 2, engine.fill_raw, finish, np.uint64)
+    engine.resample(np.zeros(1), N_BOOT, SEED, draw, recording, "integers")
+    ref = np.stack([engine.draw_rng(SEED, b).integers(0, bound, size=count)
+                    for b in range(N_BOOT)])
+    assert_blocks_equal_oracle(blocks, ref)
+    assert len(redrawn) == n_redrawn
+
+
+@pytest.mark.parametrize("bound", [0, 2**32, 2**40])
+def test_integer_blocks_refuse_bounds_outside_numpys_lemire_path(bound):
+    with pytest.raises(ParameterError):
+        engine.integers_block(np.zeros((1, 1), np.uint64), bound, 2, engine.draw_rng)
 
 
 def test_slot_reduction_is_built_once_per_call(monkeypatch):
