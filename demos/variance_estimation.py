@@ -28,7 +28,7 @@ print()
 print("=== Monte Carlo vs exact enumeration, multinomial weights ===")
 scheme = W.multinomial(n)
 exact = exact_variance_enumeration(model, data, beta_hat, scheme)
-print(f"exact over {len(W.enumerate_support(scheme))} support atoms: "
+print(f"exact over {len(list(W.iter_support(scheme)))} support atoms: "
       f"{exact.v_gbs:.6f}")
 for B in (100, 1000, 10000):
     sample = run_bootstrap(model, data, beta_hat, scheme, B, seed=1)

@@ -37,7 +37,7 @@ print(f"{'c(4)':>10} {exact.c4:10.4f} {emp.c4:10.4f}")
 
 print()
 print("=== small schemes can be enumerated exactly ===")
-atoms = W.enumerate_support(W.delete_d_jackknife(4, 1))
+atoms = list(W.iter_support(W.delete_d_jackknife(4, 1)))
 for w, p in atoms:
     print(f"p={p:.3f}  w={w}")
 

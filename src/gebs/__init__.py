@@ -27,8 +27,8 @@ from .solver import (Solution, solve_weighted, solve_weighted_batch,
                      weighted_jacobian, weighted_score)
 from .weights import (WeightScheme, check_conditions, constant,
                       delete_d_jackknife, dirichlet, downweight_d_jackknife,
-                      empirical_moments, enumerate_support, iid_exponential,
-                      iid_uniform, iter_support, m_out_of_n, multinomial, parse_scheme,
-                      sample, theoretical_moments)
+                      empirical_moments, iid_exponential, iid_uniform,
+                      iter_support, m_out_of_n, multinomial, parse_scheme, sample,
+                      theoretical_moments)
 
 __version__ = "0.1.0"

@@ -1,17 +1,13 @@
 """Residual-bootstrap (rb) and wild-bootstrap (wb) comparators.
 
-Both rebuild synthetic responses from fitted residuals and refit, returning
-the same BootstrapSample record as the generalized bootstrap (with unit
-weight variance, so the shared variance estimator applies unscaled). Per draw
-each takes only its stream's numbers: rb its residual indices, wb its
-standard normals (and, for grouped binary data, its uniforms). rb's draw is
-its stream's first ceil(n / 2) raw words; its indices (numpy's
-``integers(0, n, size=n)``, by ``engine.integers_block``), the residual
-gather and wb's synthetic binary responses are made once per block of draws,
-and both refit a whole block at once; the residual bootstrap's refit is the
-same block hook as ``run_bootstrap``'s ``solve_fn``, by default
-``solve_weighted_batch``. ``SUPPORTED`` names the models each baseline is
-defined for; ``require_support`` checks it.
+Both rebuild synthetic responses from fitted residuals and refit a whole block
+of draws at once. They return the generalized bootstrap's ``BootstrapSample``
+with unit weight variance, so the shared variance estimator applies unscaled.
+Per draw each takes only its stream's numbers: rb its stream's first
+ceil(n / 2) raw words, turned per block into numpy's ``integers(0, n,
+size=n)`` (``engine.integers_block``), wb its standard normals (and, for
+grouped binary data, its uniforms). ``SUPPORTED`` names the models each
+baseline is defined for.
 """
 
 import numpy as np
@@ -20,7 +16,7 @@ from . import models as M
 from .engine import Draws, fill_raw, integers_block, resample
 from .engine import draw_rng  # noqa: F401  (public name; tracers patch it here)
 from .errors import SingularSystemError, UnsupportedModelError
-from .solver import COND_LIMIT, newton_batch, solve_weighted_batch
+from .solver import newton_batch, solve_weighted_batch, well_conditioned
 from .solver import solve_weighted  # noqa: F401  (public name; tracers patch it here)
 
 WB_DELTA = 0.001   # wild bootstrap: logit-residual guard for grouped binary data
@@ -91,7 +87,7 @@ def wild_bootstrap(model, data, beta_hat, n_boot, seed):
         fit = X @ beta_hat
         resid = y - fit
         XtX = X.T @ X
-        singular = np.linalg.cond(XtX) > COND_LIMIT
+        singular = not well_conditioned(XtX[None])[0]
 
         draw = Draws(data.n, lambda rng, row: rng.standard_normal(out=row))
 

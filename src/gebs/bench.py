@@ -116,6 +116,9 @@ class ExperimentConfig:
             raise ConfigError("n must be >= 2")
         if not self.methods:
             raise ConfigError("need at least one method")
+        # results are keyed by method name: a repeat would overwrite a run
+        if repeated := sorted({m for m in self.methods if self.methods.count(m) > 1}):
+            raise ConfigError(f"method named more than once: {', '.join(repeated)}")
         self.seed = int(self.seed)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")

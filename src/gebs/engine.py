@@ -1,28 +1,18 @@
-"""Generalized-bootstrap driver: one resample loop over blocks of draws and its
-block solvers, variance and distribution estimates, percentile intervals,
-studentized statistics, enumeration oracles.
+"""Generalized-bootstrap driver: one resample loop over blocks of draws, the
+variance and distribution estimates, percentile intervals, studentized
+statistics and the enumeration oracle.
 
-Only ``resample`` knows the per-draw streams. Its per-draw loop does only what
-needs draw b's own stream: it sets the stream and lets the method's
-``Draws.fill(rng, row)`` write row b of a fresh block; what does not use the
-stream (a gather, a multiplier expansion, a law's scaling) runs once per block
-in ``Draws.finish``. ``block_streams`` seeds every stream of a run with one
-pass of array arithmetic and sets each by a direct write into the bit
-generator; each equals ``draw_rng(seed, b)`` bit for bit. Bounded integers
-(the residual bootstrap's indices) are drawn per draw as raw PCG64 words
-(``fill_raw``) and reduced per block by numpy's own rejection method
-(``integers_block``). A block is
-solved by a ``solve_fn(model, data, W, beta_hat) -> (betas, failures,
-iterations or None)`` hook, by default the batched Newton solve
-``solver.solve_weighted_batch``, whose slot reduction ``block_solver`` builds
-once per run."""
+Only ``resample`` knows the per-draw streams, each equal to ``draw_rng(seed,
+b)`` bit for bit. Per draw it does only what needs draw b's own stream; what
+does not use the stream runs once per block (``Draws``). A block is solved by
+a ``solve_fn`` hook, by default ``solver.solve_weighted_batch``."""
 
 import ctypes
 import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -33,8 +23,6 @@ from .errors import (DegenerateRunError, InsufficientSampleError, ParameterError
 from .solver import block_solver
 from .solver import solve_weighted  # noqa: F401  (public name; tracers patch it here)
 
-STATUS_CONVERGED = "converged"
-STATUS_FALLBACK = "fallback"
 MAX_FALLBACK_FRAC = 0.2
 # draws (or support atoms) solved together; bounds the (block, n) working set
 BLOCK_DRAWS = 128
@@ -234,21 +222,27 @@ def integers_block(raw, bound, count, redraw):
 
 @dataclass
 class BootstrapSample:
-    """B resampled estimates plus per-draw status."""
+    """B resampled estimates plus each draw's outcome."""
 
     beta_hat: np.ndarray
-    betas: np.ndarray          # (B, p)
-    statuses: list
-    scheme: object             # WeightScheme, or None for baseline methods
+    betas: np.ndarray          # (B, p); a draw that fell back holds beta_hat
+    outcomes: np.ndarray       # (B,) error class per draw, "" where it solved
     sigma2: float
-    fallback_count: int
     weight_draws: np.ndarray = None   # (B, n) when retained
     iterations: np.ndarray = None     # (B,) Newton steps per draw, Newton solves only
-    failures: dict = field(default_factory=dict)   # fallback count by error class
 
     @property
     def n_draws(self):
         return self.betas.shape[0]
+
+    @property
+    def fallback_count(self):
+        return int(np.count_nonzero(self.outcomes != ""))
+
+    @property
+    def failures(self):
+        """Fallback count by error class."""
+        return dict(sorted(Counter(self.outcomes[self.outcomes != ""]).items()))
 
     def deltas(self):
         return self.betas - self.beta_hat[None, :]
@@ -257,7 +251,6 @@ class BootstrapSample:
 @dataclass
 class VarianceEstimate:
     v_gbs: object              # scalar for p = 1, (p, p) matrix otherwise
-    target: str
     mc_stderr: object
     degenerate: bool = False
     fallback_frac: float = 0.0    # share (or probability mass) of draws that fell back
@@ -313,21 +306,19 @@ class Draws:
     dtype: object = float
 
 
-def resample(beta_hat, n_boot, seed, draw, solve_block, label, scheme=None,
+def resample(beta_hat, n_boot, seed, draw, solve_block, label, sigma2=1.0,
              store_rows=False):
     """Draw ``n_boot`` resamples, solve them in blocks and collect the sample.
 
-    ``draw`` (a ``Draws``) makes draw b's input vector (weights, multipliers
-    or resampled residuals) from its own stream, which equals
-    ``draw_rng(seed, b)``; ``block_streams`` seeds all ``n_boot`` streams
-    once, and the sample does not depend on the block size.
-    Blocks of ``BLOCK_DRAWS`` rows ``R`` go to ``solve_block(R) -> (betas,
-    failures, iterations or None)``, where ``failures`` holds each draw's
-    error class ("" if it solved); other shapes than (len(R), p) roots and
-    len(R) failures raise ``ShapeError``. Failed draws are pinned to
-    ``beta_hat``. ``sigma2`` is the scheme's weight variance, or 1 for the
-    baselines (no scheme). More than ``MAX_FALLBACK_FRAC`` fallbacks raise
-    ``DegenerateRunError`` carrying the (still inspectable) sample.
+    Draw b's row comes from ``draw`` (a ``Draws``) on its own stream, equal to
+    ``draw_rng(seed, b)``, so the sample does not depend on the block size.
+    Each block ``R`` of ``BLOCK_DRAWS`` rows goes to ``solve_block(R) ->
+    (betas, failures, iterations or None)``; ``failures`` holds each draw's
+    error class ("" if it solved) and becomes the sample's ``outcomes``. Other
+    shapes than (len(R), p) roots and len(R) failures raise ``ShapeError``.
+    Failed draws are pinned to ``beta_hat``. ``sigma2`` is the weight
+    variance (1 for the baselines). More than ``MAX_FALLBACK_FRAC`` fallbacks
+    raise ``DegenerateRunError`` carrying the (still inspectable) sample.
     ``store_rows`` keeps the rows as ``weight_draws``.
     """
     if n_boot < 1:
@@ -351,20 +342,15 @@ def resample(beta_hat, n_boot, seed, draw, solve_block, label, scheme=None,
         blocks.append(block)
         if store_rows:
             kept.append(R)
-    betas, failures, iterations = zip(*blocks)
-    betas, failures = np.concatenate(betas), np.concatenate(failures)
+    betas, outcomes, iterations = zip(*blocks)
+    betas, outcomes = np.concatenate(betas), np.concatenate(outcomes)
     iterations = None if iterations[0] is None else np.concatenate(iterations)
-    fell = failures != ""
-    betas[fell] = beta_hat
-    statuses = [STATUS_FALLBACK if f else STATUS_CONVERGED for f in fell]
-    fallback = int(np.count_nonzero(fell))
-    sigma2 = 1.0 if scheme is None else wmod.central_moment(scheme, (2,))
-    sample = BootstrapSample(beta_hat, betas, statuses, scheme, sigma2, fallback,
-                             np.concatenate(kept) if store_rows else None, iterations,
-                             dict(sorted(Counter(failures[fell]).items())))
-    if fallback > MAX_FALLBACK_FRAC * n_boot:
+    betas[outcomes != ""] = beta_hat
+    sample = BootstrapSample(beta_hat, betas, outcomes, sigma2,
+                             np.concatenate(kept) if store_rows else None, iterations)
+    if sample.fallback_count > MAX_FALLBACK_FRAC * n_boot:
         raise DegenerateRunError(
-            f"{label}: {fallback}/{n_boot} resamples fell back to the "
+            f"{label}: {sample.fallback_count}/{n_boot} resamples fell back to the "
             "full-data root", sample=sample)
     return sample
 
@@ -385,7 +371,17 @@ def run_bootstrap(model, data, beta_hat, scheme, n_boot, seed,
     solve_block = (block_solver(model, data, beta_hat) if solve_fn is None
                    else lambda W: solve_fn(model, data, W, beta_hat))
     return resample(beta_hat, n_boot, seed, Draws(scheme.n, *wmod.sampler(scheme)),
-                    solve_block, "generalized bootstrap", scheme, store_weights)
+                    solve_block, "generalized bootstrap", wmod.central_moment(scheme, (2,)),
+                    store_weights)
+
+
+def _estimate(v, mc_stderr=None, **flags):
+    """``VarianceEstimate`` of a (p, p) estimate and its Monte Carlo standard
+    error (zeros if None), both as scalars when p = 1."""
+    mc_stderr = np.zeros_like(v) if mc_stderr is None else mc_stderr
+    if v.shape == (1, 1):
+        v, mc_stderr = float(v[0, 0]), float(mc_stderr[0, 0])
+    return VarianceEstimate(v, mc_stderr, **flags)
 
 
 def variance_estimate(sample, scale=1.0):
@@ -395,30 +391,16 @@ def variance_estimate(sample, scale=1.0):
     reports their share. ``scale`` multiplies the estimate (pass n to target
     the sqrt(n)-scaled variance).
     """
-    if sample.n_draws < 2:
+    B, p = sample.betas.shape
+    if B < 2:
         raise InsufficientSampleError("need at least 2 draws")
     if sample.sigma2 <= 0:
-        p = len(sample.beta_hat)
-        zero = 0.0 if p == 1 else np.zeros((p, p))
-        return VarianceEstimate(zero, "degenerate scheme (sigma_n^2 = 0)",
-                                zero, degenerate=True)
-    deltas = sample.deltas()
-    B = sample.n_draws
-    factor = scale / sample.sigma2
-    degenerate = sample.fallback_count == B
-    if deltas.shape[1] == 1:
-        sq = factor * deltas[:, 0] ** 2
-        return VarianceEstimate(float(sq.mean()),
-                                "variance of beta_hat (x scale)",
-                                float(sq.std(ddof=1) / math.sqrt(B)),
-                                degenerate=degenerate,
-                                fallback_frac=sample.fallback_count / B)
-    outer = factor * deltas[:, :, None] * deltas[:, None, :]
-    return VarianceEstimate(outer.mean(axis=0),
-                            "covariance of beta_hat (x scale)",
-                            outer.std(axis=0, ddof=1) / math.sqrt(B),
-                            degenerate=degenerate,
-                            fallback_frac=sample.fallback_count / B)
+        return _estimate(np.zeros((p, p)), degenerate=True)
+    d = sample.deltas()
+    outer = scale / sample.sigma2 * (d[:, :, None] * d[:, None, :])
+    fallback = sample.fallback_count
+    return _estimate(outer.mean(axis=0), outer.std(axis=0, ddof=1) / math.sqrt(B),
+                     degenerate=fallback == B, fallback_frac=fallback / B)
 
 
 def exact_variance_enumeration(model, data, beta_hat, scheme, scale=1.0):
@@ -431,9 +413,7 @@ def exact_variance_enumeration(model, data, beta_hat, scheme, scale=1.0):
     sigma2 = wmod.central_moment(scheme, (2,))
     p = len(beta_hat)
     if sigma2 <= 0:
-        zero = 0.0 if p == 1 else np.zeros((p, p))
-        return VarianceEstimate(zero, "degenerate scheme (sigma_n^2 = 0)",
-                                zero, degenerate=True)
+        return _estimate(np.zeros((p, p)), degenerate=True)
     acc = np.zeros((p, p))
     failed_mass = 0.0
     atoms = wmod.iter_support(scheme)
@@ -446,11 +426,7 @@ def exact_variance_enumeration(model, data, beta_hat, scheme, scale=1.0):
         d = betas[ok] - beta_hat
         acc += (probs[ok, None] * d).T @ d
         failed_mass += float(np.sum(probs[~ok]))
-    v = scale / sigma2 * acc
-    zero = 0.0 if p == 1 else np.zeros((p, p))
-    return VarianceEstimate(float(v[0, 0]) if p == 1 else v,
-                            "exact enumeration variance", zero,
-                            fallback_frac=failed_mass)
+    return _estimate(scale / sigma2 * acc, fallback_frac=failed_mass)
 
 
 def empirical_distribution(model, data, sample, contrast=None):

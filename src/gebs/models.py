@@ -329,14 +329,19 @@ class IsomerizationModel(Model):
         Dj = np.stack([np.zeros_like(u), data["H"], data["P"], data["I"]], axis=1)
         return u, D, A, Aj, Dj
 
+    @staticmethod
+    def _vanishing(D):
+        """Where the rate denominator D leaves the domain: |D| <= 1e-12 or NaN."""
+        return ~(np.abs(D) > 1e-12)
+
     def in_domain(self, data, beta):
         if not np.all(np.isfinite(beta)):
             return False
         _, D, _ = self._rate(data, np.asarray(beta, float))
-        return bool(np.all(np.abs(D) > 1e-12))
+        return not np.any(self._vanishing(D))
 
     def _check_domain(self, D):
-        bad = np.nonzero(np.abs(D) <= 1e-12)[0]
+        bad = np.flatnonzero(self._vanishing(D))
         if bad.size:
             raise EvaluationError(f"rate denominator vanishes at row {bad[0]}",
                                   index=int(bad[0]))
@@ -351,7 +356,7 @@ class IsomerizationModel(Model):
             self._check_domain(D)
             return A / D
         with np.errstate(divide="ignore", invalid="ignore"):
-            return A / D, ~np.any(np.abs(D) <= 1e-12, axis=1)
+            return A / D, ~np.any(self._vanishing(D), axis=1)
 
     def _checked_parts(self, data, theta):
         parts = self._parts(data, np.asarray(theta, float))

@@ -2,11 +2,6 @@
 
 Each scheme draws a nonnegative exchangeable weight vector with unit mean.
 Sampling, exact moments and support enumeration branch once per law family.
-``sampler(scheme)`` branches once per run and returns the law's
-``(fill, finish)``: ``fill(rng, row)`` draws one vector into a preallocated
-row with the stream's ``out=`` methods, and ``finish(R, redraw)``, or None,
-applies the law's stream-free arithmetic to a whole block of rows in place;
-``sample(scheme, rng)`` is their one-row case.
 Count laws (``multinomial``, ``moon``) scale multinomial counts of ``trials``
 over n equal cells by ``scale``; Efron's bootstrap is m-out-of-n at m = n.
 d-subset laws (``jackknife``, ``downweight``) give d indices drawn without
@@ -20,6 +15,7 @@ products for i.i.d. laws).
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -55,13 +51,13 @@ class WeightScheme:
             raise ParameterError(f"weight-vector length must be >= 1, got {self.n}")
         p = self.params
         if self.kind in (DELETE_D_JACKKNIFE, DOWNWEIGHT_D_JACKKNIFE):
-            d = p.get("d")
-            if not isinstance(d, int) or not 1 <= d < self.n:
-                raise ParameterError(f"need 1 <= d < n, got d={d}, n={self.n}")
+            d = self._integer("d")
+            if d is None or not 1 <= d < self.n:
+                raise ParameterError(f"need 1 <= d < n, got d={p.get('d')}, n={self.n}")
         elif self.kind == M_OUT_OF_N:
-            m = p.get("m")
-            if not isinstance(m, int) or m < 1:
-                raise ParameterError(f"m-out-of-n needs integer m >= 1, got {m}")
+            m = self._integer("m")
+            if m is None or m < 1:
+                raise ParameterError(f"m-out-of-n needs integer m >= 1, got {p.get('m')}")
         elif self.kind == DIRICHLET:
             alpha = p.get("alpha", 0)
             if not (math.isfinite(alpha) and alpha > 0):
@@ -75,6 +71,19 @@ class WeightScheme:
                     f"uniform weights must have mean 1 (lo + hi = 2), got lo={lo}, hi={hi}")
         elif self.kind not in (MULTINOMIAL, IID_EXPONENTIAL, CONSTANT):
             raise ParameterError(f"unknown weight scheme kind {self.kind!r}")
+
+    def _integer(self, key):
+        """Parameter ``key`` stored as an int if it is integral (any
+        ``operator.index`` type but bool), else None."""
+        value = self.params.get(key)
+        if isinstance(value, bool):
+            return None
+        try:
+            value = operator.index(value)
+        except TypeError:
+            return None
+        object.__setattr__(self, "params", {**self.params, key: value})
+        return value
 
     def label(self):
         if self.params:
@@ -347,30 +356,32 @@ class WeightMoments:
     fourth_order: dict
 
 
+def _standardized(sigma2, n, moment):
+    """``WeightMoments`` of weights with variance ``sigma2`` whose standardized
+    mixed moment over a pattern's distinct indices is ``moment(pattern)``:
+    all zero where sigma2 <= 0, NaN for a pattern of more than n indices."""
+    patterns = ((1, 1),) + THIRD_ORDER_PATTERNS + FOURTH_ORDER_PATTERNS
+    if sigma2 <= 0:
+        c = dict.fromkeys(patterns, 0.0)
+    else:
+        c = {pat: moment(pat) if len(pat) <= n else math.nan for pat in patterns}
+    return WeightMoments(max(sigma2, 0.0), c[(1, 1)], c[(2, 2)], c[(4,)],
+                         {pat: c[pat] for pat in THIRD_ORDER_PATTERNS},
+                         {pat: c[pat] for pat in FOURTH_ORDER_PATTERNS})
+
+
 def theoretical_moments(scheme):
     """Exact standardized mixed moments of the scheme."""
     sigma2 = central_moment(scheme, (2,))
-    if sigma2 <= 0:
-        zero3 = {p: 0.0 for p in THIRD_ORDER_PATTERNS}
-        zero4 = {p: 0.0 for p in FOURTH_ORDER_PATTERNS}
-        return WeightMoments(max(sigma2, 0.0), 0.0, 0.0, 0.0, zero3, zero4)
-    sigma = math.sqrt(sigma2)
-
-    def c(pattern):
-        if len(pattern) > scheme.n:
-            return math.nan
-        return central_moment(scheme, pattern) / sigma ** sum(pattern)
-
-    third = {p: c(p) for p in THIRD_ORDER_PATTERNS}
-    fourth = {p: c(p) for p in FOURTH_ORDER_PATTERNS}
-    return WeightMoments(sigma2, c((1, 1)), fourth[(2, 2)], fourth[(4,)], third, fourth)
+    return _standardized(sigma2, scheme.n, lambda pat: central_moment(scheme, pat)
+                         / math.sqrt(sigma2) ** sum(pat))
 
 
 def empirical_moments(draws, probs=None):
     """Plug-in moment estimates from weight draws, averaged over index tuples.
 
     ``draws`` is a (B, n) array (or list of equal-length vectors); ``probs``
-    optionally weights the draws (used with :func:`enumerate_support`).
+    optionally weights the draws (as with the atoms of :func:`iter_support`).
     Uses the scheme invariant E[w] = 1 for centering.
     """
     if not isinstance(draws, np.ndarray):
@@ -394,16 +405,10 @@ def empirical_moments(draws, probs=None):
 
     centered = draws - 1.0
     sigma2 = float(probs @ np.mean(centered ** 2, axis=1))
-    if sigma2 <= 0:
-        zero3 = {p: 0.0 for p in THIRD_ORDER_PATTERNS}
-        zero4 = {p: 0.0 for p in FOURTH_ORDER_PATTERNS}
-        return WeightMoments(0.0, 0.0, 0.0, 0.0, zero3, zero4)
-    W = centered / math.sqrt(sigma2)
+    # all-zero centered weights (sigma2 = 0) need no standardizing
+    W = centered / math.sqrt(sigma2) if sigma2 > 0 else centered
 
-    p1 = W.sum(axis=1)
-    p2 = (W ** 2).sum(axis=1)
-    p3 = (W ** 3).sum(axis=1)
-    p4 = (W ** 4).sum(axis=1)
+    p1, p2, p3, p4 = ((W ** k).sum(axis=1) for k in range(1, 5))
 
     # sums over distinct index tuples, expressed in power sums
     distinct = {
@@ -417,16 +422,8 @@ def empirical_moments(draws, probs=None):
         (2, 1, 1): p2 * p1 ** 2 - p2 ** 2 - 2 * p3 * p1 + 2 * p4,
         (1, 1, 1, 1): p1 ** 4 - 6 * p1 ** 2 * p2 + 3 * p2 ** 2 + 8 * p1 * p3 - 6 * p4,
     }
-
-    def avg(pattern):
-        m = len(pattern)
-        if m > n:
-            return math.nan
-        return float(probs @ distinct[pattern]) / _falling(n, m)
-
-    third = {p: avg(p) for p in THIRD_ORDER_PATTERNS}
-    fourth = {p: avg(p) for p in FOURTH_ORDER_PATTERNS}
-    return WeightMoments(sigma2, avg((1, 1)), fourth[(2, 2)], fourth[(4,)], third, fourth)
+    return _standardized(sigma2, n, lambda pat: float(probs @ distinct[pat])
+                         / _falling(n, len(pat)))
 
 
 # ---------------------------------------------------------------------------
@@ -439,11 +436,6 @@ def support_size(scheme):
     if subset := _subset_law(scheme):
         return math.comb(n, subset[0])
     return 1 if scheme.kind == CONSTANT else None
-
-
-def enumerate_support(scheme):
-    """All (weight vector, probability) atoms of a finite-support scheme."""
-    return list(iter_support(scheme))
 
 
 def iter_support(scheme):
@@ -541,6 +533,15 @@ def _slope_ok(slope, bound):
     return slope <= bound + SLOPE_TOL
 
 
+def _decay(slopes, bounds):
+    """Decay clauses: each pattern's slope against its exponent bound.
+    Returns ``(all passed, evidence by str(pattern))``."""
+    details = {str(pat): {"slope": slopes[pat], "bound": bound,
+                          "passed": _slope_ok(slopes[pat], bound)}
+               for pat, bound in bounds.items()}
+    return all(d["passed"] for d in details.values()), details
+
+
 def check_conditions(scheme_factory, n_grid, seed=0):
     """Certify the weight conditions over a grid of sample sizes.
 
@@ -553,29 +554,31 @@ def check_conditions(scheme_factory, n_grid, seed=0):
     if len(n_grid) < 3:
         raise ParameterError("need at least 3 grid points")
 
-    table = []
+    # (2.5): enough weights bounded away from zero, checked by Monte Carlo
+    k2, frac_cap = 0.1, 0.05
+    rng = np.random.default_rng(seed)
+    table, fail_fracs = [], []
     mean_one = True
     for n in n_grid:
         scheme = scheme_factory(n)
         mean_one = mean_one and abs(raw_moment(scheme, (1,)) - 1.0) <= MEAN_TOL
         mom = theoretical_moments(scheme)
-        row = {"n": n, "sigma2": mom.sigma2, "c11": mom.c11}
-        for pat in THIRD_ORDER_PATTERNS:
-            row[pat] = mom.third_order[pat]
-        for pat in FOURTH_ORDER_PATTERNS:
-            row[pat] = mom.fourth_order[pat]
-        table.append(row)
+        table.append({"n": n, "sigma2": mom.sigma2, "c11": mom.c11,
+                      **mom.third_order, **mom.fourth_order})
+        m0 = math.ceil(n / 2)
+        fails = sum(int(np.count_nonzero(sample(scheme, rng) > k2) < m0)
+                    for _ in range(MC_DRAWS))
+        fail_fracs.append(fails / MC_DRAWS)
+    w_ok = all(f <= frac_cap for f in fail_fracs)
 
-    ns = [row["n"] for row in table]
-    slopes = {key: _fit_slope(ns, [row[key] for row in table])
+    slopes = {key: _fit_slope(n_grid, [row[key] for row in table])
               for key in table[0] if key != "n"}
     sigma_slope = slopes["sigma2"] if slopes["sigma2"] is not None else -math.inf
 
     sigma_positive = all(row["sigma2"] > 0 for row in table)
     # (2.2): sigma^2 = o(min(a_n^2 / p, n)) with a_n^2 ~ n and p fixed
     growth_bound = 1.0 - 2 * SLOPE_TOL
-    bw_growth = sigma_positive and _slope_ok(
-        sigma_slope if sigma_positive else None, growth_bound)
+    bw_growth = _slope_ok(sigma_slope, growth_bound)
     bw_c11 = _slope_ok(slopes["c11"], -1.0)
     bw = ClauseVerdict(mean_one and sigma_positive and bw_growth and bw_c11, {
         "mean_one": mean_one,
@@ -594,43 +597,18 @@ def check_conditions(scheme_factory, n_grid, seed=0):
         "c22_last": c22_last, "c22_first": c22_first, "c4_slope": slopes[(4,)],
     })
 
-    # (2.5): enough weights bounded away from zero, checked by Monte Carlo
-    k2, frac_cap = 0.1, 0.05
-    rng = np.random.default_rng(seed)
-    fail_fracs = []
-    for n in n_grid:
-        scheme = scheme_factory(n)
-        m0 = math.ceil(n / 2)
-        fails = 0
-        for _ in range(MC_DRAWS):
-            fails += int(np.count_nonzero(sample(scheme, rng) > k2) < m0)
-        fail_fracs.append(fails / MC_DRAWS)
-    w_ok = all(f <= frac_cap for f in fail_fracs)
-
     # (2.6): third-moment decay, bound n^{-k+1} sigma^{-1}
-    third_details = {}
-    third_ok = True
-    for pat in THIRD_ORDER_PATTERNS:
-        bound = _THIRD_BOUND[pat] - 0.5 * (sigma_slope if math.isfinite(sigma_slope) else 0.0)
-        ok = _slope_ok(slopes[pat], bound)
-        third_details[str(pat)] = {"slope": slopes[pat], "bound": bound, "passed": ok}
-        third_ok = third_ok and ok
-
-    def fourth_check(exponent_fn):
-        details, ok = {}, True
-        for pat, k in _FOURTH_K.items():
-            bound = exponent_fn(k)
-            this = _slope_ok(slopes[pat], bound)
-            details[str(pat)] = {"slope": slopes[pat], "bound": bound, "passed": this}
-            ok = ok and this
-        return ok, details
+    sigma_term = 0.5 * (sigma_slope if math.isfinite(sigma_slope) else 0.0)
+    third_ok, third_details = _decay(
+        slopes, {pat: bound - sigma_term for pat, bound in _THIRD_BOUND.items()})
 
     # (2.7)(a): sigma^2 in a compact subset of (0, inf)
     sigma_vals = [row["sigma2"] for row in table]
     sigma_compact = (sigma_positive and min(sigma_vals) > 1e-2
                      and max(sigma_vals) < 1e2
                      and abs(sigma_slope) <= SLOPE_TOL)
-    fourth_a_ok, fourth_a = fourth_check(lambda k: min(-k + 2.0, 0.0))
+    fourth_a_ok, fourth_a = _decay(
+        slopes, {pat: min(-k + 2.0, 0.0) for pat, k in _FOURTH_K.items()})
     vw_a = ClauseVerdict(bool(bw) and w_ok and third_ok and sigma_compact and fourth_a_ok, {
         "w_fail_fracs": fail_fracs, "third": third_details,
         "sigma2_compact": sigma_compact, "fourth": fourth_a,
@@ -638,7 +616,7 @@ def check_conditions(scheme_factory, n_grid, seed=0):
 
     # (2.7)(b): sigma^2 -> 0
     sigma_vanishes = sigma_positive and sigma_slope <= -SLOPE_TOL
-    fourth_b_ok, fourth_b = fourth_check(lambda k: -k + 2.0)
+    fourth_b_ok, fourth_b = _decay(slopes, {pat: -k + 2.0 for pat, k in _FOURTH_K.items()})
     vw_b = ClauseVerdict(bool(bw) and w_ok and third_ok and sigma_vanishes and fourth_b_ok, {
         "w_fail_fracs": fail_fracs, "third": third_details,
         "sigma2_vanishes": sigma_vanishes, "fourth": fourth_b,

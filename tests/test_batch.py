@@ -97,7 +97,7 @@ def test_blocked_enumeration_matches_per_atom(model_name, n, d, multinomial, see
 
     ref = np.zeros((model.p, model.p))
     worst_cond = 1.0
-    for w, prob in W.enumerate_support(scheme):
+    for w, prob in W.iter_support(scheme):
         try:
             sol = newton_oracle(model, data, w, beta_hat)
         except SOLVER_ERRORS:

@@ -44,6 +44,8 @@ def test_config_defaults_fill_in():
     {"experiment": "weights-check", "n": 320},
     {"experiment": "weights-check", "sims": 1},
     {"experiment": "weights-check", "boots": 200},
+    {"experiment": "glm", "methods": ("wb", "gbs-exp", "wb")},
+    {"experiment": "weights-check", "methods": ("exp", "exp")},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ConfigError):
@@ -319,6 +321,20 @@ def test_cli_nls_rejects_sims_other_than_one(tmp_path, capsys):
                      "--boots", "50", "--out", str(out)])
     assert code == cli.EXIT_CONFIG
     assert "sims" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, methods", [
+    ("ar1", "rb,rb"), ("nls", "gbs-exp,rb,gbs-exp"), ("weights-check", "exp,uniform,exp"),
+], ids=["ar1", "nls", "weights-check"])
+def test_cli_rejects_a_repeated_method(experiment, methods, tmp_path, capsys):
+    # results are keyed by method name, so a repeat used to overwrite the
+    # earlier run's rows with the later run's
+    out = tmp_path / "report.csv"
+    code = cli.main(["run", "--experiment", experiment, "--methods", methods,
+                     "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "more than once" in capsys.readouterr().err
     assert not out.exists()
 
 

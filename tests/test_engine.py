@@ -10,8 +10,7 @@ from gebs import models as M
 from gebs import weights as W
 from gebs.baselines import residual_bootstrap, wild_bootstrap
 from gebs.bench import GLM_BETA
-from gebs.engine import (EmpiricalDistribution, STATUS_CONVERGED, STATUS_FALLBACK,
-                         draw_rng, empirical_distribution,
+from gebs.engine import (EmpiricalDistribution, draw_rng, empirical_distribution,
                          exact_variance_enumeration, ks_distance,
                          percentile_ci, percentile_cis_batch, run_bootstrap,
                          studentized_stats, variance_estimate)
@@ -52,7 +51,7 @@ def test_multinomial_mean_draws_are_weighted_means():
         w = sample.weight_draws[b]
         assert sample.betas[b, 0] == pytest.approx(np.sum(w * z) / np.sum(w), abs=1e-8)
     assert sample.fallback_count == 0
-    assert all(s == STATUS_CONVERGED for s in sample.statuses)
+    assert np.all(sample.outcomes == "")
 
 
 def test_fallback_draws_pin_to_beta_hat():
@@ -68,7 +67,8 @@ def test_fallback_draws_pin_to_beta_hat():
     sample = run_bootstrap(model, data, beta_hat, W.multinomial(12), 50,
                            seed=3, solve_fn=per_draw(flaky))
     assert sample.fallback_count == 5
-    fell = [i for i, s in enumerate(sample.statuses) if s == STATUS_FALLBACK]
+    fell = np.flatnonzero(sample.outcomes != "")
+    assert set(sample.outcomes[fell]) == {"NonConvergenceError"}
     assert np.array_equal(sample.betas[fell],
                           np.tile(beta_hat, (len(fell), 1)))
 
@@ -89,7 +89,7 @@ def test_default_hook_is_solve_weighted_batch():
     for a, b in ((default, hooked), (rb, rb_hooked)):
         assert np.array_equal(a.betas, b.betas)
         assert np.array_equal(a.iterations, b.iterations)
-        assert a.statuses == b.statuses and a.failures == b.failures
+        assert np.array_equal(a.outcomes, b.outcomes) and a.failures == b.failures
 
 
 def test_too_many_fallbacks_degenerate():
@@ -389,7 +389,7 @@ def test_roots_agree_across_solve_block_sizes(monkeypatch, case):
     scale = 1.0 + np.max(np.abs(ref.betas), axis=1)
     for sample in samples[1:]:
         assert sample.failures == ref.failures
-        assert sample.statuses == ref.statuses
+        assert np.array_equal(sample.outcomes, ref.outcomes)
         if ref.iterations is None:
             assert sample.iterations is None
         else:

@@ -58,7 +58,7 @@ def test_block_root_matches_per_draw_oracle(iso, method):
         block, ref = (_sample(_resample, method, model, data, beta_hat, seed, hook)
                       for hook in _hooks(anchors))
         assert np.array_equal(block.betas, ref.betas)
-        assert block.statuses == ref.statuses
+        assert np.array_equal(block.outcomes, ref.outcomes)
         assert block.failures == ref.failures
         assert _picks(block.betas, anchors[1]) == _picks(ref.betas, anchors[1])
         picks += _picks(block.betas, anchors[1])

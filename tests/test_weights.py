@@ -36,6 +36,25 @@ def test_constructor_validation():
         W.multinomial(0)
 
 
+@pytest.mark.parametrize("make, key", [(W.delete_d_jackknife, "d"),
+                                       (W.downweight_d_jackknife, "d"),
+                                       (W.m_out_of_n, "m")])
+@pytest.mark.parametrize("value", [2, np.int64(2), np.uint8(2)], ids=["int", "int64", "uint8"])
+def test_integer_parameters_accept_any_integral_type(make, key, value):
+    scheme = make(10, value)
+    assert type(scheme.params[key]) is int and scheme.params[key] == 2
+    assert scheme.label() == f"{scheme.kind}({key}=2)"
+    assert scheme == make(10, 2)
+
+
+@pytest.mark.parametrize("make", [W.delete_d_jackknife, W.downweight_d_jackknife,
+                                  W.m_out_of_n])
+@pytest.mark.parametrize("value", [True, np.bool_(True), 2.0, np.array(2.0), "2", None])
+def test_integer_parameters_reject_bool_and_non_integers(make, value):
+    with pytest.raises(ParameterError):
+        make(10, value)
+
+
 def test_parse_scheme_grammar():
     assert W.parse_scheme("multinomial", 7) == W.multinomial(7)
     assert W.parse_scheme("jackknife:d=2", 7) == W.delete_d_jackknife(7, 2)
@@ -162,7 +181,7 @@ def test_iid_scheme_moments_factorize():
     W.downweight_d_jackknife(6, 2),
 ], ids=lambda s: s.label())
 def test_theoretical_moments_match_enumeration(scheme):
-    atoms = W.enumerate_support(scheme)
+    atoms = list(W.iter_support(scheme))
     draws = np.stack([a[0] for a in atoms])
     probs = np.array([a[1] for a in atoms])
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -211,9 +230,9 @@ def test_support_sizes():
 
 def test_enumerate_support_rejects_infinite_and_oversized():
     with pytest.raises(UnsupportedSchemeError):
-        W.enumerate_support(W.iid_uniform(5, 0.5, 1.5))
+        list(W.iter_support(W.iid_uniform(5, 0.5, 1.5)))
     with pytest.raises(UnsupportedSchemeError):
-        W.enumerate_support(W.multinomial(30))   # about 5.9e16 atoms
+        list(W.iter_support(W.multinomial(30)))   # about 5.9e16 atoms
 
 
 @pytest.mark.parametrize("scheme", [
@@ -232,7 +251,7 @@ def test_samples_lie_in_support(scheme):
 
 
 def test_enumerate_multinomial_probabilities():
-    atoms = W.enumerate_support(W.multinomial(3))
+    atoms = list(W.iter_support(W.multinomial(3)))
     assert len(atoms) == math.comb(5, 2)
     probs = {tuple(w): p for w, p in atoms}
     assert sum(probs.values()) == pytest.approx(1.0)
