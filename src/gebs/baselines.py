@@ -125,10 +125,15 @@ def wild_bootstrap(model, data, beta_hat, n_boot, seed):
             rng.random(out=row[n_blocks:])
 
         def synthetic_slots(R, redraw):
-            # elementwise maps and sums of 0/1 values: exact for any block shape
+            # elementwise maps and sums of 0/1 values: exact for any block
+            # shape. One buffer holds the expanded multipliers, then the
+            # perturbed logits, success probabilities and synthetic responses:
+            # a block can hold a whole desk run
             u = R[:, :n_blocks][:, block_id]
-            ys = (R[:, n_blocks:] < M._sigmoid(t_hat + u * r)).astype(float)
-            successes = ys @ cell
+            u *= r
+            u += t_hat
+            np.less(R[:, n_blocks:], M._sigmoid(u, out=u), out=u)
+            successes = u @ cell
             return np.hstack([successes, cell_trials - successes])
 
         draw = Draws(n_blocks + len(y), fill, synthetic_slots)

@@ -4,8 +4,10 @@ statistics and the enumeration oracle.
 
 Only ``resample`` knows the per-draw streams, each equal to ``draw_rng(seed,
 b)`` bit for bit. Per draw it does only what needs draw b's own stream; what
-does not use the stream runs once per block (``Draws``). A block is solved by
-a ``solve_fn`` hook, by default ``solver.solve_weighted_batch``."""
+does not use the stream runs once per block (``Draws``). A block holds
+``block_rows(width)`` rows, as many as fit in ``BLOCK_CELLS`` cells, so a
+desk-scale run is one block. A block is solved by a ``solve_fn`` hook, by
+default ``solver.solve_weighted_batch``."""
 
 import ctypes
 import itertools
@@ -24,8 +26,9 @@ from .solver import block_solver
 from .solver import solve_weighted  # noqa: F401  (public name; tracers patch it here)
 
 MAX_FALLBACK_FRAC = 0.2
-# draws (or support atoms) solved together; bounds the (block, n) working set
-BLOCK_DRAWS = 128
+# cells (rows x width) of one block of draws or support atoms, 2 MiB of
+# float64: it bounds the (block, n) working set for any n
+BLOCK_CELLS = 1 << 18
 
 
 # numpy's SeedSequence (bit_generator.pyx): pool size and hash constants
@@ -41,6 +44,12 @@ _MASK64 = (1 << 64) - 1
 # native uint128 words, low limb first on little-endian hosts
 _LIMBS = (1, 0, 3, 2)
 _NO_BUFFER = bytes(8)
+
+
+def block_rows(width):
+    """Rows of a block of ``width``-wide rows: as many as ``BLOCK_CELLS``
+    holds, and at least one."""
+    return max(1, BLOCK_CELLS // width)
 
 
 def draw_rng(seed, *path):
@@ -292,6 +301,8 @@ class Draws:
 
     ``fill(rng, row)`` writes draw b's raw row into row b of a fresh
     (B, ``width``) block of ``dtype``, using only draw b's own stream ``rng``;
+    B is ``block_rows(width)``, or fewer in a run's last block, so ``width``
+    also sets how many draws share one block solve;
     ``finish(R, redraw)``, when given, maps the whole raw block at once to the
     rows the block solver gets (it may work in place and return ``R``).
     ``redraw(b)`` returns a fresh ``Generator`` equal to the stream of the
@@ -312,7 +323,7 @@ def resample(beta_hat, n_boot, seed, draw, solve_block, label, sigma2=1.0,
 
     Draw b's row comes from ``draw`` (a ``Draws``) on its own stream, equal to
     ``draw_rng(seed, b)``, so the sample does not depend on the block size.
-    Each block ``R`` of ``BLOCK_DRAWS`` rows goes to ``solve_block(R) ->
+    Each block ``R`` of ``block_rows(draw.width)`` rows goes to ``solve_block(R) ->
     (betas, failures, iterations or None)``; ``failures`` holds each draw's
     error class ("" if it solved) and becomes the sample's ``outcomes``. Other
     shapes than (len(R), p) roots and len(R) failures raise ``ShapeError``.
@@ -325,9 +336,10 @@ def resample(beta_hat, n_boot, seed, draw, solve_block, label, sigma2=1.0,
         raise ParameterError("need n_boot >= 1")
     blocks, kept = [], []
     streams = block_streams(seed, 0, n_boot)
-    for start in range(0, n_boot, BLOCK_DRAWS):
+    rows = block_rows(draw.width)
+    for start in range(0, n_boot, rows):
         # a fresh block each time: the solver or ``kept`` may hold on to it
-        R = np.empty((min(BLOCK_DRAWS, n_boot - start), draw.width), draw.dtype)
+        R = np.empty((min(rows, n_boot - start), draw.width), draw.dtype)
         for row, rng in zip(R, streams):   # R first: zip takes exactly len(R) streams
             draw.fill(rng, row)
         if draw.finish is not None:
@@ -406,8 +418,8 @@ def variance_estimate(sample, scale=1.0):
 def exact_variance_enumeration(model, data, beta_hat, scheme, scale=1.0):
     """Resampling variance as an exact expectation over the scheme's support.
 
-    Atoms whose solve fails contribute zero; ``fallback_frac`` is their
-    probability mass.
+    Atoms are solved ``block_rows(n)`` at a time. Atoms whose solve fails
+    contribute zero; ``fallback_frac`` is their probability mass.
     """
     beta_hat = np.atleast_1d(np.asarray(beta_hat, float))
     sigma2 = wmod.central_moment(scheme, (2,))
@@ -418,7 +430,8 @@ def exact_variance_enumeration(model, data, beta_hat, scheme, scale=1.0):
     failed_mass = 0.0
     atoms = wmod.iter_support(scheme)
     solve = block_solver(model, data, beta_hat)
-    while block := list(itertools.islice(atoms, BLOCK_DRAWS)):
+    rows = block_rows(scheme.n)
+    while block := list(itertools.islice(atoms, rows)):
         W = np.stack([w for w, _ in block])
         probs = np.array([prob for _, prob in block])
         betas, failures, _ = solve(W)

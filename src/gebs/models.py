@@ -37,10 +37,13 @@ LOGIT_CLAMP = 500.0  # exponent clamp; extreme resample weights can push |t| hug
 ISO_SCALE = 1.632    # stoichiometric constant in the isomerization rate model
 
 
-def _sigmoid(t):
+def _sigmoid(t, out=None):
     # in place: a large temporary that the allocator hands back to the OS is
-    # page-faulted in again on the next call, which dominates a (B, n) batch
-    e = np.exp(-np.clip(t, -LOGIT_CLAMP, LOGIT_CLAMP))
+    # page-faulted in again on the next call, which dominates a (B, n) batch;
+    # ``out`` (which may be ``t``) spares even the one buffer
+    e = np.clip(t, -LOGIT_CLAMP, LOGIT_CLAMP, out=out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
     e += 1.0
     return np.divide(1.0, e, out=e)
 

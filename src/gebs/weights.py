@@ -38,6 +38,17 @@ THIRD_ORDER_PATTERNS = ((3,), (2, 1), (1, 1, 1))
 FOURTH_ORDER_PATTERNS = ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
 
 
+def _index(value):
+    """``value`` as an int if it is integral (any ``operator.index`` type but
+    bool), else None."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 @dataclass(frozen=True)
 class WeightScheme:
     """A named exchangeable weight law of length ``n``."""
@@ -47,8 +58,10 @@ class WeightScheme:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError(f"weight-vector length must be >= 1, got {self.n}")
+        n = _index(self.n)
+        if n is None or n < 1:
+            raise ParameterError(f"weight-vector length must be an integer >= 1, got {self.n!r}")
+        object.__setattr__(self, "n", n)
         p = self.params
         if self.kind in (DELETE_D_JACKKNIFE, DOWNWEIGHT_D_JACKKNIFE):
             d = self._integer("d")
@@ -73,16 +86,10 @@ class WeightScheme:
             raise ParameterError(f"unknown weight scheme kind {self.kind!r}")
 
     def _integer(self, key):
-        """Parameter ``key`` stored as an int if it is integral (any
-        ``operator.index`` type but bool), else None."""
-        value = self.params.get(key)
-        if isinstance(value, bool):
-            return None
-        try:
-            value = operator.index(value)
-        except TypeError:
-            return None
-        object.__setattr__(self, "params", {**self.params, key: value})
+        """Parameter ``key`` stored as an int if it is integral, else None."""
+        value = _index(self.params.get(key))
+        if value is not None:
+            object.__setattr__(self, "params", {**self.params, key: value})
         return value
 
     def label(self):

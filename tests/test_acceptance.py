@@ -13,6 +13,7 @@ import pytest
 from gebs import bench, engine, models as M, weights as W
 from gebs.engine import (empirical_distribution, exact_variance_enumeration,
                          ks_distance, run_bootstrap, variance_estimate)
+from block_sizes import BLOCK_ROWS
 
 
 def _verdict(num, name, ok, detail):
@@ -301,14 +302,14 @@ def test_criterion_8_determinism(monkeypatch):
                    dict(experiment="glm", sims=2, boots=50, seed=9),
                    dict(experiment="nls", seed=9)):
         texts = set()
-        for block in (1, 7, 128):
-            monkeypatch.setattr(engine, "BLOCK_DRAWS", block)
+        for block_rows in BLOCK_ROWS:
+            monkeypatch.setattr(engine, "block_rows", block_rows)
             texts.add(_renderings(kwargs))
         ok = ok and len(texts) == 1
     _verdict(8, "determinism across solve block sizes", ok,
              "csv and json report bytes identical for blocks of 1, 7 and 128 "
-             "draws on ar1, glm and nls (ar1 and glm roots agree to rounding, "
-             "nls roots bitwise)")
+             "draws and the default cell budget on ar1, glm and nls (ar1 and "
+             "glm roots agree to rounding, nls roots bitwise)")
 
 
 # ---------------------------------------------------------------------------

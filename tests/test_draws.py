@@ -1,24 +1,31 @@
 """Block draws: the rows ``engine.resample`` hands to its block solver against
 the per-draw reference ``draw_oracle``, byte for byte, for every weight law
-and both baselines; bounded integers from raw words against numpy's
-``integers``, rejected rows included; and the slot reduction is built once
-per call."""
+and both baselines, in blocks of 128 rows and in the default cell budget's
+single block; bounded integers from raw words against numpy's ``integers``,
+rejected rows included; the cell budget itself, and one block per desk run of
+every benchmark workload; and the slot reduction is built once per call."""
 
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gebs import baselines, engine
+from gebs import baselines, cli, engine
 from gebs import models as M
 from gebs import weights as W
 from gebs.baselines import residual_bootstrap, wild_bootstrap
-from gebs.engine import BLOCK_DRAWS, exact_variance_enumeration, run_bootstrap
+from gebs.engine import BLOCK_CELLS, block_rows, exact_variance_enumeration, run_bootstrap
 from gebs.errors import ParameterError
 from gebs.solver import solve_weighted
+from block_sizes import fixed_rows
 from draw_oracle import oracle_rows, residual_draw, weight_draw, wild_draw
 
-N_BOOT = 300   # two full blocks and a partial one
+N_BOOT = 300
+# block sizes of a run: two full blocks of 128 rows and a partial one, and
+# the default budget's one block
+SPLITS = ((fixed_rows(128), [128, 128, 44]), (block_rows, [N_BOOT]))
 SEED = 2**40 + 11
 LAWS = {
     "multinomial": W.multinomial,
@@ -41,9 +48,9 @@ def pinned(model, data, W, beta_hat):
     return np.tile(beta_hat, (len(W), 1)), np.full(len(W), "", dtype=object), None
 
 
-def spy_blocks(monkeypatch, module):
-    """The list every block that ``resample``, called from ``module``, hands
-    to its block solver is appended to, as handed over."""
+def spy_blocks(monkeypatch, *modules):
+    """The list every block that ``resample``, called from any of
+    ``modules``, hands to its block solver is appended to, as handed over."""
     blocks, resample = [], engine.resample
 
     def spy(beta_hat, n_boot, seed, draw, solve_block, *args, **kwargs):
@@ -52,12 +59,21 @@ def spy_blocks(monkeypatch, module):
             return solve_block(R)
         return resample(beta_hat, n_boot, seed, draw, recording, *args, **kwargs)
 
-    monkeypatch.setattr(module, "resample", spy)
+    for module in modules:
+        monkeypatch.setattr(module, "resample", spy)
     return blocks
 
 
-def assert_blocks_equal_oracle(blocks, ref):
-    sizes = [BLOCK_DRAWS] * (N_BOOT // BLOCK_DRAWS) + [N_BOOT % BLOCK_DRAWS]
+def splits(monkeypatch, blocks):
+    """Set each of ``SPLITS``' block sizes in turn, emptying ``blocks``, and
+    yield the sizes of the blocks a run of ``N_BOOT`` draws should hand over."""
+    for rows, sizes in SPLITS:
+        monkeypatch.setattr(engine, "block_rows", rows)
+        blocks.clear()
+        yield sizes
+
+
+def assert_blocks_equal_oracle(blocks, ref, sizes):
     assert [len(R) for R in blocks] == sizes
     for a, b in itertools.combinations(blocks, 2):
         assert not np.shares_memory(a, b)
@@ -72,12 +88,13 @@ def test_weight_blocks_equal_per_draw_sampling(monkeypatch, law, n):
     scheme = LAWS[law](n)
     data = M.Dataset(n=n, arrays={"z": rng(n).standard_normal(n)})
     blocks = spy_blocks(monkeypatch, engine)
-    sample = run_bootstrap(M.MeanModel(), data, np.zeros(1), scheme, N_BOOT, SEED,
-                           solve_fn=pinned)
     ref = oracle_rows(weight_draw(scheme), SEED, N_BOOT)
-    assert_blocks_equal_oracle(blocks, ref)
-    # the stored rows are copies of distinct blocks, not one reused buffer
-    assert sample.weight_draws.tobytes() == ref.tobytes()
+    for sizes in splits(monkeypatch, blocks):
+        sample = run_bootstrap(M.MeanModel(), data, np.zeros(1), scheme, N_BOOT, SEED,
+                               solve_fn=pinned)
+        assert_blocks_equal_oracle(blocks, ref, sizes)
+        # the stored rows are copies of distinct blocks, not one reused buffer
+        assert sample.weight_draws.tobytes() == ref.tobytes()
     assert W.sample(scheme, engine.draw_rng(SEED, 3)).tobytes() == ref[3].tobytes()
 
 
@@ -95,9 +112,10 @@ def _rb_cases():
 def test_residual_blocks_equal_per_draw_resampling(monkeypatch, case):
     model, data, beta_hat = _rb_cases()[case]
     blocks = spy_blocks(monkeypatch, baselines)
-    residual_bootstrap(model, data, beta_hat, N_BOOT, SEED, solve_fn=pinned)
-    assert_blocks_equal_oracle(blocks, oracle_rows(residual_draw(model, data, beta_hat),
-                                                   SEED, N_BOOT))
+    ref = oracle_rows(residual_draw(model, data, beta_hat), SEED, N_BOOT)
+    for sizes in splits(monkeypatch, blocks):
+        residual_bootstrap(model, data, beta_hat, N_BOOT, SEED, solve_fn=pinned)
+        assert_blocks_equal_oracle(blocks, ref, sizes)
 
 
 def _wb_cases():
@@ -117,9 +135,10 @@ def _wb_cases():
 def test_wild_blocks_equal_per_draw_multipliers(monkeypatch, case):
     model, data, beta_hat = _wb_cases()[case]
     blocks = spy_blocks(monkeypatch, baselines)
-    wild_bootstrap(model, data, beta_hat, N_BOOT, SEED)
-    assert_blocks_equal_oracle(blocks, oracle_rows(wild_draw(model, data, beta_hat),
-                                                   SEED, N_BOOT))
+    ref = oracle_rows(wild_draw(model, data, beta_hat), SEED, N_BOOT)
+    for sizes in splits(monkeypatch, blocks):
+        wild_bootstrap(model, data, beta_hat, N_BOOT, SEED)
+        assert_blocks_equal_oracle(blocks, ref, sizes)
 
 
 # (bound, count) and how many of the 300 rows hold a Lemire rejection: near
@@ -129,7 +148,7 @@ INTEGER_CASES = [(3 * 2**30, 8, 262), (2**31 + 1, 6, 298), (2**32 - 1, 9, 0),
 
 
 @pytest.mark.parametrize("bound, count, n_redrawn", INTEGER_CASES)
-def test_integer_blocks_equal_numpy_integers(bound, count, n_redrawn):
+def test_integer_blocks_equal_numpy_integers(monkeypatch, bound, count, n_redrawn):
     blocks, redrawn = [], []
 
     def finish(raw, redraw):
@@ -143,17 +162,44 @@ def test_integer_blocks_equal_numpy_integers(bound, count, n_redrawn):
         return pinned(None, None, R, np.zeros(1))
 
     draw = engine.Draws((count + 1) // 2, engine.fill_raw, finish, np.uint64)
-    engine.resample(np.zeros(1), N_BOOT, SEED, draw, recording, "integers")
     ref = np.stack([engine.draw_rng(SEED, b).integers(0, bound, size=count)
                     for b in range(N_BOOT)])
-    assert_blocks_equal_oracle(blocks, ref)
-    assert len(redrawn) == n_redrawn
+    for sizes in splits(monkeypatch, blocks):
+        redrawn.clear()
+        engine.resample(np.zeros(1), N_BOOT, SEED, draw, recording, "integers")
+        assert_blocks_equal_oracle(blocks, ref, sizes)
+        assert len(redrawn) == n_redrawn
 
 
 @pytest.mark.parametrize("bound", [0, 2**32, 2**40])
 def test_integer_blocks_refuse_bounds_outside_numpys_lemire_path(bound):
     with pytest.raises(ParameterError):
         engine.integers_block(np.zeros((1, 1), np.uint64), bound, 2, engine.draw_rng)
+
+
+def test_block_rows_fill_the_cell_budget():
+    widths = np.arange(1, BLOCK_CELLS + 1)
+    rows = np.array([block_rows(w) for w in widths.tolist()])
+    assert np.all(rows * widths <= BLOCK_CELLS)
+    assert np.all((rows + 1) * widths > BLOCK_CELLS)   # as many rows as fit
+    for width in (BLOCK_CELLS + 1, 3 * BLOCK_CELLS, 10**9):
+        assert block_rows(width) == 1
+
+
+_spec = importlib.util.spec_from_file_location(
+    "gebs_workloads", Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_benchmark_desk_runs_reach_the_solver_in_one_block(monkeypatch, tmp_path, name):
+    workload = workloads.WORKLOADS[name]
+    blocks = spy_blocks(monkeypatch, baselines, engine)
+    argv = workload.argv(workloads.CHECK_SEED, tmp_path / "report.csv")
+    assert cli.main(argv) == cli.EXIT_OK
+    runs = workload.sims * len(workload.methods)
+    assert [len(R) for R in blocks] == [workload.boots] * runs
 
 
 def test_slot_reduction_is_built_once_per_call(monkeypatch):
@@ -175,7 +221,8 @@ def test_slot_reduction_is_built_once_per_call(monkeypatch):
     assert calls == ["cell_slots"]
     # 3 groups of 4 trials: 6 slots for 12 trials; 220 atoms, two blocks
     small = M.simulate_glm([-1.0, 2.0], np.full(3, 4), np.array([-1.0, 0.0, 1.0]), rng(2))
-    assert W.support_size(W.delete_d_jackknife(12, 3)) > BLOCK_DRAWS
+    monkeypatch.setattr(engine, "block_rows", fixed_rows(128))
+    assert W.support_size(W.delete_d_jackknife(12, 3)) > 128
     calls.clear()
     exact_variance_enumeration(model, small, np.array([-0.5, 1.5]),
                                W.delete_d_jackknife(12, 3))

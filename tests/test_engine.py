@@ -17,6 +17,7 @@ from gebs.engine import (EmpiricalDistribution, draw_rng, empirical_distribution
 from gebs.errors import (DegenerateRunError, InsufficientSampleError,
                          NonConvergenceError, ParameterError, ShapeError)
 from gebs.solver import solve_weighted, solve_weighted_batch
+from block_sizes import BLOCK_ROWS
 from per_draw import per_draw
 
 
@@ -382,8 +383,8 @@ def test_roots_agree_across_solve_block_sizes(monkeypatch, case):
     # so roots may differ in the last bits; outcomes must not differ at all
     run, rtol = _block_size_cases()[case]
     samples = []
-    for block in (1, 7, 128):
-        monkeypatch.setattr(engine, "BLOCK_DRAWS", block)
+    for block_rows in BLOCK_ROWS:
+        monkeypatch.setattr(engine, "block_rows", block_rows)
         samples.append(run())
     ref = samples[0]
     scale = 1.0 + np.max(np.abs(ref.betas), axis=1)

@@ -55,6 +55,18 @@ def test_integer_parameters_reject_bool_and_non_integers(make, value):
         make(10, value)
 
 
+@pytest.mark.parametrize("n", [True, np.bool_(True), 2.0, np.float64(2.0), "2", None])
+def test_scheme_length_rejects_bool_and_non_integers(n):
+    with pytest.raises(ParameterError):
+        W.multinomial(n)
+
+
+def test_scheme_length_accepts_numpy_integers():
+    scheme = W.multinomial(np.int64(5))
+    assert type(scheme.n) is int and scheme == W.multinomial(5)
+    assert W.sample(scheme, np.random.default_rng(0)).shape == (5,)
+
+
 def test_parse_scheme_grammar():
     assert W.parse_scheme("multinomial", 7) == W.multinomial(7)
     assert W.parse_scheme("jackknife:d=2", 7) == W.delete_d_jackknife(7, 2)
