@@ -16,7 +16,7 @@ from . import models as M
 from .engine import Draws, fill_raw, integers_block, resample
 from .engine import draw_rng  # noqa: F401  (public name; tracers patch it here)
 from .errors import SingularSystemError, UnsupportedModelError
-from .solver import newton_batch, solve_weighted_batch, well_conditioned
+from .solver import solve_weighted_batch, well_conditioned
 from .solver import solve_weighted  # noqa: F401  (public name; tracers patch it here)
 
 WB_DELTA = 0.001   # wild bootstrap: logit-residual guard for grouped binary data
@@ -76,8 +76,9 @@ def wild_bootstrap(model, data, beta_hat, n_boot, seed):
     probability, a synthetic binary response is drawn from it, and the
     logistic fit is recomputed. That refit is a batched reweighted solve over
     the per-trial model's (covariate cell, outcome) ``cell_slots``, built once
-    per call, so blocks of draws share one Newton solve (``newton_batch``) and
-    the sample records Newton steps per draw.
+    per call: a block of draws is one ``solve_weighted_batch`` call, whose
+    ``slots`` lookup finds the slot data reduced already, and the sample
+    records Newton steps per draw.
     """
     require_support("wb", model)
     beta_hat = np.atleast_1d(np.asarray(beta_hat, float))
@@ -139,6 +140,6 @@ def wild_bootstrap(model, data, beta_hat, n_boot, seed):
         draw = Draws(n_blocks + len(y), fill, synthetic_slots)
 
         def solve_block(V):
-            return newton_batch(per_trial, slot_data, V, beta_hat)
+            return solve_weighted_batch(per_trial, slot_data, V, beta_hat)
 
     return resample(beta_hat, n_boot, seed, draw, solve_block, "wild bootstrap")

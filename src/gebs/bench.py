@@ -105,6 +105,11 @@ class ExperimentConfig:
         if self.methods is None:
             self.methods = DEFAULT_METHODS[self.experiment]
         self.methods = tuple(self.methods)
+        for name in ("n", "sims", "boots", "seed"):   # bools refused, numpy ints kept as int
+            value = wmod._index(getattr(self, name))
+            if value is None:
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            setattr(self, name, value)
         if self.sims < 1:
             raise ConfigError("sims must be >= 1")
         if self.experiment == "nls" and self.sims != 1:
@@ -119,7 +124,6 @@ class ExperimentConfig:
         # results are keyed by method name: a repeat would overwrite a run
         if repeated := sorted({m for m in self.methods if self.methods.count(m) > 1}):
             raise ConfigError(f"method named more than once: {', '.join(repeated)}")
-        self.seed = int(self.seed)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 

@@ -22,7 +22,7 @@ from scipy.special import ndtr
 from . import weights as wmod
 from .errors import (DegenerateRunError, InsufficientSampleError, ParameterError,
                      ShapeError)
-from .solver import block_solver
+from .solver import solve_weighted_batch
 from .solver import solve_weighted  # noqa: F401  (public name; tracers patch it here)
 
 MAX_FALLBACK_FRAC = 0.2
@@ -380,11 +380,10 @@ def run_bootstrap(model, data, beta_hat, scheme, n_boot, seed,
     batched Newton solve from ``beta_hat``, ``solve_weighted_batch``.
     """
     beta_hat = np.atleast_1d(np.asarray(beta_hat, float))
-    solve_block = (block_solver(model, data, beta_hat) if solve_fn is None
-                   else lambda W: solve_fn(model, data, W, beta_hat))
+    hook = solve_fn or solve_weighted_batch
     return resample(beta_hat, n_boot, seed, Draws(scheme.n, *wmod.sampler(scheme)),
-                    solve_block, "generalized bootstrap", wmod.central_moment(scheme, (2,)),
-                    store_weights)
+                    lambda W: hook(model, data, W, beta_hat), "generalized bootstrap",
+                    wmod.central_moment(scheme, (2,)), store_weights)
 
 
 def _estimate(v, mc_stderr=None, **flags):
@@ -429,12 +428,11 @@ def exact_variance_enumeration(model, data, beta_hat, scheme, scale=1.0):
     acc = np.zeros((p, p))
     failed_mass = 0.0
     atoms = wmod.iter_support(scheme)
-    solve = block_solver(model, data, beta_hat)
     rows = block_rows(scheme.n)
     while block := list(itertools.islice(atoms, rows)):
         W = np.stack([w for w, _ in block])
         probs = np.array([prob for _, prob in block])
-        betas, failures, _ = solve(W)
+        betas, failures, _ = solve_weighted_batch(model, data, W, beta_hat)
         ok = failures == ""   # definitional fallback contributes zero
         d = betas[ok] - beta_hat
         acc += (probs[ok, None] * d).T @ d

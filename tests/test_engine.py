@@ -324,6 +324,30 @@ def test_studentized_stats_mean_model():
         studentized_stats(model, data, beta_hat, no_w)
 
 
+class PoissonMeanModel(M.IndexModel):
+    """README's Poisson log link on an intercept, with no ``hessian_all``."""
+
+    def design(self, data):
+        return np.ones((data.n, 1))
+
+    def factor(self, data, T):
+        return data["z"] - np.exp(T)
+
+    def slope(self, data, T):
+        return np.exp(T)
+
+
+def test_studentized_stats_needs_the_hessian_of_a_nonlinear_score():
+    # its true gamma2 is -exp(beta_hat): a zero default would pass silently
+    data = M.Dataset(n=40, arrays={"z": rng(19).poisson(2.0, 40).astype(float)})
+    model = PoissonMeanModel()
+    beta_hat = solve_weighted(model, data, np.ones(40)).beta
+    sample = run_bootstrap(model, data, beta_hat, W.multinomial(40), 200, seed=20)
+    # the mean model's zero Hessian is asserted by test_studentized_stats_mean_model
+    with pytest.raises(NotImplementedError):
+        studentized_stats(model, data, beta_hat, sample)
+
+
 def test_studentized_stats_reject_all_zero_scores():
     # constant z: every mean-model score z_i - beta_hat is zero, so g_hat = 0
     data = M.Dataset(n=10, arrays={"z": np.full(10, 2.5)})
