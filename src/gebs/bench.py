@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import baselines as bmod
 from . import engine as emod
@@ -104,6 +103,9 @@ class ExperimentConfig:
             self.n = DEFAULT_N[self.experiment]
         if self.methods is None:
             self.methods = DEFAULT_METHODS[self.experiment]
+        if isinstance(self.methods, str):   # tuple("rb") would be ("r", "b")
+            raise ConfigError(f"methods must be a sequence of names, "
+                              f"not the string {self.methods!r}")
         self.methods = tuple(self.methods)
         for name in ("n", "sims", "boots", "seed"):   # bools refused, numpy ints kept as int
             value = wmod._index(getattr(self, name))
@@ -295,6 +297,10 @@ def _nls_fit(model, data, weights, start):
     unbounded solver never settles. The box pins ridge fits to a reproducible
     boundary point while leaving the interior optimum untouched.
     """
+    # imported here: scipy.optimize costs a fresh process about 0.35 s, and
+    # only the nls full-data fit needs it
+    from scipy.optimize import least_squares
+
     sw = np.sqrt(np.asarray(weights, float))
     y = data["y"]
 

@@ -4,9 +4,13 @@
 and writes its report. Exit codes: 0 success, 2 configuration error, 3 a
 method degenerated (too many resamples fell back to the full-data root; the
 report is still written with the offending cells flagged).
+
+``main`` first sets the process's heap policy (``apply_heap_policy``); a
+library caller's process keeps the allocator's defaults.
 """
 
 import argparse
+import ctypes
 import re
 import sys
 
@@ -18,6 +22,36 @@ from .errors import (ConfigError, DegenerateRunError, ParameterError, ParseError
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
+
+# glibc's mallopt parameters, and the ceiling of its dynamic mmap threshold
+# (DEFAULT_MMAP_THRESHOLD_MAX: 32 MiB on 64-bit hosts)
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD = 4 * 1024 * 1024 * ctypes.sizeof(ctypes.c_long)
+
+
+def apply_heap_policy():
+    """Keep freed blocks of up to ``MMAP_THRESHOLD`` bytes on the heap.
+
+    glibc maps a block above its mmap threshold (128 KiB at start) afresh
+    and unmaps it on free, and gives a freed heap top above its trim
+    threshold back to the system, so every run's (B, n) arrays would fault
+    their pages in anew. It raises both thresholds only after such a block
+    is freed, so what a run pays depends on what the process freed before.
+    Fixing the mmap threshold at glibc's own ceiling, and the trim threshold
+    at twice it (glibc's own ratio), keeps freed blocks on the heap for reuse
+    from the first run. Linux with a C library that has ``mallopt`` only;
+    returns the two ``mallopt`` results (1 when applied), or None.
+    """
+    if not sys.platform.startswith("linux"):
+        return None
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return (mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD),
+            mallopt(M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD))
 
 
 def build_parser():
@@ -53,6 +87,7 @@ def _methods_from(text):
 
 
 def main(argv=None):
+    apply_heap_policy()
     args = build_parser().parse_args(argv)
     try:
         config = ExperimentConfig(

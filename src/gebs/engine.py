@@ -17,7 +17,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import weights as wmod
 from .errors import (DegenerateRunError, InsufficientSampleError, ParameterError,
@@ -536,6 +535,8 @@ def ks_distance(a, b="normal"):
     if isinstance(b, str):
         if b != "normal":
             raise ParameterError(f"unknown reference distribution {b!r}")
+        # imported here so that `import gebs` loads no scipy module
+        from scipy.special import ndtr
         cdf = ndtr(a)
         hi = np.arange(1, na + 1) / na - cdf
         lo = cdf - np.arange(0, na) / na

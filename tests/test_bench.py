@@ -1,7 +1,9 @@
 """Experiment harness: configuration, histograms, reports, CLI."""
 
+import ctypes
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -56,6 +58,13 @@ def test_config_defaults_fill_in():
 def test_config_validation(kwargs):
     with pytest.raises(ConfigError):
         bench.ExperimentConfig(**kwargs)
+
+
+@pytest.mark.parametrize("methods", ["rb", "gbs-exp", ""])
+def test_config_refuses_a_string_of_methods(methods):
+    # a string is a sequence of characters: "rb" would run methods r and b
+    with pytest.raises(ConfigError, match="methods"):
+        bench.ExperimentConfig("ar1", methods=methods)
 
 
 def test_config_stores_numpy_integers_as_int():
@@ -316,15 +325,53 @@ def test_cli_rejects_non_finite_scheme_parameters(argv, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats dominates the import time of the CLI and nothing needs it
+CLI_RUNS_WITHOUT_SCIPY = """
+import sys, gebs, gebs.cli
+out = sys.argv[1]
+for argv in (["--experiment", "ar1", "--n", "20", "--sims", "2", "--boots", "20"],
+             ["--experiment", "glm", "--sims", "1", "--boots", "20"],
+             ["--experiment", "weights-check", "--methods", "exp"]):
+    assert gebs.cli.main(["run", *argv, "--out", out]) == 0, argv
+print(sorted(m for m in ("scipy.special", "scipy.optimize", "scipy.stats",
+                         "scipy.linalg") if m in sys.modules))
+"""
+
+
+def test_cli_runs_of_ar1_glm_and_weights_check_load_no_scipy(tmp_path):
+    # scipy's import is most of a fresh process's set-up and only the nls fit
+    # and ks_distance(..., "normal") use it
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    code = "import sys, gebs.cli; print('scipy.stats' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", CLI_RUNS_WITHOUT_SCIPY,
+                           str(tmp_path / "report.csv")], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+
+class _Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt")
+def test_heap_policy_applies_both_mallopt_settings():
+    assert cli.apply_heap_policy() == (1, 1)
+    libc = ctypes.CDLL(None)
+    if not hasattr(libc, "mallinfo2"):     # glibc < 2.33
+        return
+    libc.mallinfo2.restype = _Mallinfo2
+    libc.malloc.argtypes, libc.malloc.restype = (ctypes.c_size_t,), ctypes.c_void_p
+    libc.free.argtypes, libc.free.restype = (ctypes.c_void_p,), None
+    # a 1 MiB block, far above glibc's initial 128 KiB threshold, comes from
+    # the heap and not from a mapping of its own
+    mapped = libc.mallinfo2().hblks
+    block = libc.malloc(1 << 20)
+    try:
+        assert block and libc.mallinfo2().hblks == mapped
+    finally:
+        libc.free(block)
 
 
 def test_cli_nls_rejects_sims_other_than_one(tmp_path, capsys):
