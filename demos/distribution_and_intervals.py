@@ -1,10 +1,9 @@
-"""Bootstrap distribution estimates, percentile intervals, studentization.
+"""Bootstrap distribution estimates and percentile intervals.
 
 Beyond a single variance number, the bootstrap sample estimates the whole
 sampling law of the normalized estimator. This demo checks that the
 normalized bootstrap distribution is close to standard normal (and to the
-true simulated sampling law), builds percentile confidence intervals, and
-computes studentized pivots.
+true simulated sampling law) and builds percentile confidence intervals.
 """
 
 import math
@@ -13,8 +12,7 @@ import numpy as np
 
 from gebs import models as M
 from gebs import weights as W
-from gebs.engine import (empirical_distribution, ks_distance, percentile_ci,
-                         run_bootstrap, studentized_stats)
+from gebs.engine import empirical_distribution, ks_distance, percentile_ci, run_bootstrap
 
 rng = np.random.default_rng(0)
 n, B = 200, 2000
@@ -43,12 +41,3 @@ print()
 lo, hi = percentile_ci(sample.betas[:, 0], 0.95)
 print(f"95% percentile interval for beta: [{lo:.4f}, {hi:.4f}]"
       f"  (true value {beta0}, covered: {lo <= beta0 <= hi})")
-
-print()
-stats = studentized_stats(model, data, beta_hat, sample, beta0=beta0)
-ok = ~stats.undefined
-print("studentized pivot and bootstrap analogs:")
-print(f"  t_n = {stats.t_n:.4f}")
-print(f"  t_nB quantiles (2.5%, 50%, 97.5%): "
-      f"{np.percentile(stats.t_nb[ok], [2.5, 50, 97.5]).round(4)}")
-print(f"  draws with degenerate plug-in scale: {int(stats.undefined.sum())}")

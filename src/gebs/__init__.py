@@ -12,8 +12,7 @@ from .bench import (ExperimentConfig, ExperimentReport, density_histogram,
 from .engine import (BootstrapSample, EmpiricalDistribution, VarianceEstimate,
                      draw_rng, empirical_distribution,
                      exact_variance_enumeration, ks_distance, percentile_ci,
-                     percentile_cis_batch, run_bootstrap, studentized_stats,
-                     variance_estimate)
+                     percentile_cis_batch, run_bootstrap, variance_estimate)
 from .errors import (ConfigError, DegenerateRunError, EmptyRootSetError,
                      EvaluationError, GebsError, InsufficientSampleError,
                      NonConvergenceError, ParameterError, ParseError,

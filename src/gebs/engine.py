@@ -1,6 +1,6 @@
 """Generalized-bootstrap driver: one resample loop over blocks of draws, the
-variance and distribution estimates, percentile intervals, studentized
-statistics and the enumeration oracle.
+variance and distribution estimates, percentile intervals, KS distances and
+the enumeration oracle.
 
 Only ``resample`` knows the per-draw streams, each equal to ``draw_rng(seed,
 b)`` bit for bit. Per draw it does only what needs draw b's own stream; what
@@ -283,17 +283,6 @@ class EmpiricalDistribution:
         return np.quantile(self.values, q)
 
 
-@dataclass
-class StudentizedStats:
-    gamma1_hat: float
-    gamma2_hat: float
-    g_hat: float
-    g_hat_b: np.ndarray
-    t_n: float
-    t_nb: np.ndarray
-    undefined: np.ndarray      # mask of draws with degenerate g_hat_b
-
-
 @dataclass(frozen=True)
 class Draws:
     """How ``resample`` draws its rows, a block at a time.
@@ -488,50 +477,14 @@ def percentile_cis_batch(draw_matrix, level):
     return vals[k_lo - 1], vals[k_hi - 1]
 
 
-def studentized_stats(model, data, beta_hat, sample, beta0=None):
-    """Bias-corrected studentized pivot and its per-draw bootstrap analogs."""
-    beta_hat = np.atleast_1d(np.asarray(beta_hat, float))
-    if len(beta_hat) != 1:
-        raise ParameterError("studentized statistics require p = 1")
-    if sample.weight_draws is None:
-        raise ParameterError("sample must retain weight draws")
-    n = model.weight_count(data)
-    scores = model.score_all(data, beta_hat)[:, 0]
-    gamma1 = float(np.sum(model.jacobian_all(data, beta_hat)[:, 0, 0])) / n
-    gamma2 = float(np.sum(model.hessian_all(data, beta_hat)[:, 0, 0, 0])) / n
-    g_hat = math.sqrt(float(np.mean(scores ** 2)))
-    if g_hat == 0:
-        raise ParameterError("every score is zero at beta_hat: the studentizer vanishes")
-    sigma = math.sqrt(sample.sigma2)
-    if sigma == 0:
-        raise ParameterError("degenerate scheme: all standardized weights are zero")
-
-    W = (sample.weight_draws - 1.0) / sigma
-    g_hat_b = np.sqrt(np.mean(W ** 2 * scores[None, :] ** 2, axis=1))
-    undefined = g_hat_b <= 0
-
-    v_gbs = variance_estimate(sample).v_gbs
-    t_n = math.nan
-    if beta0 is not None:
-        t_n = (gamma1 / g_hat * math.sqrt(n) * (beta_hat[0] - float(beta0))
-               - 0.5 / math.sqrt(n) * gamma2 * v_gbs / (gamma1 ** 2 * g_hat))
-
-    z = math.sqrt(n) / sigma * sample.deltas()[:, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_nb = (gamma1 * z / g_hat_b
-                + 0.5 / math.sqrt(n) * sigma * gamma2 * z ** 2 / g_hat_b)
-    t_nb[undefined] = np.nan
-    return StudentizedStats(gamma1, gamma2, g_hat, g_hat_b, t_n, t_nb, undefined)
-
-
 def ks_distance(a, b="normal"):
     """Sup distance between empirical CDFs, or against the standard normal."""
     if isinstance(a, EmpiricalDistribution):
         a = a.values
     a = np.sort(np.asarray(a, float))
     na = a.size
-    if na == 0:
-        raise ParameterError("first sample is empty")
+    if na == 0 or not np.all(np.isfinite(a)):
+        raise ParameterError("first sample is empty or not finite")
     if isinstance(b, str):
         if b != "normal":
             raise ParameterError(f"unknown reference distribution {b!r}")
@@ -544,8 +497,8 @@ def ks_distance(a, b="normal"):
     if isinstance(b, EmpiricalDistribution):
         b = b.values
     b = np.sort(np.asarray(b, float))
-    if b.size == 0:
-        raise ParameterError("second sample is empty")
+    if b.size == 0 or not np.all(np.isfinite(b)):
+        raise ParameterError("second sample is empty or not finite")
     grid = np.concatenate([a, b])
     fa = np.searchsorted(a, grid, side="right") / na
     fb = np.searchsorted(b, grid, side="right") / b.size

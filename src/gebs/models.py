@@ -2,8 +2,7 @@
 
 A model evaluates a vector score phi_i(beta) for each of its weight slots,
 together with the analytic Jacobian (d phi / d beta, one p x p matrix per
-slot, row a = gradient of component a) and the symmetric Hessians of each
-score component. Everything is vectorized over slots.
+slot, row a = gradient of component a). Everything is vectorized over slots.
 
 For the batched solver a model also evaluates the weighted score and Jacobian
 of B reweighted systems at once: ``weighted_score_batch(data, W, betas)``
@@ -125,9 +124,6 @@ class Model:
     def jacobian_all(self, data, beta):
         raise NotImplementedError
 
-    def hessian_all(self, data, beta):
-        raise NotImplementedError
-
     def weighted_score_batch(self, data, W, betas):
         """Row b: sum_i W[b, i] phi_i(betas[b]); NaN outside the domain."""
         return self._row_by_row(self.score_all, data, W, betas, np.shape(betas)[1:])
@@ -186,12 +182,6 @@ class IndexModel(Model):
         D = self.design(data)
         vD = (self.slope(data, D @ beta) * D.T).T
         return -vD[:, :, None] * D[:, None, :]
-
-    def hessian_all(self, data, beta):
-        # zero while ``slope`` is the constant default: least-squares scores are linear
-        if type(self).slope is not IndexModel.slope:
-            return super().hessian_all(data, beta)
-        return np.zeros((self.weight_count(data), self.p, self.p, self.p))
 
     def weighted_score_batch(self, data, W, betas):
         D = self.design(data)
@@ -275,13 +265,6 @@ class LogisticGroupModel(IndexModel):
         v = self._outcomes(data)[1] * P
         v *= np.subtract(1.0, P, out=P)   # N P (1 - P), reusing P's buffer
         return v
-
-    def hessian_all(self, data, beta):
-        D = self.design(data)
-        p = _sigmoid(D @ beta)
-        v = self._outcomes(data)[1] * p * (1.0 - p) * (1.0 - 2.0 * p)
-        return (-v[:, None, None, None]
-                * D[:, :, None, None] * D[:, None, :, None] * D[:, None, None, :])
 
 
 class LogisticIndividualModel(LogisticGroupModel):
@@ -376,34 +359,6 @@ class IsomerizationModel(Model):
         _, D, A, Aj, Dj = parts
         return Aj / D[:, None] - (A / D ** 2)[:, None] * Dj
 
-    @staticmethod
-    def _second(parts):
-        """Second derivatives of A and of f, each indexed (slot, param, param)."""
-        u, D, A, Aj, Dj = parts
-        Ajk = np.zeros((len(D), 4, 4))
-        Ajk[:, 0, 2] = u
-        Ajk[:, 2, 0] = u
-        cross = Aj[:, :, None] * Dj[:, None, :]
-        H = (Ajk / D[:, None, None]
-             - (cross + cross.transpose(0, 2, 1)) / (D ** 2)[:, None, None]
-             + 2.0 * (A / D ** 3)[:, None, None] * Dj[:, :, None] * Dj[:, None, :])
-        return Ajk, H
-
-    @staticmethod
-    def _third(parts, Ajk):
-        _, D, A, Aj, Dj = parts
-        T = np.zeros((len(D), 4, 4, 4))
-        T -= (Ajk[:, :, :, None] * Dj[:, None, None, :]
-              + Ajk[:, :, None, :] * Dj[:, None, :, None]
-              + Ajk[:, None, :, :] * Dj[:, :, None, None]) / (D ** 2)[:, None, None, None]
-        T += 2.0 * (Aj[:, :, None, None] * Dj[:, None, :, None] * Dj[:, None, None, :]
-                    + Aj[:, None, :, None] * Dj[:, :, None, None] * Dj[:, None, None, :]
-                    + Aj[:, None, None, :] * Dj[:, :, None, None] * Dj[:, None, :, None]
-                    ) / (D ** 3)[:, None, None, None]
-        T -= 6.0 * (A / D ** 4)[:, None, None, None] \
-            * Dj[:, :, None, None] * Dj[:, None, :, None] * Dj[:, None, None, :]
-        return T
-
     def f_grad(self, data, theta):
         return self._grad(self._checked_parts(data, theta))
 
@@ -419,16 +374,14 @@ class IsomerizationModel(Model):
 
     def jacobian_all(self, data, beta):
         parts, resid, g = self._resid_grad(data, beta)
-        _, h = self._second(parts)
+        u, D, A, Aj, Dj = parts
+        Ajk = np.zeros((len(D), 4, 4))   # second derivatives of A = theta1 theta3 u
+        Ajk[:, 0, 2] = Ajk[:, 2, 0] = u
+        cross = Aj[:, :, None] * Dj[:, None, :]
+        h = (Ajk / D[:, None, None]       # second derivatives of f
+             - (cross + cross.transpose(0, 2, 1)) / (D ** 2)[:, None, None]
+             + 2.0 * (A / D ** 3)[:, None, None] * Dj[:, :, None] * Dj[:, None, :])
         return h * resid[:, None, None] - g[:, :, None] * g[:, None, :]
-
-    def hessian_all(self, data, beta):
-        parts, resid, g = self._resid_grad(data, beta)
-        Ajk, h = self._second(parts)
-        return (self._third(parts, Ajk) * resid[:, None, None, None]
-                - h[:, :, :, None] * g[:, None, None, :]
-                - h[:, :, None, :] * g[:, None, :, None]
-                - g[:, :, None, None] * h[:, None, :, :])
 
     def objective(self, data, weights, beta):
         resid = data["y"] - self.f(data, np.asarray(beta, float))

@@ -13,10 +13,10 @@ from gebs.bench import GLM_BETA
 from gebs.engine import (EmpiricalDistribution, draw_rng, empirical_distribution,
                          exact_variance_enumeration, ks_distance,
                          percentile_ci, percentile_cis_batch, run_bootstrap,
-                         studentized_stats, variance_estimate)
+                         variance_estimate)
 from gebs.errors import (DegenerateRunError, InsufficientSampleError,
                          NonConvergenceError, ParameterError, ShapeError)
-from gebs.solver import solve_weighted, solve_weighted_batch
+from gebs.solver import TOL, solve_weighted, solve_weighted_batch
 from block_sizes import BLOCK_ROWS
 from per_draw import per_draw
 
@@ -308,24 +308,8 @@ def test_percentile_cis_batch_matches_scalar():
             percentile_cis_batch(mat, level)
 
 
-def test_studentized_stats_mean_model():
-    model, data, beta_hat = mean_setup(n=30, seed=16)
-    sample = run_bootstrap(model, data, beta_hat, W.multinomial(30), 80, seed=17)
-    stats = studentized_stats(model, data, beta_hat, sample, beta0=0.0)
-    assert stats.gamma1_hat == pytest.approx(-1.0)
-    assert stats.gamma2_hat == 0.0
-    assert stats.g_hat == pytest.approx(np.std(data["z"]))
-    assert math.isfinite(stats.t_n)
-    ok = ~stats.undefined
-    assert np.all(np.isfinite(stats.t_nb[ok]))
-    with pytest.raises(ParameterError):
-        no_w = run_bootstrap(model, data, beta_hat, W.multinomial(30), 20,
-                             seed=18, store_weights=False)
-        studentized_stats(model, data, beta_hat, no_w)
-
-
 class PoissonMeanModel(M.IndexModel):
-    """README's Poisson log link on an intercept, with no ``hessian_all``."""
+    """README's Poisson log link on an intercept."""
 
     def design(self, data):
         return np.ones((data.n, 1))
@@ -337,25 +321,19 @@ class PoissonMeanModel(M.IndexModel):
         return np.exp(T)
 
 
-def test_studentized_stats_needs_the_hessian_of_a_nonlinear_score():
-    # its true gamma2 is -exp(beta_hat): a zero default would pass silently
-    data = M.Dataset(n=40, arrays={"z": rng(19).poisson(2.0, 40).astype(float)})
-    model = PoissonMeanModel()
-    beta_hat = solve_weighted(model, data, np.ones(40)).beta
-    sample = run_bootstrap(model, data, beta_hat, W.multinomial(40), 200, seed=20)
-    # the mean model's zero Hessian is asserted by test_studentized_stats_mean_model
-    with pytest.raises(NotImplementedError):
-        studentized_stats(model, data, beta_hat, sample)
-
-
-def test_studentized_stats_reject_all_zero_scores():
-    # constant z: every mean-model score z_i - beta_hat is zero, so g_hat = 0
-    data = M.Dataset(n=10, arrays={"z": np.full(10, 2.5)})
-    model, beta_hat = M.MeanModel(), np.array([2.5])
-    sample = run_bootstrap(model, data, beta_hat, W.multinomial(10), 20, seed=3)
-    for beta0 in (None, 0.0):
-        with pytest.raises(ParameterError, match="every score is zero"):
-            studentized_stats(model, data, beta_hat, sample, beta0=beta0)
+def test_poisson_log_link_roots_are_logs_of_weighted_means():
+    # sum_i w_i (z_i - exp(beta)) = 0 has the closed-form root
+    # log(sum_i w_i z_i / sum_i w_i); Newton stops within TOL of it
+    n = 40
+    z = rng(19).poisson(2.0, n).astype(float)
+    data, model = M.Dataset(n=n, arrays={"z": z}), PoissonMeanModel()
+    beta_hat = solve_weighted(model, data, np.ones(n)).beta
+    np.testing.assert_allclose(beta_hat, [math.log(z.mean())], rtol=TOL, atol=0)
+    sample = run_bootstrap(model, data, beta_hat, W.multinomial(n), 200, seed=20)
+    assert sample.fallback_count == 0
+    w = sample.weight_draws
+    np.testing.assert_allclose(sample.betas[:, 0], np.log(w @ z / w.sum(axis=1)),
+                               rtol=TOL, atol=0)
 
 
 def _block_size_cases():
@@ -439,6 +417,8 @@ def test_ks_distance_against_normal():
         ks_distance(a, "cauchy")
     with pytest.raises(ParameterError):
         ks_distance(np.array([]))
+    with pytest.raises(ParameterError, match="first sample is empty or not finite"):
+        ks_distance([0.1, np.nan, 0.3])
 
 
 def test_ks_distance_two_sample_known_value():
@@ -447,6 +427,8 @@ def test_ks_distance_two_sample_known_value():
     assert ks_distance(a, b) == 1.0
     with pytest.raises(ParameterError, match="second sample is empty"):
         ks_distance(a, np.array([]))
+    with pytest.raises(ParameterError, match="second sample is empty or not finite"):
+        ks_distance([0.1, 0.2], [np.nan, 0.0])
 
 
 def test_draw_rng_streams_independent_and_stable():

@@ -32,10 +32,8 @@ def test_per_slot_matches_vectorized(model, data, beta):
     n = model.weight_count(data)
     scores = model.score_all(data, beta)
     jacs = model.jacobian_all(data, beta)
-    hess = model.hessian_all(data, beta)
     assert scores.shape == (n, model.p)
     assert jacs.shape == (n, model.p, model.p)
-    assert hess.shape == (n, model.p, model.p, model.p)
 
 
 def test_group_scores_aggregate_individual_scores():
