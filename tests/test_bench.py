@@ -40,6 +40,7 @@ def test_config_defaults_fill_in():
     {"experiment": "ar1", "methods": ()},
     {"experiment": "ar1", "seed": -1},
     {"experiment": "nls", "sims": 3},
+    {"experiment": "nls", "boots": 49},   # fewer draws than a histogram takes
     # options the experiment would ignore, even at their default values
     {"experiment": "glm", "n": 10},
     {"experiment": "nls", "n": 24},
@@ -182,19 +183,21 @@ def test_unknown_method_rejected():
     ("ar1", "wb,bogus", "simulate_ar1"),
     ("ar1", "rb,gbs-uniform:0.5", "simulate_ar1"),
     ("glm", "wb,rb", "simulate_glm"),
-    ("nls", "rb,wb", "nls_roots"),
+    ("nls", "rb,wb", "nls_data_digest"),
 ], ids=["bad-scheme", "bad-name", "bad-tail", "glm-rb", "nls-wb"])
 def test_methods_resolve_before_any_work(experiment, methods, first_work,
                                          monkeypatch, tmp_path, capsys):
     # a bad name, a bad scheme or a baseline the model lacks is a configuration
-    # error raised before the first replicate is fit, and no report is written
+    # error raised before the first replicate is fit (nls: before its data is
+    # checked against the recorded anchors), and no report is written
     def no_work(*args, **kwargs):
         raise AssertionError("a replicate was fit before every method was resolved")
 
-    owner = bench if first_work == "nls_roots" else bench.mmod
+    owner = bench if first_work == "nls_data_digest" else bench.mmod
     monkeypatch.setattr(owner, first_work, no_work)
     out = tmp_path / "report.csv"
-    argv = ["run", "--experiment", experiment, "--boots", "20",
+    # 50 boots: nls refuses fewer, and must fail on the method, not on boots
+    argv = ["run", "--experiment", experiment, "--boots", "50",
             "--methods", methods, "--out", str(out)]
     if experiment == "glm":
         argv += ["--sims", "1"]
@@ -330,16 +333,17 @@ import sys, gebs, gebs.cli
 out = sys.argv[1]
 for argv in (["--experiment", "ar1", "--n", "20", "--sims", "2", "--boots", "20"],
              ["--experiment", "glm", "--sims", "1", "--boots", "20"],
+             ["--experiment", "nls", "--boots", "50"],
              ["--experiment", "weights-check", "--methods", "exp"]):
     assert gebs.cli.main(["run", *argv, "--out", out]) == 0, argv
-print(sorted(m for m in ("scipy.special", "scipy.optimize", "scipy.stats",
-                         "scipy.linalg") if m in sys.modules))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_cli_runs_of_ar1_glm_and_weights_check_load_no_scipy(tmp_path):
-    # scipy's import is most of a fresh process's set-up and only the nls fit
-    # and ks_distance(..., "normal") use it
+def test_no_cli_run_loads_scipy(tmp_path):
+    # scipy's import is most of a fresh process's set-up and only nls_roots,
+    # the reference fit of the recorded nls anchors, and
+    # ks_distance(..., "normal") use it
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", CLI_RUNS_WITHOUT_SCIPY,
