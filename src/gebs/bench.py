@@ -13,6 +13,8 @@ bounded scipy fit, is the reference they were recorded from.
 
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,6 +149,20 @@ class ExperimentConfig:
             raise ConfigError(f"method named more than once: {', '.join(repeated)}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        # a report path that cannot be written is refused before any work;
+        # the file itself is not created here
+        if self.out is not None:
+            try:
+                out = os.fspath(self.out)
+            except TypeError:
+                raise ConfigError(f"out must be a path, got {self.out!r}") from None
+            if not out:
+                raise ConfigError("out must not be empty")
+            if os.path.isdir(out):
+                raise ConfigError(f"out names a directory: {out!r}")
+            folder = os.path.dirname(out) or os.curdir
+            if not os.path.isdir(folder):
+                raise ConfigError(f"out's directory does not exist: {folder!r}")
 
     def to_dict(self):
         return {"experiment": self.experiment, "n": self.n, "sims": self.sims,
@@ -601,9 +617,25 @@ def render_report(report, fmt):
 
 
 def emit_report(report, fmt, path=None):
-    """Render and optionally write the report; returns the rendered text."""
+    """Render the report, write it to ``path`` if given; returns the text.
+
+    The file is written in place: opened without ``O_TRUNC``, overwritten from
+    its start, then cut to the written length when it is a regular file.
+    Truncating an earlier report to zero first would free its disk blocks,
+    which can take tens of milliseconds on a filesystem that discards freed
+    blocks (ext4 allocates the blocks of a file closed after such a
+    truncation, so every rewrite would pay it). The path is followed through
+    a symlink and keeps its inode; a device or FIFO (``/dev/null``,
+    ``/dev/stdout``) is written as by ``open(path, "w")``. The write is not
+    atomic: a crash part-way leaves the new report's head on the old one's
+    tail.
+    """
     text = render_report(report, fmt)
     if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
+                     0o666)
+        with open(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
     return text

@@ -55,6 +55,10 @@ def test_config_defaults_fill_in():
     {"experiment": "ar1", "sims": 2.5},
     {"experiment": "ar1", "boots": 10.5},
     {"experiment": "ar1", "n": 20.0},
+    # a report path that could not be written: refused before any work
+    {"experiment": "ar1", "out": "/nonexistent-dir/report.csv"},
+    {"experiment": "ar1", "out": ""},
+    {"experiment": "ar1", "out": 3},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ConfigError):
@@ -262,6 +266,38 @@ def test_emit_report_writes_file(tmp_path):
     assert out.read_text() == text
 
 
+def test_emit_report_overwrites_in_place(tmp_path):
+    # a shorter report over a longer one: the same bytes as a fresh write,
+    # in the same inode
+    report, _ = _tiny_report()
+    out = tmp_path / "r"
+    longer = bench.emit_report(report, "json", out)
+    inode = out.stat().st_ino
+    text = bench.emit_report(report, "csv", out)
+    assert len(text) < len(longer)
+    assert out.read_bytes() == text.encode("utf-8")
+    assert out.stat().st_ino == inode
+
+
+def test_emit_report_never_truncates_on_open(tmp_path, monkeypatch):
+    # opening with O_TRUNC would free the old report's disk blocks
+    report, _ = _tiny_report()
+    out = tmp_path / "r.csv"
+    out.write_text("x" * 10000)
+    calls = []
+    real_open = bench.os.open
+
+    def spy(path, flags, *args, **kwargs):
+        calls.append((path, flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(bench.os, "open", spy)
+    text = bench.emit_report(report, "csv", out)
+    assert len(calls) == 1
+    assert not calls[0][1] & os.O_TRUNC
+    assert out.read_text() == text
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -410,11 +446,52 @@ def test_cli_rejects_n_on_bundled_data(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_bad_output_path(capsys):
-    code = cli.main(["run", "--experiment", "weights-check",
-                     "--methods", "multinomial",
-                     "--out", "/nonexistent-dir/report.csv"])
-    assert code == cli.EXIT_CONFIG
+def test_cli_bad_output_path(tmp_path, monkeypatch, capsys):
+    # refused before any work: a bad --out must not cost a full run
+    def no_work(config):
+        raise AssertionError("the experiment ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_experiment", no_work)
+    for out in (tmp_path / "nodir" / "report.csv", tmp_path):
+        code = cli.main(["run", "--experiment", "weights-check",
+                         "--methods", "multinomial", "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "nodir").exists()
+
+
+TINY_RUN = ["run", "--experiment", "ar1", "--n", "20", "--sims", "2",
+            "--boots", "15", "--methods", "gbs-multinomial", "--seed", "3"]
+
+
+def test_cli_report_over_a_longer_one_equals_stdout(tmp_path, capsys):
+    assert cli.main(TINY_RUN) == cli.EXIT_OK
+    expected = capsys.readouterr().out.encode("utf-8")
+    out = tmp_path / "report"
+    assert cli.main([*TINY_RUN, "--format", "json", "--out", str(out)]) == cli.EXIT_OK
+    inode = out.stat().st_ino
+    assert out.stat().st_size > len(expected)
+    assert cli.main([*TINY_RUN, "--out", str(out)]) == cli.EXIT_OK
+    assert out.read_bytes() == expected
+    assert out.stat().st_ino == inode
+
+
+def test_cli_writes_through_a_symlink(tmp_path, capsys):
+    assert cli.main(TINY_RUN) == cli.EXIT_OK
+    expected = capsys.readouterr().out
+    target = tmp_path / "target.csv"
+    target.write_text("x" * 10000)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert cli.main([*TINY_RUN, "--out", str(link)]) == cli.EXIT_OK
+    assert link.is_symlink()
+    assert target.read_text() == expected
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux /dev/null")
+def test_cli_writes_to_dev_null(capsys):
+    assert cli.main([*TINY_RUN, "--out", "/dev/null"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_degenerate_exit_code(monkeypatch, capsys):
