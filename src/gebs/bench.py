@@ -430,10 +430,14 @@ def nls_draw_root(model, data, W, anchors):
 
 
 def nls_roots(model, data, weights, starts=NLS_STARTS):
-    """Distinct fits over the start set with their weighted objective values."""
+    """Distinct fits over the start set with their weighted objective values;
+    a start whose fit does not converge is skipped."""
     fits = []
     for start in starts:
-        th = _nls_fit(model, data, weights, start)
+        try:
+            th = _nls_fit(model, data, weights, start)
+        except NonConvergenceError:
+            continue
         if any(np.linalg.norm(th - t) <= 1e-4 * (1.0 + np.linalg.norm(t))
                for t, _ in fits):
             continue

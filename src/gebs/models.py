@@ -5,16 +5,17 @@ together with the analytic Jacobian (d phi / d beta, one p x p matrix per
 slot, row a = gradient of component a). Everything is vectorized over slots.
 
 For the batched solver a model also evaluates the weighted score and Jacobian
-of B reweighted systems at once: ``weighted_score_batch(data, W, betas)``
-maps a (B, n) weight matrix and (B, p) parameters to (B, p) scores, and
-``weighted_jacobian_batch`` to (B, p, p) Jacobians. A row outside the domain
-is NaN. The base class builds both row by row from ``score_all`` and
-``jacobian_all``; the single-index models (``IndexModel``) write all four
-evaluations once, as array algebra over a design matrix. On shared data the
-solver first applies ``slots(data)``, once per block, unless it is None:
-``(slot_data, G)`` such that weights W solve as ``W @ G`` on fewer slots
-``slot_data``; the per-trial logistic model keeps an always-success and an
-always-failure slot per covariate cell when there are fewer of them than trials.
+of B reweighted systems at once: ``weighted_score_batch(data, W, betas)`` maps
+a (B, n) weight matrix and (B, p) parameters to (B, p) scores, and
+``weighted_jacobian_batch`` to (B, p, p) Jacobians. A row whose parameter is
+not finite, or whose evaluation raises ``EvaluationError``, is NaN. The base
+class builds both row by row from ``score_all`` and ``jacobian_all``; the
+single-index models (``IndexModel``) write all four evaluations once, as array
+algebra over a design matrix. On shared data the solver first applies
+``slots(data)``, once per block, unless it is None: ``(slot_data, G)`` such
+that weights W solve as ``W @ G`` on fewer slots ``slot_data``; the per-trial
+logistic model keeps an always-success and an always-failure slot per
+covariate cell when there are fewer of them than trials.
 
 For the residual bootstrap a model says how its data is regenerated from
 errors: ``residual_resampler(data, beta)`` returns the residuals at ``beta``
@@ -65,7 +66,7 @@ def _ar1_series(phi, e):
 
 
 def _nan_outside(betas, out):
-    """NaN rows where the parameter is not finite (the default domain)."""
+    """NaN rows where the parameter is not finite."""
     out[~np.all(np.isfinite(betas), axis=1)] = np.nan
     return out
 
@@ -110,9 +111,6 @@ class Model:
     def weight_count(self, data):
         return data.n
 
-    def in_domain(self, data, beta):
-        return bool(np.all(np.isfinite(beta)))
-
     def slots(self, data):
         """``(slot_data, G)`` if weights W solve as ``W @ G`` on fewer slots
         ``slot_data``, else None."""
@@ -125,18 +123,18 @@ class Model:
         raise NotImplementedError
 
     def weighted_score_batch(self, data, W, betas):
-        """Row b: sum_i W[b, i] phi_i(betas[b]); NaN outside the domain."""
+        """Row b: sum_i W[b, i] phi_i(betas[b]); NaN where that fails."""
         return self._row_by_row(self.score_all, data, W, betas, np.shape(betas)[1:])
 
     def weighted_jacobian_batch(self, data, W, betas):
-        """Row b: sum_i W[b, i] d phi_i / d beta at betas[b]; NaN outside the domain."""
+        """Row b: sum_i W[b, i] d phi_i / d beta at betas[b]; NaN where that fails."""
         return self._row_by_row(self.jacobian_all, data, W, betas, np.shape(betas)[1:] * 2)
 
     def _row_by_row(self, evaluate, data, W, betas, shape):
         out = np.full((len(betas), *shape), np.nan)
         for b, (w, beta) in enumerate(zip(W, betas)):
             row = data.take(b)
-            if self.in_domain(row, beta):
+            if np.all(np.isfinite(beta)):
                 try:
                     out[b] = np.tensordot(w, evaluate(row, beta), axes=(0, 0))
                 except EvaluationError:
@@ -305,37 +303,22 @@ class IsomerizationModel(Model):
 
     def _rate(self, data, theta):
         """u, the denominator D and the numerator A of f, each (n,) for (p,)
-        parameters and (B, n) for (B, p) parameters."""
+        parameters and (B, n) for (B, p) parameters; at (p,) parameters it
+        raises ``EvaluationError`` where D vanishes."""
         H, P, I = data["H"], data["P"], data["I"]
         th = np.moveaxis(theta, -1, 0)[..., None]   # th[j]: (1,) or (B, 1)
         u = P - I / ISO_SCALE
         D = 1.0 + th[1] * H + th[2] * P + th[3] * I
         A = th[0] * th[2] * u
+        if theta.ndim == 1 and (bad := np.flatnonzero(self._vanishing(D))).size:
+            raise EvaluationError(f"rate denominator vanishes at row {bad[0]}",
+                                  index=int(bad[0]))
         return u, D, A
-
-    def _parts(self, data, theta):
-        u, D, A = self._rate(data, theta)
-        # derivative stacks indexed (slot, param)
-        Aj = np.stack([theta[2] * u, np.zeros_like(u), theta[0] * u, np.zeros_like(u)], axis=1)
-        Dj = np.stack([np.zeros_like(u), data["H"], data["P"], data["I"]], axis=1)
-        return u, D, A, Aj, Dj
 
     @staticmethod
     def _vanishing(D):
         """Where the rate denominator D leaves the domain: |D| <= 1e-12 or NaN."""
         return ~(np.abs(D) > 1e-12)
-
-    def in_domain(self, data, beta):
-        if not np.all(np.isfinite(beta)):
-            return False
-        _, D, _ = self._rate(data, np.asarray(beta, float))
-        return not np.any(self._vanishing(D))
-
-    def _check_domain(self, D):
-        bad = np.flatnonzero(self._vanishing(D))
-        if bad.size:
-            raise EvaluationError(f"rate denominator vanishes at row {bad[0]}",
-                                  index=int(bad[0]))
 
     def f(self, data, theta):
         """f at (p,) parameters, raising ``EvaluationError`` where D vanishes;
@@ -344,47 +327,39 @@ class IsomerizationModel(Model):
         theta = np.asarray(theta, float)
         _, D, A = self._rate(data, theta)
         if theta.ndim == 1:
-            self._check_domain(D)
             return A / D
         with np.errstate(divide="ignore", invalid="ignore"):
             return A / D, ~np.any(self._vanishing(D), axis=1)
 
-    def _checked_parts(self, data, theta):
-        parts = self._parts(data, np.asarray(theta, float))
-        self._check_domain(parts[1])
-        return parts
-
-    @staticmethod
-    def _grad(parts):
-        _, D, A, Aj, Dj = parts
-        return Aj / D[:, None] - (A / D ** 2)[:, None] * Dj
+    def _derivs(self, data, theta):
+        """``_rate`` at (p,) parameters, then the derivative stacks of A and D,
+        indexed (slot, param), and the gradient of f."""
+        theta = np.asarray(theta, float)
+        u, D, A = self._rate(data, theta)
+        zero = np.zeros_like(u)
+        Aj = np.stack([theta[2] * u, zero, theta[0] * u, zero], axis=1)
+        Dj = np.stack([zero, data["H"], data["P"], data["I"]], axis=1)
+        return u, D, A, Aj, Dj, Aj / D[:, None] - (A / D ** 2)[:, None] * Dj
 
     def f_grad(self, data, theta):
-        return self._grad(self._checked_parts(data, theta))
-
-    def _resid_grad(self, data, beta):
-        """Parts, residuals y - f and gradient of f from one ``_parts`` call."""
-        parts = self._checked_parts(data, beta)
-        _, D, A, _, _ = parts
-        return parts, data["y"] - A / D, self._grad(parts)
+        return self._derivs(data, theta)[-1]
 
     def score_all(self, data, beta):
-        _, resid, g = self._resid_grad(data, beta)
-        return g * resid[:, None]
+        _, D, A, _, _, g = self._derivs(data, beta)
+        return g * (data["y"] - A / D)[:, None]
 
     def jacobian_all(self, data, beta):
-        parts, resid, g = self._resid_grad(data, beta)
-        u, D, A, Aj, Dj = parts
+        u, D, A, Aj, Dj, g = self._derivs(data, beta)
         Ajk = np.zeros((len(D), 4, 4))   # second derivatives of A = theta1 theta3 u
         Ajk[:, 0, 2] = Ajk[:, 2, 0] = u
         cross = Aj[:, :, None] * Dj[:, None, :]
         h = (Ajk / D[:, None, None]       # second derivatives of f
              - (cross + cross.transpose(0, 2, 1)) / (D ** 2)[:, None, None]
              + 2.0 * (A / D ** 3)[:, None, None] * Dj[:, :, None] * Dj[:, None, :])
-        return h * resid[:, None, None] - g[:, :, None] * g[:, None, :]
+        return h * (data["y"] - A / D)[:, None, None] - g[:, :, None] * g[:, None, :]
 
     def objective(self, data, weights, beta):
-        resid = data["y"] - self.f(data, np.asarray(beta, float))
+        resid = data["y"] - self.f(data, beta)
         return float(np.sum(weights * resid ** 2))
 
     def residual_resampler(self, data, beta):

@@ -79,6 +79,8 @@ def solve_weighted_batch(model, data, W, init):
     """Damped Newton iteration for every row of the (B, n) weight matrix ``W``
     at once, each from ``init``; the default ``solve_fn`` block hook.
 
+    A draw fails at ``init`` with ``EvaluationError`` when ``init`` or its
+    score there is not finite, or when that score raises ``EvaluationError``.
     Each draw stops when its score is within ``TOL``, fails when its Jacobian
     is ill-conditioned, and takes a step-halving line search on ||F||^2; an
     active mask keeps a finished draw out of later iterations. Returns
@@ -97,20 +99,19 @@ def solve_weighted_batch(model, data, W, init):
     B = W.shape[0]
     betas = np.tile(init, (B, 1))
     iterations = np.zeros(B, int)
+    F = np.full(betas.shape, np.nan)
+    if np.all(np.isfinite(init)):
+        try:
+            # every draw starts at ``init``: on shared data one score evaluation serves all B
+            F = (model.weighted_score_batch(data, W, betas) if data.drawn
+                 else W @ model.score_all(data, init))
+        except EvaluationError:
+            pass
     failures = np.full(B, "", dtype=object)
-    if not model.in_domain(data, init):
-        failures[:] = EvaluationError.__name__
-        return betas, failures, iterations
-    try:
-        # every draw starts at ``init``: on shared data one score evaluation serves all B
-        F = (model.weighted_score_batch(data, W, betas) if data.drawn
-             else W @ model.score_all(data, init))
-    except EvaluationError:
-        failures[:] = EvaluationError.__name__
-        return betas, failures, iterations
+    failures[~np.all(np.isfinite(F), axis=1)] = EvaluationError.__name__
     tol = TOL * (1.0 + np.max(np.abs(F), axis=1))
 
-    active = np.arange(B)
+    active = np.flatnonzero(failures == "")
     for _ in range(MAX_ITER):
         active = active[~(np.max(np.abs(F[active]), axis=1) <= tol[active])]
         if active.size == 0:

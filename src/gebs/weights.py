@@ -15,6 +15,7 @@ products for i.i.d. laws).
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -49,6 +50,17 @@ def _index(value):
         return None
 
 
+def _real(value):
+    """``value`` as a float if it is real (any ``numbers.Real`` but bool),
+    else NaN, which every check on a real parameter refuses."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:   # an int beyond the float range
+        return math.inf
+
+
 @dataclass(frozen=True)
 class WeightScheme:
     """A named exchangeable weight law of length ``n``."""
@@ -64,30 +76,33 @@ class WeightScheme:
         object.__setattr__(self, "n", n)
         p = self.params
         if self.kind in (DELETE_D_JACKKNIFE, DOWNWEIGHT_D_JACKKNIFE):
-            d = self._integer("d")
+            d = self._param("d", _index)
             if d is None or not 1 <= d < self.n:
                 raise ParameterError(f"need 1 <= d < n, got d={p.get('d')}, n={self.n}")
         elif self.kind == M_OUT_OF_N:
-            m = self._integer("m")
+            m = self._param("m", _index)
             if m is None or m < 1:
                 raise ParameterError(f"m-out-of-n needs integer m >= 1, got {p.get('m')}")
         elif self.kind == DIRICHLET:
-            alpha = p.get("alpha", 0)
+            alpha = self._param("alpha", _real)
             if not (math.isfinite(alpha) and alpha > 0):
-                raise ParameterError(f"Dirichlet alpha must be finite and > 0, got {alpha}")
+                raise ParameterError(
+                    f"Dirichlet alpha must be finite and > 0, got {p.get('alpha')!r}")
         elif self.kind == IID_UNIFORM:
-            lo, hi = p.get("lo", math.nan), p.get("hi", math.nan)
+            lo, hi = self._param("lo", _real), self._param("hi", _real)
             if not (math.isfinite(lo) and math.isfinite(hi) and 0 <= lo < hi):
-                raise ParameterError(f"uniform needs finite 0 <= lo < hi, got lo={lo}, hi={hi}")
+                raise ParameterError(f"uniform needs finite 0 <= lo < hi, "
+                                     f"got lo={p.get('lo')!r}, hi={p.get('hi')!r}")
             if abs(lo + hi - 2.0) > 1e-12:
                 raise ParameterError(
                     f"uniform weights must have mean 1 (lo + hi = 2), got lo={lo}, hi={hi}")
         elif self.kind not in (MULTINOMIAL, IID_EXPONENTIAL, CONSTANT):
             raise ParameterError(f"unknown weight scheme kind {self.kind!r}")
 
-    def _integer(self, key):
-        """Parameter ``key`` stored as an int if it is integral, else None."""
-        value = _index(self.params.get(key))
+    def _param(self, key, convert):
+        """Parameter ``key`` stored as ``convert(value)``, which is returned;
+        nothing is stored if that is None."""
+        value = convert(self.params.get(key))
         if value is not None:
             object.__setattr__(self, "params", {**self.params, key: value})
         return value
@@ -116,11 +131,11 @@ def downweight_d_jackknife(n, d):
 
 
 def dirichlet(n, alpha):
-    return WeightScheme(DIRICHLET, n, {"alpha": float(alpha)})
+    return WeightScheme(DIRICHLET, n, {"alpha": alpha})
 
 
 def iid_uniform(n, lo, hi):
-    return WeightScheme(IID_UNIFORM, n, {"lo": float(lo), "hi": float(hi)})
+    return WeightScheme(IID_UNIFORM, n, {"lo": lo, "hi": hi})
 
 
 def iid_exponential(n):

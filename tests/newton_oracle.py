@@ -24,10 +24,11 @@ def newton_oracle(model, data, weights, init=None):
     weights = np.asarray(weights, float)
     beta = np.atleast_1d(np.asarray(
         np.zeros(model.p) if init is None else init, float)).copy()
-    if not model.in_domain(data, beta):
-        raise EvaluationError("initial point outside model domain")
-
+    if not np.all(np.isfinite(beta)):
+        raise EvaluationError("initial point is not finite")
     F = weighted_score(model, data, weights, beta)
+    if not np.all(np.isfinite(F)):
+        raise EvaluationError("score at the initial point is not finite")
     scale = 1.0 + float(np.max(np.abs(F)))
     tol = solver.TOL * scale
 
@@ -46,7 +47,7 @@ def newton_oracle(model, data, weights, init=None):
         lam, accepted = 1.0, False
         for _ in range(max_halvings + 1):
             trial = beta + lam * step
-            if model.in_domain(data, trial):
+            if np.all(np.isfinite(trial)):
                 try:
                     F_trial = weighted_score(model, data, weights, trial)
                 except EvaluationError:

@@ -11,7 +11,7 @@ from gebs import models as M
 from gebs import solver
 from gebs import weights as W
 from gebs.engine import draw_rng, exact_variance_enumeration, run_bootstrap
-from gebs.errors import SOLVER_ERRORS, DegenerateRunError, ShapeError
+from gebs.errors import SOLVER_ERRORS, DegenerateRunError, EvaluationError, ShapeError
 from gebs.solver import COND_LIMIT, solve_weighted_batch, weighted_jacobian
 from newton_oracle import newton_oracle, oracle_outcomes
 
@@ -115,14 +115,25 @@ def test_blocked_enumeration_matches_per_atom(model_name, n, d, multinomial, see
 
 def test_init_outside_domain_fails_every_draw():
     model, data = M.IsomerizationModel(), M.load_isomerization()
-    Wm = np.ones((3, data.n))
     bad = np.array([30.0, 0.0, 0.0, 0.0])
     bad[1] = -(1.0 + bad[2] * data["P"][0] + bad[3] * data["I"][0]) / data["H"][0]
-    assert not model.in_domain(data, bad)
-    betas, failures, iterations = solve_weighted_batch(model, data, Wm, bad)
-    assert list(failures) == ["EvaluationError"] * 3
-    assert np.array_equal(betas, np.tile(bad, (3, 1)))
-    assert np.array_equal(iterations, np.zeros(3, int))
+    with pytest.raises(EvaluationError):
+        model.score_all(data, bad)
+    # a rebuilt block is evaluated row by row, and each of its rows comes back NaN
+    resid, rebuild = model.residual_resampler(data, np.array([35.9, 0.07, 0.04, 0.17]))
+    block = rebuild(resid[np.random.default_rng(2).integers(0, data.n, (3, data.n))])
+    # _sigmoid clips, so this logistic score is finite: only the init fails it
+    logistic = (M.LogisticGroupModel(), M.load_fumigant(), np.array([np.inf, 0.0]))
+    # a finite init whose score overflows fails too, rather than reading as converged
+    linear = (M.LinearModel(), M.Dataset(3, arrays={"X": np.array([[2.0], [3.0], [4.0]]),
+                                                    "y": np.ones(3)}), np.array([1e308]))
+    for model, data, init in ((model, data, bad), (model, block, bad), logistic, linear):
+        with np.errstate(over="ignore"):
+            betas, failures, iterations = solve_weighted_batch(
+                model, data, np.ones((3, data.n)), init)
+        assert list(failures) == ["EvaluationError"] * 3
+        assert np.array_equal(betas, np.tile(init, (3, 1)))
+        assert np.array_equal(iterations, np.zeros(3, int))
 
 
 def test_default_batch_methods_match_per_row():

@@ -13,7 +13,8 @@ import pytest
 
 from gebs import bench
 from gebs import cli
-from gebs.errors import ConfigError, EmptyRootSetError, ParameterError
+from gebs.errors import (ConfigError, EmptyRootSetError, NonConvergenceError,
+                         ParameterError)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -225,6 +226,22 @@ def test_nls_roots_without_starts_is_empty():
                         np.ones(24), starts=())
 
 
+def test_nls_roots_skips_a_start_that_does_not_converge(monkeypatch):
+    from gebs import models as M
+    model, data = M.IsomerizationModel(), M.load_isomerization()
+
+    def fit(model, data, weights, start):
+        if start is bench.NLS_STARTS[0]:
+            raise NonConvergenceError("bounded least squares did not converge")
+        return np.array(bench.NLS_ANCHORS[1])
+
+    monkeypatch.setattr(bench, "_nls_fit", fit)
+    fits = bench.nls_roots(model, data, np.ones(24))
+    assert [th.tolist() for th, _ in fits] == [list(bench.NLS_ANCHORS[1])]
+    with pytest.raises(EmptyRootSetError):
+        bench.nls_roots(model, data, np.ones(24), starts=bench.NLS_STARTS[:1])
+
+
 # ---------------------------------------------------------------------------
 # Report rendering
 
@@ -372,14 +389,15 @@ for argv in (["--experiment", "ar1", "--n", "20", "--sims", "2", "--boots", "20"
              ["--experiment", "nls", "--boots", "50"],
              ["--experiment", "weights-check", "--methods", "exp"]):
     assert gebs.cli.main(["run", *argv, "--out", out]) == 0, argv
+assert 0.0 < gebs.ks_distance([-1.0, 0.0, 1.0]) < 1.0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
 def test_no_cli_run_loads_scipy(tmp_path):
     # scipy's import is most of a fresh process's set-up and only nls_roots,
-    # the reference fit of the recorded nls anchors, and
-    # ks_distance(..., "normal") use it
+    # the reference fit of the recorded nls anchors, uses it; neither does
+    # ks_distance's normal reference
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", CLI_RUNS_WITHOUT_SCIPY,

@@ -89,11 +89,13 @@ def test_mean_model_root_is_mean():
 def test_isomerization_domain_and_errors():
     data = M.load_isomerization()
     model = M.IsomerizationModel()
-    assert model.in_domain(data, [35.0, 0.07, 0.04, 0.17])
-    assert not model.in_domain(data, [35.0, np.nan, 0.04, 0.17])
+    assert np.all(np.isfinite(model.score_all(data, [35.0, 0.07, 0.04, 0.17])))
+    with pytest.raises(EvaluationError):
+        model.score_all(data, [35.0, np.nan, 0.04, 0.17])
     # denominator 1 + th2 H + th3 P + th4 I can be driven through zero
     bad = [35.0, -1.0 / float(data["H"][0]), 0.0, 0.0]
-    assert not model.in_domain(data, bad)
+    with pytest.raises(EvaluationError):
+        model.score_all(data, bad)
     with pytest.raises(EvaluationError) as exc:
         model.f(data, bad)
     assert exc.value.index == 0

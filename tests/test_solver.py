@@ -94,11 +94,13 @@ def test_nonconvergence_reports_last_iterate():
 
 def test_initial_point_outside_domain():
     data = M.load_isomerization()
-    model = M.IsomerizationModel()
     bad = np.array([35.0, -1.0 / float(data["H"][0]), 0.0, 0.0])
-    for solve in SOLVERS:
-        with pytest.raises(EvaluationError):
-            solve(model, data, np.ones(24), bad)
+    # _sigmoid clips, so this logistic score is finite: only the init fails it
+    logistic = (M.LogisticGroupModel(), M.load_fumigant(), np.array([np.inf, 0.0]))
+    for model, data, init in ((M.IsomerizationModel(), data, bad), logistic):
+        for solve in SOLVERS:
+            with pytest.raises(EvaluationError):
+                solve(model, data, np.ones(data.n), init)
 
 
 def test_weighted_jacobian_is_weight_linear():

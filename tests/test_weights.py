@@ -30,6 +30,11 @@ def test_constructor_validation():
             W.iid_uniform(5, lo, hi)   # NaN fails no comparison
     with pytest.raises(ParameterError):
         W.dirichlet(5, math.inf)
+    for bad in (True, "2"):   # the helpers pass their values to the same check
+        with pytest.raises(ParameterError):
+            W.dirichlet(5, bad)
+        with pytest.raises(ParameterError):
+            W.iid_uniform(5, bad, 1.0)
     with pytest.raises(ParameterError):
         W.WeightScheme("nope", 5)
     with pytest.raises(ParameterError):
@@ -53,6 +58,26 @@ def test_integer_parameters_accept_any_integral_type(make, key, value):
 def test_integer_parameters_reject_bool_and_non_integers(make, value):
     with pytest.raises(ParameterError):
         make(10, value)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("dirichlet", {"alpha": "x"}), ("dirichlet", {"alpha": True}),
+    ("dirichlet", {"alpha": np.bool_(True)}), ("dirichlet", {}),
+    ("dirichlet", {"alpha": 10 ** 400}),
+    ("uniform", {"lo": "0.5", "hi": 1.5}), ("uniform", {"lo": False, "hi": 2.0}),
+    ("uniform", {"lo": 0.5, "hi": np.array(1.5)}), ("uniform", {"lo": 0.5})])
+def test_real_parameters_reject_bool_and_non_reals(kind, params):
+    with pytest.raises(ParameterError):
+        W.WeightScheme(kind, 5, params)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("dirichlet", {"alpha": 2}), ("dirichlet", {"alpha": np.float32(0.5)}),
+    ("uniform", {"lo": 0, "hi": np.int64(2)})])
+def test_real_parameters_are_stored_as_float(kind, params):
+    scheme = W.WeightScheme(kind, 5, params)
+    assert all(type(v) is float for v in scheme.params.values())
+    assert scheme.params == params
 
 
 @pytest.mark.parametrize("n", [True, np.bool_(True), 2.0, np.float64(2.0), "2", None])
