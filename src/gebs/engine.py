@@ -13,6 +13,7 @@ import ctypes
 import itertools
 import math
 import operator
+import threading
 from collections import Counter
 from dataclasses import dataclass
 
@@ -43,6 +44,8 @@ _MASK64 = (1 << 64) - 1
 # native uint128 words, low limb first on little-endian hosts
 _LIMBS = (1, 0, 3, 2)
 _NO_BUFFER = bytes(8)
+# each thread's stream generator (``_thread_stream``)
+_THREAD = threading.local()
 
 
 def block_rows(width):
@@ -56,25 +59,17 @@ def draw_rng(seed, *path):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=path))
 
 
-def _hasher(init, mult):
-    """SeedSequence's ``hashmix``: each hashed word xors in the running
-    constant, steps it and multiplies by the new one. ``hashmix(word)`` hashes
-    a Python int; ``hashmix(words, m)`` hashes m words in turn, the rows of a
-    uint64 array of 32-bit values broadcast to m rows. Masking every product
-    keeps the words below 2^64."""
-    const = init
-
-    def hashmix(value, m=None):
-        nonlocal const
-        consts = [const]
-        for _ in range(m or 1):
-            consts.append(consts[-1] * mult & _MASK32)
-        const = consts[-1]
-        xor, times = consts if m is None else (
-            np.array(c, np.uint64)[:, None] for c in (consts[:-1], consts[1:]))
-        value = (value ^ xor) * times & _MASK32
-        return value ^ value >> 16
-    return hashmix
+def _hashmix(words, const, mult, m):
+    """SeedSequence's ``hashmix`` of m words in turn, from the running hash
+    constant ``const``: each word xors in the constant, steps it and
+    multiplies by the new one. ``words`` is a uint64 array of 32-bit values
+    that broadcasts to m rows; masking every product keeps them below 2^64."""
+    consts = [const]
+    for _ in range(m):
+        consts.append(consts[-1] * mult & _MASK32)
+    xor, times = (np.array(c, np.uint64)[:, None] for c in (consts[:-1], consts[1:]))
+    value = (words ^ xor) * times & _MASK32
+    return value ^ value >> 16
 
 
 def _mix(x, y):
@@ -107,30 +102,21 @@ def _pcg64_words(seed, start, stop):
     """(k, 4) uint64 PCG64 words of draws ``start .. stop - 1``: each row is
     (state high, state low, inc high, inc low) of ``draw_rng(seed, b)``.
 
-    ``SeedSequence(entropy=seed, spawn_key=(b,))``'s pool mixing and
-    ``generate_state(4, uint64)`` run over a uint64 array of the b, and
-    ``pcg64_set_seed``'s ``inc = 2 i + 1``, ``state = (inc + s) MULT + inc``
-    (mod 2^128) over uint64 limbs.
+    ``SeedSequence(entropy=seed, spawn_key=(b,))`` mixes the spawn word b
+    last, into ``SeedSequence(seed).pool``, after the hash constant has
+    stepped once per word hashed before: ``_POOL_SIZE`` per seed word padded
+    to at least ``_POOL_SIZE`` words, the cross mixes included. That mixing,
+    ``generate_state(4, uint64)`` and ``pcg64_set_seed``'s ``inc = 2 i + 1``,
+    ``state = (inc + s) MULT + inc`` (mod 2^128) run over uint64 arrays of the b.
     """
-    words = [seed & _MASK32]
-    while seed := seed >> 32:
-        words.append(seed & _MASK32)
-    # a spawn key pads the entropy to the pool size; b < 2^32 is one word
-    words += [0] * (_POOL_SIZE - len(words))
-    words.append(np.arange(start, stop, dtype=np.uint64))
-
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
-    # from here on the pool is a (4, 1) and then a (4, k) array
-    pool = np.array(pool, np.uint64)[:, None]
-    for w in words[_POOL_SIZE:]:
-        pool = _mix(pool, hashmix(w, _POOL_SIZE))
-    state = _hasher(_INIT_B, _MULT_B)(pool[np.arange(2 * _POOL_SIZE) % _POOL_SIZE],
-                                      2 * _POOL_SIZE)
+    seed_words = max(1, -(-seed.bit_length() // 32))
+    const = _INIT_A * pow(_MULT_A, _POOL_SIZE * max(_POOL_SIZE, seed_words), 1 << 32) & _MASK32
+    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None]
+    # b < 2^32 is one spawn word, mixed into every pool word
+    pool = _mix(pool, _hashmix(np.arange(start, stop, dtype=np.uint64), const, _MULT_A,
+                               _POOL_SIZE))
+    state = _hashmix(pool[np.arange(2 * _POOL_SIZE) % _POOL_SIZE], _INIT_B, _MULT_B,
+                     2 * _POOL_SIZE)
     s_hi, s_lo, i_hi, i_lo = state[::2] | state[1::2] << 32
     inc = (i_hi << 1 | i_lo >> 63, i_lo << 1 | 1)
     s = _add128(_mul128(_add128(inc, (s_hi, s_lo)), _PCG64_MULT), inc)
@@ -141,7 +127,7 @@ def _state_memory(bit_gen):
     """Writable byte views of a PCG64's 32 bytes of (state, inc) words and of
     its 8 bytes of buffered-uint32 flags. numpy's ``pcg64_state`` holds a
     pointer to the words, then the int ``has_uint32`` and the uint32
-    ``uinteger``; ``block_streams`` checks this layout before relying on it."""
+    ``uinteger``; ``_thread_stream`` checks this layout before relying on it."""
     address = bit_gen.ctypes.state_address
     words = ctypes.c_void_p.from_address(address).value
     flags = address + ctypes.sizeof(ctypes.c_void_p)
@@ -157,17 +143,31 @@ def _state_dict(words, buffered=0):
             "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}}
 
 
+def _thread_stream():
+    """This thread's stream generator, built on its first call: ``(rng, state,
+    flags, direct)`` with ``_state_memory``'s views and the layout probe's
+    verdict ``direct``. The probe writes known words, distinct
+    in every limb, over a state with a buffered uint32 and compares the result
+    with ``bit_gen.state``. Threads never share a generator."""
+    stream = getattr(_THREAD, "stream", None)
+    if stream is None:
+        bit_gen = np.random.PCG64(0)
+        state, flags = _state_memory(bit_gen)
+        probe = np.array([[1, 2, 3, 5]], np.uint64)
+        bit_gen.state = _state_dict([0, 1, 0, 1], buffered=1)
+        state[:], flags[:] = probe[:, _LIMBS].tobytes(), _NO_BUFFER
+        direct = bit_gen.state == _state_dict(probe[0].tolist())
+        stream = _THREAD.stream = (np.random.Generator(bit_gen), state, flags, direct)
+    return stream
+
+
 def block_streams(seed, start, stop):
     """Streams of draws ``start .. stop - 1``; stream b equals ``draw_rng(seed, b)``.
 
-    Every draw's PCG64 words come from one array pass (``_pcg64_words``).
-    Every stream is the same ``Generator``, set to draw b's state just before
-    it is yielded, so a consumer must be done with it before asking for the
-    next one and must not keep it. The state is set by writing its 32 bytes
-    straight into the bit generator and zeroing the buffered uint32; a probe
-    on the first draw compares that write with ``bit_gen.state``, and where
-    numpy lays the state out otherwise (say, 128-bit words stored high limb
-    first) every draw goes through the ``bit_gen.state`` setter instead.
+    Every stream is this thread's one ``Generator``, given draw b's whole state
+    and an empty uint32 buffer just before it is yielded, so a consumer must
+    be done with it before asking for the next one and must not keep it.
+    README's engine section describes how the states are computed and set.
     """
     seed = operator.index(seed)   # TypeError for floats, None, strings
     if seed < 0:
@@ -177,12 +177,10 @@ def block_streams(seed, start, stop):
     words = _pcg64_words(seed, start, stop)
     if not len(words):
         return iter(())
-    raw = words[:, _LIMBS].tobytes()
-    bit_gen = np.random.PCG64(0)
-    rng = np.random.Generator(bit_gen)
-    state, flags = _state_memory(bit_gen)
+    rng, state, flags, direct = _thread_stream()
 
     def written():
+        raw = memoryview(words[:, _LIMBS].tobytes())
         for i in range(0, len(raw), 32):
             state[:] = raw[i:i + 32]
             flags[:] = _NO_BUFFER
@@ -190,13 +188,10 @@ def block_streams(seed, start, stop):
 
     def by_setter():
         for row in words.tolist():
-            bit_gen.state = _state_dict(row)
+            rng.bit_generator.state = _state_dict(row)
             yield rng
 
-    # the probe: from another state with a buffered uint32, write the first draw
-    bit_gen.state = _state_dict([0, 1, 0, 1], buffered=1)
-    state[:], flags[:] = raw[:32], _NO_BUFFER
-    return written() if bit_gen.state == _state_dict(words[0].tolist()) else by_setter()
+    return written() if direct else by_setter()
 
 
 def fill_raw(rng, row):

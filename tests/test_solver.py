@@ -150,3 +150,21 @@ def test_closed_form_guard_agrees_with_svd_condition_number():
         decided.append(cond[clear] <= solver.COND_LIMIT)
     assert np.any(decided[0]) and not np.all(decided[0])
     assert decided[2].tolist() == [False] * 4 + [True, False, True, True, True, False]
+
+
+@pytest.mark.parametrize("exponents", [(-300, 301), (-1074, 1024)])
+def test_one_parameter_step_division_equals_lapack_solve(exponents):
+    # solve_weighted_batch takes a one-parameter Newton step as -F / J; a
+    # LAPACK whose 1 x 1 solve rounds otherwise would change roots, so it
+    # fails here first. The full range takes in subnormal, zero and inf steps.
+    gen = rng(10)
+    B = 200_000
+
+    def spread(shape):
+        return (gen.uniform(1.0, 2.0, shape) * 2.0 ** gen.integers(*exponents, shape)
+                * gen.choice([-1.0, 1.0], shape))
+
+    J, F = spread((B, 1, 1)), spread((B, 1))
+    with np.errstate(over="ignore"):
+        step = -F / J[:, 0]
+    assert step.tobytes() == np.linalg.solve(J, -F[:, :, None])[:, :, 0].tobytes()

@@ -8,6 +8,7 @@ the layout probe made to fail, the ``bit_gen.state`` setter.
 """
 
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,12 +17,15 @@ from gebs import engine
 from gebs import models as M
 from gebs import weights as W
 from gebs.bench import child_seed
+from gebs.baselines import residual_bootstrap
 from gebs.engine import block_streams, draw_rng, run_bootstrap
 from gebs.errors import ParameterError
+from gebs.solver import solve_weighted_batch
 
-# 1-, 2-, 3- and 5-word seeds (five words run SeedSequence's third mixing loop
-# over seed words too), the word boundaries and 64-bit child seeds
-SEEDS = (0, 7, 2**32 - 1, 2**32, 2**64 - 1, 2**70 + 5, 2**130 + 17,
+# 1-, 2-, 3-, 5- and 9-word seeds (past four words SeedSequence's third
+# mixing loop takes seed words too, and the spawn word's hash constant
+# depends on their count), the word boundaries and 64-bit child seeds
+SEEDS = (0, 7, 2**32 - 1, 2**32, 2**64 - 1, 2**70 + 5, 2**130 + 17, 2**270 + 3,
          child_seed(3, 1), child_seed(11, 40, 2), child_seed(2**40, 7))
 BLOCKS = ((0, 128), (300, 428), (2**32 - 3, 2**32))
 P50 = np.full(50, 1 / 50)
@@ -81,7 +85,9 @@ def test_bad_seeds_raise_like_draw_rng(seed):
 def probe_fails(monkeypatch):
     """Direct writes land in a scratch buffer instead of the bit generator, as
     they would where numpy lays out the PCG64 state otherwise; the probe must
-    then choose the ``bit_gen.state`` setter."""
+    then choose the ``bit_gen.state`` setter. A fresh per-thread cache makes
+    the probe run again instead of reusing this thread's verdict."""
+    monkeypatch.setattr(engine, "_THREAD", threading.local())
     monkeypatch.setattr(engine, "_state_memory",
                         lambda bit_gen: (memoryview(bytearray(32)), memoryview(bytearray(8))))
 
@@ -94,6 +100,7 @@ def test_probe_falls_back_to_the_state_setter(probe_fails, seed, start, stop):
 
 
 def test_setter_fallback_clears_buffered_uint32(probe_fails):
+    assert block_streams(0, 0, 1).__name__ == "by_setter"
     test_buffered_uint32_does_not_leak_into_the_next_stream()
 
 
@@ -101,3 +108,65 @@ def test_setter_fallback_clears_buffered_uint32(probe_fails):
                     reason="the direct write assumes little-endian GCC/Clang uint128 words")
 def test_probe_accepts_the_direct_write_on_little_endian_hosts():
     assert block_streams(7, 0, 3).__name__ == "written"
+
+
+def _ar1_runs(seed):
+    """Roots, outcomes and iterations of a gbs and an rb run on one AR(1) series."""
+    data = M.simulate_ar1(0.4, 1.0, 1.0, 40, np.random.default_rng(seed))
+    x = data["x"]
+    beta_hat = np.array([np.sum(x[:-1] * x[1:]) / np.sum(x[:-1] ** 2)])
+    gbs = run_bootstrap(M.Ar1Model(), data, beta_hat, W.multinomial(40), 60, seed)
+    rb = residual_bootstrap(M.Ar1Model(), data, beta_hat, 60, seed + 1)
+    return [(s.betas.tobytes(), s.outcomes.tolist(), s.iterations.tobytes())
+            for s in (gbs, rb)]
+
+
+def test_threads_running_bootstraps_at_once_match_serial_runs():
+    # each thread has its own stream generator; more threads than cores and a
+    # short switch interval make them interleave inside the draw loops
+    seeds = range(6)
+    expect = {seed: _ar1_runs(seed) for seed in seeds}
+    got, errors = {}, []
+
+    def work(seed):
+        try:
+            for _ in range(5):
+                got.setdefault(seed, []).append(_ar1_runs(seed))
+        except Exception as exc:   # re-raised below from the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in seeds]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert got == {seed: [expect[seed]] * 5 for seed in seeds}
+
+
+def test_inner_bootstrap_between_blocks_leaves_the_outer_sample_exact(monkeypatch):
+    z = np.random.default_rng(4).standard_normal(30)
+    data = M.Dataset(n=30, arrays={"z": z})
+    model, beta_hat, scheme = M.MeanModel(), np.array([z.mean()]), W.multinomial(30)
+    # roots depend on the block size in the last bits: compare like blocks
+    monkeypatch.setattr(engine, "block_rows", lambda width: 7)
+    expect = run_bootstrap(model, data, beta_hat, scheme, 50, 12)
+    blocks = []
+
+    def nested(mdl, dat, W_block, init):
+        # the inner run re-seeds this thread's generator before the outer
+        # loop draws its next block
+        run_bootstrap(mdl, dat, init, scheme, 9, 99)
+        blocks.append(len(W_block))
+        return solve_weighted_batch(mdl, dat, W_block, init)
+
+    got = run_bootstrap(model, data, beta_hat, scheme, 50, 12, solve_fn=nested)
+    assert blocks == [7] * 7 + [1]
+    assert got.betas.tobytes() == expect.betas.tobytes()
+    assert got.weight_draws.tobytes() == expect.weight_draws.tobytes()
