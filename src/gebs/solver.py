@@ -77,28 +77,36 @@ def well_conditioned(J):
 
 def solve_weighted_batch(model, data, W, init):
     """Damped Newton iteration for every row of the (B, n) weight matrix ``W``
-    at once, each from ``init``; the default ``solve_fn`` block hook.
+    at once, each from ``init``; the default ``solve_fn`` block hook. ``init``
+    is a (p,) point, or a scalar when p = 1; any other shape raises
+    ``ShapeError`` before the model is evaluated.
 
     A draw fails at ``init`` with ``EvaluationError`` when ``init`` or its
     score there is not finite, or when that score raises ``EvaluationError``.
-    Each draw stops when its score is within ``TOL``, fails when its Jacobian
-    is ill-conditioned, and takes a step-halving line search on ||F||^2; an
-    active mask keeps a finished draw out of later iterations. Returns
-    ``(betas, failures, iterations)``: the (B, p) roots (a failed draw keeps
-    its last iterate), each draw's error class ("" if it converged) and its
-    accepted Newton steps. Shared data is first reduced by ``model.slots``; on a
-    rebuilt block (``data.drawn``) data row b belongs to draw b and is sliced with W.
+    Each draw stops when its score is within ``TOL``, fails with
+    ``SingularSystemError`` when its Jacobian is ill-conditioned, and takes a
+    step-halving line search on ||F||^2; it fails with ``NonConvergenceError``
+    when no step descends or when ``MAX_ITER`` steps leave it short of ``TOL``.
+    Returns ``(betas, failures, iterations)``: the (B, p) roots (a failed draw
+    keeps its last iterate), each draw's error class ("" if it converged) and
+    its accepted Newton steps. Shared data is first reduced by
+    ``model.slots``; on a rebuilt block (``data.drawn``) data row b belongs to
+    draw b. Each model evaluation receives exactly the rows of the draws it
+    serves, in draw order.
     """
     W = np.asarray(W, float)
     width = model.weight_count(data)
     if W.ndim != 2 or W.shape[1] != width:
         raise ShapeError(f"weight matrix shape {W.shape} != (B, {width} score slots)")
+    init = np.atleast_1d(np.asarray(init, float))
+    if init.shape != (model.p,):
+        raise ShapeError(f"init shape {init.shape} != ({model.p},) parameters")
     if not data.drawn and (slots := model.slots(data)) is not None:
         data, W = slots[0], W @ slots[1]
-    init = np.atleast_1d(np.asarray(init, float))
     B = W.shape[0]
     betas = np.tile(init, (B, 1))
     iterations = np.zeros(B, int)
+    failures = np.full(B, "", dtype=object)
     F = np.full(betas.shape, np.nan)
     if np.all(np.isfinite(init)):
         try:
@@ -107,51 +115,66 @@ def solve_weighted_batch(model, data, W, init):
                  else W @ model.score_all(data, init))
         except EvaluationError:
             pass
-    failures = np.full(B, "", dtype=object)
-    failures[~np.all(np.isfinite(F), axis=1)] = EvaluationError.__name__
+
+    # the working set: the draws still iterating, compacted in draw order,
+    # with their weight and data rows, iterates, scores and tolerances
+    rows, beta = np.arange(B), betas.copy()
     tol = TOL * (1.0 + np.max(np.abs(F), axis=1))
 
-    active = np.flatnonzero(failures == "")
-    for _ in range(MAX_ITER):
-        active = active[~(np.max(np.abs(F[active]), axis=1) <= tol[active])]
-        if active.size == 0:
+    def leave(out, failure):
+        """Write back the outcome of the working-set draws ``out`` and drop them."""
+        nonlocal rows, W, beta, F, tol, data
+        if out.any():
+            gone, keep = rows[out], ~out
+            betas[gone], iterations[gone], failures[gone] = beta[out], k, failure
+            rows, W, beta, F, tol = rows[keep], W[keep], beta[keep], F[keep], tol[keep]
+            data = data.take(keep)
+
+    k = 0
+    leave(~np.all(np.isfinite(F), axis=1), EvaluationError.__name__)
+    for k in range(MAX_ITER + 1):
+        leave(np.max(np.abs(F), axis=1) <= tol, "")
+        if k == MAX_ITER or rows.size == 0:
             break
-        J = model.weighted_jacobian_batch(data.take(active), W[active], betas[active])
+        J = model.weighted_jacobian_batch(data, W, beta)
         ok = np.all(np.isfinite(J), axis=(1, 2))
         ok[ok] = well_conditioned(J[ok])
-        failures[active[~ok]] = SingularSystemError.__name__
-        active, J = active[ok], J[ok]
-        if active.size == 0:
-            break
+        if not ok.all():
+            leave(~ok, SingularSystemError.__name__)
+            J = J[ok]
+            if rows.size == 0:
+                break
         if J.shape[1] == 1:
             # LAPACK's 1 x 1 solve is this division bit for bit
             # (tests/test_solver.py), at a twentieth of its cost; like
             # np.linalg.solve it lets a step overflow to inf silently
             with np.errstate(over="ignore"):
-                step = -F[active] / J[:, 0]
+                step = -F / J[:, 0]
         else:
-            step = np.linalg.solve(J, -F[active][:, :, None])[:, :, 0]
+            step = np.linalg.solve(J, -F[:, :, None])[:, :, 0]
 
-        # step-halving line search on ||F||^2; all pending draws share lam
-        base = np.sum(F[active] ** 2, axis=1)
-        pending = np.arange(active.size)
-        lam = 1.0
-        for _ in range(MAX_HALVINGS + 1):
-            rows = active[pending]
-            trial = betas[rows] + lam * step[pending]
-            F_trial = model.weighted_score_batch(data.take(rows), W[rows], trial)
+        # step-halving line search on ||F||^2, all pending draws sharing lam;
+        # the full step first, which usually every draw takes as it is
+        base = np.sum(F ** 2, axis=1)
+        trial = beta + step
+        F_trial = model.weighted_score_batch(data, W, trial)
+        good = np.all(np.isfinite(F_trial), axis=1) & (np.sum(F_trial ** 2, axis=1) < base)
+        if good.all():
+            beta, F = trial, F_trial
+            continue
+        beta[good], F[good] = trial[good], F_trial[good]
+        stuck, lam = ~good, 1.0
+        for _ in range(MAX_HALVINGS):
+            lam *= 0.5
+            pending = np.flatnonzero(stuck)
+            trial = beta[pending] + lam * step[pending]
+            F_trial = model.weighted_score_batch(data.take(pending), W[pending], trial)
             good = (np.all(np.isfinite(F_trial), axis=1)
                     & (np.sum(F_trial ** 2, axis=1) < base[pending]))
-            betas[rows[good]] = trial[good]
-            F[rows[good]] = F_trial[good]
-            pending = pending[~good]
-            if pending.size == 0:
+            took = pending[good]
+            beta[took], F[took], stuck[took] = trial[good], F_trial[good], False
+            if not stuck.any():
                 break
-            lam *= 0.5
-        failures[active[pending]] = NonConvergenceError.__name__
-        active = np.delete(active, pending)
-        iterations[active] += 1
-
-    unconverged = active[~(np.max(np.abs(F[active]), axis=1) <= tol[active])]
-    failures[unconverged] = NonConvergenceError.__name__
+        leave(stuck, NonConvergenceError.__name__)
+    leave(np.ones(rows.size, bool), NonConvergenceError.__name__)
     return betas, failures, iterations

@@ -17,6 +17,12 @@ from gebs.errors import (SOLVER_ERRORS, EvaluationError, NonConvergenceError,
 from gebs.solver import COND_LIMIT, Solution, weighted_jacobian, weighted_score
 
 
+def _failed(exc, beta, steps):
+    """``exc`` carrying the last iterate and the accepted steps of the solve."""
+    exc.last_beta, exc.steps = beta, steps
+    return exc
+
+
 def newton_oracle(model, data, weights, init=None):
     """Damped Newton iteration on the weighted score with analytic Jacobian,
     from ``init`` (zeros if omitted)."""
@@ -25,10 +31,13 @@ def newton_oracle(model, data, weights, init=None):
     beta = np.atleast_1d(np.asarray(
         np.zeros(model.p) if init is None else init, float)).copy()
     if not np.all(np.isfinite(beta)):
-        raise EvaluationError("initial point is not finite")
-    F = weighted_score(model, data, weights, beta)
+        raise _failed(EvaluationError("initial point is not finite"), beta, 0)
+    try:
+        F = weighted_score(model, data, weights, beta)
+    except EvaluationError as exc:
+        raise _failed(exc, beta, 0)
     if not np.all(np.isfinite(F)):
-        raise EvaluationError("score at the initial point is not finite")
+        raise _failed(EvaluationError("score at the initial point is not finite"), beta, 0)
     scale = 1.0 + float(np.max(np.abs(F)))
     tol = solver.TOL * scale
 
@@ -38,8 +47,8 @@ def newton_oracle(model, data, weights, init=None):
             return Solution(beta, it)
         J = weighted_jacobian(model, data, weights, beta)
         if not np.all(np.isfinite(J)) or np.linalg.cond(J) > COND_LIMIT:
-            raise SingularSystemError(
-                f"weighted Jacobian ill-conditioned at iteration {it}")
+            raise _failed(SingularSystemError(
+                f"weighted Jacobian ill-conditioned at iteration {it}"), beta, it)
         step = np.linalg.solve(J, -F)
 
         # step-halving line search on ||F||^2
@@ -58,38 +67,55 @@ def newton_oracle(model, data, weights, init=None):
                     break
             lam *= 0.5
         if not accepted:
-            raise NonConvergenceError(
-                f"no descent after {max_halvings} halvings",
-                last_beta=beta, residual_norm=res)
+            raise _failed(NonConvergenceError(
+                f"no descent after {max_halvings} halvings", residual_norm=res), beta, it)
 
     res = float(np.max(np.abs(F)))
     if res <= tol:
         return Solution(beta, max_iter)
-    raise NonConvergenceError(f"no convergence in {max_iter} iterations",
-                              last_beta=beta, residual_norm=res)
+    raise _failed(NonConvergenceError(f"no convergence in {max_iter} iterations",
+                                      residual_norm=res), beta, max_iter)
 
 
-def oracle_outcomes(systems, init):
+def oracle_exits(systems, init):
     """``newton_oracle`` from ``init`` on each ``(model, data, weights)`` of
     ``systems``.
 
-    Returns the roots (``init`` where the solve failed), the failure classes
-    ("" if converged), the iteration counts (-1 on failure) and the condition
-    numbers of the weighted Jacobians at the roots (NaN on failure).
+    Returns each solve's last iterate (its root if it converged), failure
+    class ("" if converged) and accepted steps, and the condition number of
+    the weighted Jacobian at that iterate (NaN where it is not finite).
     """
-    betas, failures, iterations, conds = [], [], [], []
+    betas, failures, steps, conds = [], [], [], []
     for model, data, w in systems:
         try:
             sol = newton_oracle(model, data, w, init)
+            beta, failure, step = sol.beta, "", sol.iterations
         except SOLVER_ERRORS as exc:
-            betas.append(np.asarray(init, float))
-            failures.append(type(exc).__name__)
-            iterations.append(-1)
-            conds.append(np.nan)
-            continue
-        betas.append(sol.beta)
-        failures.append("")
-        iterations.append(sol.iterations)
-        conds.append(np.linalg.cond(weighted_jacobian(model, data, w, sol.beta)))
-    return (np.array(betas), np.array(failures, dtype=object), np.array(iterations),
+            beta, failure, step = exc.last_beta, type(exc).__name__, exc.steps
+        betas.append(beta)
+        failures.append(failure)
+        steps.append(step)
+        conds.append(_cond_at(model, data, w, beta))
+    return (np.array(betas), np.array(failures, dtype=object), np.array(steps),
             np.array(conds))
+
+
+def _cond_at(model, data, weights, beta):
+    """Condition number of the weighted Jacobian at ``beta``; NaN where it
+    cannot be evaluated or is not finite."""
+    try:
+        with np.errstate(all="ignore"):
+            J = weighted_jacobian(model, data, weights, beta)
+            return np.linalg.cond(J) if np.all(np.isfinite(J)) else np.nan
+    except EvaluationError:
+        return np.nan
+
+
+def oracle_outcomes(systems, init):
+    """``oracle_exits`` as a bootstrap sees it: the roots (``init`` where the
+    solve failed), the failure classes, the iteration counts (-1 on failure)
+    and the condition numbers at the roots (NaN on failure)."""
+    betas, failures, steps, conds = oracle_exits(systems, init)
+    failed = failures != ""
+    betas[failed], steps[failed], conds[failed] = np.asarray(init, float), -1, np.nan
+    return betas, failures, steps, conds

@@ -13,7 +13,7 @@ from gebs import weights as W
 from gebs.engine import draw_rng, exact_variance_enumeration, run_bootstrap
 from gebs.errors import SOLVER_ERRORS, DegenerateRunError, EvaluationError, ShapeError
 from gebs.solver import COND_LIMIT, solve_weighted_batch, weighted_jacobian
-from newton_oracle import newton_oracle, oracle_outcomes
+from newton_oracle import newton_oracle, oracle_exits, oracle_outcomes
 
 MODELS = ("mean", "linear1", "linear2", "linear3", "ar1",
           "logistic-group", "logistic-individual")
@@ -184,6 +184,79 @@ def test_batch_shape_check():
     model, data = make_case("mean", 5, 0)
     with pytest.raises(ShapeError):
         solve_weighted_batch(model, data, np.ones((2, 4)), np.zeros(1))
+
+
+def test_misshaped_init_is_refused_before_any_evaluation():
+    model, data = make_case("linear2", 6, 0)
+    scheme = W.multinomial(6)
+    no_evaluation = mock.patch.object(M.LinearModel, "score_all",
+                                      side_effect=AssertionError("evaluated"))
+    for init in (np.zeros(3), np.zeros((2, 2))):
+        with no_evaluation, pytest.raises(ShapeError, match="init shape"):
+            solve_weighted_batch(model, data, np.ones((2, 6)), init)
+        with no_evaluation, pytest.raises(ShapeError, match="init shape"):
+            solver.solve_weighted(model, data, np.ones(6), init)
+        with no_evaluation, pytest.raises(ShapeError, match="init shape"):
+            run_bootstrap(model, data, init, scheme, 10, seed=1)
+        with no_evaluation, pytest.raises(ShapeError, match="init shape"):
+            exact_variance_enumeration(model, data, init, W.delete_d_jackknife(6, 1))
+    # a scalar init is a (1,) point for a one-parameter model
+    model, data = make_case("mean", 6, 0)
+    betas, failures, _ = solve_weighted_batch(model, data, np.ones((2, 6)), 0.0)
+    assert list(failures) == ["", ""]
+    assert betas == pytest.approx(np.full((2, 1), np.mean(data["z"])))
+    assert solver.solve_weighted(model, data, np.ones(6), 0.0).beta.shape == (1,)
+
+
+def assert_exits_match_per_draw(model, data, Wm, init):
+    """Every row of the batched solve against its newton_oracle call, whatever
+    its exit: the same failure class and accepted steps, and the last iterate
+    within ``agreement_tol`` of the condition number there. Returns the rows'
+    (failure, steps) pairs."""
+    ref_betas, ref_failures, ref_steps, conds = oracle_exits(
+        ((model, data.take(b), w) for b, w in enumerate(Wm)), init)
+    betas, failures, iterations = solve_weighted_batch(model, data, Wm, init)
+    assert list(failures) == list(ref_failures)
+    assert np.array_equal(iterations, ref_steps)
+    scale = 1.0 + np.max(np.abs(ref_betas), axis=1)
+    dev = np.max(np.abs(betas - ref_betas), axis=1) / scale
+    assert np.all(dev <= agreement_tol(np.where(np.isnan(conds), np.inf, conds)))
+    return set(zip(failures, iterations.tolist()))
+
+
+def test_every_exit_route_matches_per_draw():
+    # grouped fumigant logistic from a far start, in one block: exponential
+    # rows converge after 7 and 8 steps, run out of steps, find no descent
+    # after the first step or turn singular after 4; a two-group and a
+    # one-group row turn singular after 2 steps and at the start; a NaN
+    # weight fails at init
+    fum = M.load_fumigant()
+    r = np.random.default_rng(0)
+    Wm = np.vstack([r.exponential(size=(6, fum.n)), np.zeros((3, fum.n))])
+    Wm[6, [0, 9]] = Wm[7, 0] = 1.0
+    Wm[8] = 1.0
+    Wm[8, 3] = np.nan
+    with mock.patch.object(solver, "MAX_ITER", 10):
+        exits = assert_exits_match_per_draw(M.LogisticGroupModel(), fum, Wm,
+                                            np.array([-2.0, 4.0]))
+    assert exits == {("NonConvergenceError", 1), ("NonConvergenceError", 10),
+                     ("", 7), ("", 8), ("SingularSystemError", 4),
+                     ("SingularSystemError", 2), ("SingularSystemError", 0),
+                     ("EvaluationError", 0)}
+
+
+def test_rebuilt_block_exits_match_per_draw():
+    # a rebuilt isomerization rb block without the NLS hook: one draw
+    # converges, three turn singular and the rest run out of steps, so the
+    # solve drops the block's data rows at several iterations
+    model, data = M.IsomerizationModel(), M.load_isomerization()
+    beta_hat = np.array([35.92, 0.0708, 0.0377, 0.167])
+    resid, rebuild = model.residual_resampler(data, beta_hat)
+    resid = resid - resid.mean()
+    block = rebuild(np.stack([draw_rng(1, b).choice(resid, size=data.n) for b in range(16)]))
+    exits = assert_exits_match_per_draw(model, block, np.ones((16, data.n)), beta_hat)
+    assert exits == {("", 25), ("SingularSystemError", 40), ("SingularSystemError", 61),
+                     ("SingularSystemError", 71), ("NonConvergenceError", 100)}
 
 
 def test_run_bootstrap_records_iterations_and_failure_classes():
