@@ -68,12 +68,12 @@ def wild_bootstrap(model, data, beta_hat, n_boot, seed):
     Regression responses are rebuilt as fit + U * residual with the observed
     design X held fixed (the lagged series for AR(1)), and a block of draws is
     refit in closed form from the (B, n) standard-normal multiplier matrix U.
-    A singular X'X (an all-zero series, a duplicated column) makes every draw
-    fall back with ``SingularSystemError``. Grouped binary data uses per-trial
-    logit residuals r_ij = logit((Y_ij + WB_DELTA) / (1 + 2 WB_DELTA)) -
-    fitted logit, with one standard-normal multiplier per ``WB_BLOCK``
-    like-response trials; the perturbed logit is mapped back to a success
-    probability, a synthetic binary response is drawn from it, and the
+    A singular X'X (an all-zero series, a duplicated column, an inf or NaN in
+    X) makes every draw fall back with ``SingularSystemError``. Grouped binary
+    data uses per-trial logit residuals r_ij = logit((Y_ij + WB_DELTA) / (1 +
+    2 WB_DELTA)) - fitted logit, with one standard-normal multiplier per
+    ``WB_BLOCK`` like-response trials; the perturbed logit is mapped back to a
+    success probability, a synthetic binary response is drawn from it, and the
     logistic fit is recomputed. That refit is a batched reweighted solve over
     the per-trial model's (covariate cell, outcome) ``cell_slots``, built once
     per call: a block of draws is one ``solve_weighted_batch`` call, whose
@@ -85,20 +85,20 @@ def wild_bootstrap(model, data, beta_hat, n_boot, seed):
 
     if isinstance(model, (M.Ar1Model, M.LinearModel)):
         X, y = model.design(data), model.response(data)
-        fit = X @ beta_hat
-        resid = y - fit
         XtX = X.T @ X
-        singular = not well_conditioned(XtX[None])[0]
-
         draw = Draws(data.n, lambda rng, row: rng.standard_normal(out=row))
 
-        def solve_block(U):
-            B = len(U)
-            if singular:
-                return (np.tile(beta_hat, (B, 1)),
-                        np.full(B, SingularSystemError.__name__, dtype=object), None)
-            betas = np.linalg.solve(XtX, X.T @ (fit + U * resid).T).T
-            return betas, np.full(B, "", dtype=object), None
+        if well_conditioned(XtX[None])[0]:
+            fit = X @ beta_hat
+            resid = y - fit
+
+            def solve_block(U):
+                betas = np.linalg.solve(XtX, X.T @ (fit + U * resid).T).T
+                return betas, np.full(len(U), "", dtype=object), None
+        else:   # fit and residuals are never formed: an inf in X would make them NaN
+            def solve_block(U):
+                return (np.tile(beta_hat, (len(U), 1)),
+                        np.full(len(U), SingularSystemError.__name__, dtype=object), None)
 
     else:   # grouped binary data
         y = data["y_ind"]

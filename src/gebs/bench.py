@@ -144,6 +144,8 @@ class ExperimentConfig:
             raise ConfigError("n must be >= 2")
         if not self.methods:
             raise ConfigError("need at least one method")
+        if strays := [m for m in self.methods if not isinstance(m, str)]:
+            raise ConfigError(f"method names must be strings, got {strays[0]!r}")
         # results are keyed by method name: a repeat would overwrite a run
         if repeated := sorted({m for m in self.methods if self.methods.count(m) > 1}):
             raise ConfigError(f"method named more than once: {', '.join(repeated)}")

@@ -40,8 +40,10 @@ ISO_SCALE = 1.632    # stoichiometric constant in the isomerization rate model
 def _sigmoid(t, out=None):
     # in place: a large temporary that the allocator hands back to the OS is
     # page-faulted in again on the next call, which dominates a (B, n) batch;
-    # ``out`` (which may be ``t``) spares even the one buffer
-    e = np.clip(t, -LOGIT_CLAMP, LOGIT_CLAMP, out=out)
+    # ``out`` (which may be ``t``) spares even the one buffer. The clamp is
+    # np.clip's, NaN, inf and -0.0 included, without its wrapper's cost
+    e = np.maximum(t, -LOGIT_CLAMP, out=out)
+    np.minimum(e, LOGIT_CLAMP, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
     e += 1.0
@@ -69,8 +71,18 @@ def _ar1_series(phi, e):
 
 def _nan_outside(betas, out):
     """NaN rows where the parameter is not finite."""
-    out[~np.all(np.isfinite(betas), axis=1)] = np.nan
+    if not np.isfinite(betas).all():
+        out[~np.isfinite(betas).all(axis=1)] = np.nan
     return out
+
+
+def _times(W, v):
+    """W * v for an index model's factor or slope ``v``: in v's own buffer
+    when it is an array, W itself when it is the constant 1."""
+    if np.ndim(v) == 0:
+        return W if v == 1.0 else W * v
+    v *= W
+    return v
 
 
 def _slot_sum(V, A):
@@ -158,8 +170,10 @@ class IndexModel(Model):
     """Single-index scores phi_i(beta) = D_i m_i(D_i' beta) over the (n, p) design D.
 
     ``factor(data, T)`` is m_i at the linear index T, by default least squares
-    on ``response(data)``, and ``slope(data, T)`` is -dm_i/dT. The design is
-    shared (n, p), or (B, n, p) on a rebuilt block.
+    on ``response(data)``, and ``slope(data, T)`` is -dm_i/dT. Each returns a
+    new array of T's shape, which the batch evaluations multiply by the
+    weights in place, or a scalar. The design is shared (n, p), or (B, n, p)
+    on a rebuilt block.
     """
 
     def design(self, data):
@@ -186,12 +200,12 @@ class IndexModel(Model):
     def weighted_score_batch(self, data, W, betas):
         D = self.design(data)
         T = _slot_sum(betas, np.swapaxes(D, -1, -2))
-        return _nan_outside(betas, _slot_sum(W * self.factor(data, T), D))
+        return _nan_outside(betas, _slot_sum(_times(W, self.factor(data, T)), D))
 
     def weighted_jacobian_batch(self, data, W, betas):
         D = self.design(data)
         T = _slot_sum(betas, np.swapaxes(D, -1, -2))
-        return _nan_outside(betas, -_weighted_outer(W * self.slope(data, T), D))
+        return _nan_outside(betas, -_weighted_outer(_times(W, self.slope(data, T)), D))
 
 
 class MeanModel(IndexModel):
@@ -252,18 +266,24 @@ class LogisticGroupModel(IndexModel):
         X = data["X"]
         return np.column_stack([np.ones_like(X), X])
 
-    def _outcomes(self, data):
-        """Successes and trials per weight slot."""
-        return data["Y"], data["N"]
+    def _successes(self, data):
+        return data["Y"]
+
+    def _times_trials(self, data, P):
+        """N P per weight slot, in P's buffer."""
+        P *= data["N"]
+        return P
 
     def factor(self, data, T):
-        Y, N = self._outcomes(data)
-        return Y - N * _sigmoid(T)
+        # Y - N P, in the sigmoid's buffer
+        NP = self._times_trials(data, _sigmoid(T))
+        return np.subtract(self._successes(data), NP, out=NP)
 
     def slope(self, data, T):
         P = _sigmoid(T)
-        v = self._outcomes(data)[1] * P
-        v *= np.subtract(1.0, P, out=P)   # N P (1 - P), reusing P's buffer
+        Q = 1.0 - P
+        v = self._times_trials(data, P)
+        v *= Q   # N P (1 - P), in the sigmoid's buffer
         return v
 
 
@@ -274,8 +294,11 @@ class LogisticIndividualModel(LogisticGroupModel):
         X = data["x_ind"]
         return np.column_stack([np.ones_like(X), X])
 
-    def _outcomes(self, data):
-        return data["y_ind"], 1.0
+    def _successes(self, data):
+        return data["y_ind"]
+
+    def _times_trials(self, data, P):
+        return P   # one trial per slot
 
     def slots(self, data):
         # None when the cell slots would not be fewer than the trials (slot data)

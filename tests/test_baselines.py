@@ -334,3 +334,22 @@ def test_collinear_design_falls_back_as_singular(method):
         method(M.LinearModel(p=2), collinear, np.array([0.5, 0.5]), 20, seed=18)
     assert exc.value.sample.failures == {"SingularSystemError": 20}
     assert exc.value.sample.fallback_count == 20
+
+
+@pytest.mark.parametrize("p", [None, 1, 2, 3], ids=["ar1", "p1", "p2", "p3"])
+def test_wild_bootstrap_falls_back_on_non_finite_data(p, capfd):
+    # a NaN in the series or an inf in X makes X'X non-finite, which fails
+    # the conditioning guard at every p: no NaN root counts as solved, and
+    # LAPACK never sees the matrix
+    if p is None:
+        model, data = M.Ar1Model(), M.simulate_ar1(0.3, 1.0, 1.0, 30, rng(5))
+        data.arrays["x"][7] = np.nan
+        beta_hat = np.array([0.3])
+    else:
+        model, data = M.LinearModel(p=p), M.simulate_linear(np.ones(p), 30, rng(6))
+        data.arrays["X"][4, 0] = np.inf
+        beta_hat = np.zeros(p)   # inf * 0 in the fit, were it formed
+    with pytest.raises(DegenerateRunError) as exc:
+        wild_bootstrap(model, data, beta_hat, 20, seed=1)
+    assert exc.value.sample.failures == {"SingularSystemError": 20}
+    assert capfd.readouterr().err == ""

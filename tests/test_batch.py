@@ -245,6 +245,53 @@ def test_every_exit_route_matches_per_draw():
                      ("EvaluationError", 0)}
 
 
+class OvershootModel(M.IndexModel):
+    """Test-only one-parameter index model over two slots whose root is 1 and
+    whose Newton step from 0 overshoots it to t = 1 / (1 - k / 2), k = W[b, 1]
+    / W[b, 0]. The second slot's score is 0 below 2 and inf from 2, NaN from 3
+    and 1e300 from 4, so a full step to t >= 2 meets each of those."""
+
+    p = 1
+
+    def design(self, data):
+        return np.ones((data.n, 1))
+
+    def factor(self, data, T):
+        m = np.zeros_like(T)
+        m[..., 0] = T[..., 0] - 1.0
+        t = T[..., 1]
+        m[..., 1] = np.select([t >= 4, t >= 3, t >= 2], [1e300, np.nan, np.inf], 0.0)
+        return m
+
+    def slope(self, data, T):
+        # not the derivative of factor: the Jacobian W[b, 0] - W[b, 1] / 2 is
+        # what makes the step overshoot
+        s = np.empty_like(T)
+        s[..., 0], s[..., 1] = -1.0, 0.5
+        return s
+
+
+def test_full_step_scores_that_are_not_finite_or_overflow_match_per_draw():
+    # full steps to t = 1.5, 2.5, 3.5, 5 and 20: a finite score, inf, NaN and
+    # two finite scores whose squares overflow; at weight scale 1e200 the
+    # squared score at init, the line search's base, is inf as well
+    model, data = OvershootModel(), M.Dataset(n=2)
+    k = 2.0 - 2.0 / np.array([1.5, 2.5, 3.5, 5.0, 20.0])
+    Wm = np.vstack([np.column_stack([np.ones(5), k]) * scale for scale in (1.0, 1e200)])
+    init = np.zeros(1)
+    with np.errstate(over="ignore"):
+        F0 = model.weighted_score_batch(data, Wm, np.zeros((10, 1)))
+        full = -F0 / model.weighted_jacobian_batch(data, Wm, np.zeros((10, 1)))[:, 0]
+        F_full = model.weighted_score_batch(data, Wm, full)[:, 0]
+        assert np.all(np.isfinite(F0)) and np.isinf((F0 * F0)[5:]).all()
+        assert np.isfinite(F_full[[0, 3, 4]]).all() and np.isinf(F_full[[3, 4]] ** 2).all()
+        assert np.isinf(F_full[[1, 6, 8, 9]]).all() and np.isnan(F_full[[2, 7]]).all()
+        exits = assert_exits_match_per_draw(model, data, Wm, init)
+    # every scale-1 row converges; at scale 1e200 no trial score has a finite
+    # square, so no row descends
+    assert exits == {("", 17), ("", 33), ("", 78), ("NonConvergenceError", 0)}
+
+
 def test_rebuilt_block_exits_match_per_draw():
     # a rebuilt isomerization rb block without the NLS hook: one draw
     # converges, three turn singular and the rest run out of steps, so the

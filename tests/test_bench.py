@@ -60,6 +60,12 @@ def test_config_defaults_fill_in():
     {"experiment": "ar1", "out": "/nonexistent-dir/report.csv"},
     {"experiment": "ar1", "out": ""},
     {"experiment": "ar1", "out": 3},
+    # method names are strings
+    {"experiment": "ar1", "methods": [1]},
+    {"experiment": "ar1", "methods": ["rb", None]},
+    {"experiment": "ar1", "methods": [b"rb"]},
+    {"experiment": "glm", "methods": [["wb"]]},
+    {"experiment": "weights-check", "methods": [1.0]},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ConfigError):

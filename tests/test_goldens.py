@@ -48,3 +48,14 @@ def test_default_weights_check_report_matches_golden(tmp_path):
     assert cli.main(["run", "--experiment", "weights-check", "--out", str(out)]) == cli.EXIT_OK
     text = out.read_text(encoding="utf-8")
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == WEIGHTS_CHECK_GOLDEN
+
+
+def test_solve_digest_plays_one_round():
+    # tests/solve_digest.py, the A/B check that a change keeps every solve's
+    # bits, runs; and in one tree its digests repeat
+    import solve_digest
+
+    first = solve_digest.digests(1)
+    assert first == solve_digest.digests(1)
+    assert first["reports"][0] == 2 * len(workloads.WORKLOADS)
+    assert first["solves"][0] > 0

@@ -152,6 +152,54 @@ def test_closed_form_guard_agrees_with_svd_condition_number():
     assert decided[2].tolist() == [False] * 4 + [True, False, True, True, True, False]
 
 
+def non_finite_stack(p):
+    """A well-conditioned p x p matrix with inf, -inf and NaN in turn in each
+    entry: 3 p^2 matrices, then the finite one."""
+    base = np.eye(p) + 0.25 * np.arange(p * p).reshape(p, p) / (p * p)
+    stack = []
+    for i in range(p):
+        for j in range(p):
+            for v in (np.inf, -np.inf, np.nan):
+                bad = base.copy()
+                bad[i, j] = v
+                stack.append(bad)
+    return np.stack([*stack, base])
+
+
+@pytest.mark.parametrize("p", (1, 2, 3))
+def test_guard_fails_every_non_finite_matrix(p):
+    ok = solver.well_conditioned(non_finite_stack(p))
+    assert ok.tolist() == [False] * (3 * p * p) + [True]
+
+
+@pytest.mark.parametrize("p", (1, 2, 3))
+def test_guard_keeps_finite_verdicts_in_a_mixed_stack(p):
+    # finite matrices spread over condition numbers 1..1e16 and a zero one,
+    # shuffled among non-finite ones: each finite one gets the verdict it
+    # gets alone, and np.linalg.cond never sees a non-finite matrix
+    gen = rng(11)
+    finite = gen.standard_normal((60, p, p))
+    finite[:, 0] *= 10.0 ** -gen.uniform(0.0, 16.0, 60)[:, None]
+    finite[0] = 0.0
+    stack = np.concatenate([finite, non_finite_stack(p)[:-1]])
+    order = gen.permutation(len(stack))
+    seen, svd_cond = [], np.linalg.cond
+
+    def cond(J):
+        seen.append(np.all(np.isfinite(J)))
+        return svd_cond(J)
+
+    with mock.patch.object(np.linalg, "cond", cond):
+        mixed = solver.well_conditioned(stack[order])
+        alone = solver.well_conditioned(finite)
+    got = np.empty(len(stack), bool)
+    got[order] = mixed
+    assert np.array_equal(got[:60], alone)
+    assert not got[60:].any()
+    assert alone.any() and not alone.all()
+    assert all(seen) and (p > 2) == bool(seen)
+
+
 @pytest.mark.parametrize("exponents", [(-300, 301), (-1074, 1024)])
 def test_one_parameter_step_division_equals_lapack_solve(exponents):
     # solve_weighted_batch takes a one-parameter Newton step as -F / J; a
