@@ -5,8 +5,9 @@ and writes its report. Exit codes: 0 success, 2 configuration error, 3 a
 method degenerated (too many resamples fell back to the full-data root; the
 report is still written with the offending cells flagged).
 
-``main`` first sets the process's heap policy (``apply_heap_policy``); a
-library caller's process keeps the allocator's defaults.
+``main`` applies the process's heap policy (``apply_heap_policy``) and builds
+its argument parser on its first call; later calls in the same process reuse
+that parser. A library caller's process keeps the allocator's defaults.
 """
 
 import argparse
@@ -28,6 +29,9 @@ EXIT_DEGENERATE = 3
 M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
 MMAP_THRESHOLD = 4 * 1024 * 1024 * ctypes.sizeof(ctypes.c_long)
+
+# main's parser, built by its first call in this process
+_PARSER = None
 
 
 def apply_heap_policy():
@@ -87,8 +91,11 @@ def _methods_from(text):
 
 
 def main(argv=None):
-    apply_heap_policy()
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        apply_heap_policy()
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         config = ExperimentConfig(
             experiment=args.experiment, n=args.n, sims=args.sims,

@@ -10,6 +10,7 @@ desk-scale run is one block. A block is solved by a ``solve_fn`` hook, by
 default ``solver.solve_weighted_batch``."""
 
 import ctypes
+import functools
 import itertools
 import math
 import operator
@@ -39,7 +40,23 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 # PCG64's 128-bit LCG multiplier (pcg64.h)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK64 = (1 << 64) - 1
+
+
+def _u64(value):
+    """Read-only uint64 array of ``value``. numpy's ufuncs take a 0-d array
+    operand faster than a Python int or a uint64 scalar."""
+    array = np.array(value, np.uint64)
+    array.flags.writeable = False
+    return array
+
+
+# _pcg64_words' operands: masks and shifts, -MIX_MULT_R mod 2^32 (so that no
+# unsigned array underflows), and the LCG multiplier's high and low limbs and
+# the low limb's 32-bit halves
+_M32, _S16, _S32, _S63, _ONE = map(_u64, (_MASK32, 16, 32, 63, 1))
+_MIX_L, _MIX_NEG_R = _u64(_MIX_MULT_L), _u64(-_MIX_MULT_R & _MASK32)
+_MULT_HI, _MULT_LO = _u64(_PCG64_MULT >> 64), _u64(_PCG64_MULT & (1 << 64) - 1)
+_MULT_Y0, _MULT_Y1 = _u64(_PCG64_MULT & _MASK32), _u64(_PCG64_MULT >> 32 & _MASK32)
 # memory order of a row of _pcg64_words in numpy's pcg_state_setseq_128: two
 # native uint128 words, low limb first on little-endian hosts
 _LIMBS = (1, 0, 3, 2)
@@ -59,43 +76,69 @@ def draw_rng(seed, *path):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=path))
 
 
-def _hashmix(words, const, mult, m):
-    """SeedSequence's ``hashmix`` of m words in turn, from the running hash
-    constant ``const``: each word xors in the constant, steps it and
-    multiplies by the new one. ``words`` is a uint64 array of 32-bit values
-    that broadcasts to m rows; masking every product keeps them below 2^64."""
+@functools.cache
+def _hash_columns(const, mult, m):
+    """Read-only (m, 1) uint64 columns of ``_hashmix``'s m steps from the
+    running hash constant ``const``: the constant each row xors in, and the
+    stepped one it is then multiplied by."""
     consts = [const]
     for _ in range(m):
         consts.append(consts[-1] * mult & _MASK32)
-    xor, times = (np.array(c, np.uint64)[:, None] for c in (consts[:-1], consts[1:]))
-    value = (words ^ xor) * times & _MASK32
-    return value ^ value >> 16
+    return tuple(_u64(c)[:, None] for c in (consts[:-1], consts[1:]))
 
 
-def _mix(x, y):
-    # MIX_MULT_L x - MIX_MULT_R y (mod 2^32), adding -MIX_MULT_R mod 2^32
-    # so that no unsigned array underflows
-    result = (_MIX_MULT_L * x & _MASK32) + ((-_MIX_MULT_R & _MASK32) * y & _MASK32)
-    result &= _MASK32
-    return result ^ result >> 16
+def _fold(value, tmp):
+    """``value`` mod 2^32, xored with itself shifted right by 16, in place:
+    the last step of SeedSequence's hash and mix. ``tmp`` is scratch of
+    value's shape."""
+    value &= _M32
+    np.right_shift(value, _S16, out=tmp)
+    value ^= tmp
 
 
-def _mul128(a, m):
-    """Product mod 2^128 of a (high, low) uint64 pair and a Python int ``m``:
-    the full product of the low words from 32-bit halves, plus the cross
-    terms mod 2^64."""
-    m_hi, m_lo = m >> 64, m & _MASK64
-    x0, x1, y0, y1 = a[1] & _MASK32, a[1] >> 32, m_lo & _MASK32, m_lo >> 32
-    p00, p01, p10 = x0 * y0, x0 * y1, x1 * y0
-    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    return (x1 * y1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + a[0] * m_lo + a[1] * m_hi,
-            p00 & _MASK32 | mid << 32)
+def _hashmix(value, const, mult, tmp):
+    """SeedSequence's ``hashmix``, in place, of the m rows of ``value``, uint64
+    arrays of 32-bit words, from the running hash constant ``const``: row j
+    xors in the constant, steps it and is multiplied by the new one. A product
+    of two 32-bit words stays below 2^64."""
+    xor, times = _hash_columns(const, mult, len(value))
+    value ^= xor
+    value *= times
+    _fold(value, tmp)
 
 
 def _add128(a, b):
-    """Sum mod 2^128 of (high, low) uint64 pairs; uint64 arrays wrap."""
-    lo = a[1] + b[1]
-    return a[0] + b[0] + (lo < a[1]), lo
+    """``a += b`` (mod 2^128) in place on (2, k) uint64 (high, low) limbs;
+    unsigned arrays wrap mod 2^64."""
+    a += b
+    a[0] += a[1] < b[1]
+
+
+def _mul128(a, tmp):
+    """``a *= MULT`` (mod 2^128) in place on (2, k) uint64 (high, low) limbs:
+    the low limb is the low limbs' wrapped product; the high limb adds the
+    cross terms and that product's high word, from 32-bit halves (Hacker's
+    Delight's mulhu). ``tmp`` holds 6 rows of scratch."""
+    hi, lo = a
+    halves, by_y0, by_y1 = tmp[:2], tmp[2:4], tmp[4:6]
+    np.bitwise_and(lo, _M32, out=halves[0])
+    np.right_shift(lo, _S32, out=halves[1])
+    np.multiply(halves, _MULT_Y0, out=by_y0)
+    np.multiply(halves, _MULT_Y1, out=by_y1)
+    low, mid = by_y0          # x0 y0, x1 y0
+    cross, high = by_y1       # x0 y1, x1 y1
+    low >>= _S32
+    mid += low                # below 2^64
+    np.bitwise_and(mid, _M32, out=low)
+    low += cross
+    low >>= _S32
+    mid >>= _S32
+    high += mid
+    high += low               # the high word of lo MULT_LO
+    np.multiply(lo, _MULT_HI, out=cross)
+    high += cross
+    a *= _MULT_LO
+    hi += high
 
 
 def _pcg64_words(seed, start, stop):
@@ -106,21 +149,37 @@ def _pcg64_words(seed, start, stop):
     last, into ``SeedSequence(seed).pool``, after the hash constant has
     stepped once per word hashed before: ``_POOL_SIZE`` per seed word padded
     to at least ``_POOL_SIZE`` words, the cross mixes included. That mixing,
-    ``generate_state(4, uint64)`` and ``pcg64_set_seed``'s ``inc = 2 i + 1``,
-    ``state = (inc + s) MULT + inc`` (mod 2^128) run over uint64 arrays of the b.
+    ``generate_state(4, uint64)`` and ``pcg64_set_seed`` run in place over one
+    (8, k) uint64 block of the b, with another as scratch.
     """
     seed_words = max(1, -(-seed.bit_length() // 32))
     const = _INIT_A * pow(_MULT_A, _POOL_SIZE * max(_POOL_SIZE, seed_words), 1 << 32) & _MASK32
-    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None]
-    # b < 2^32 is one spawn word, mixed into every pool word
-    pool = _mix(pool, _hashmix(np.arange(start, stop, dtype=np.uint64), const, _MULT_A,
-                               _POOL_SIZE))
-    state = _hashmix(pool[np.arange(2 * _POOL_SIZE) % _POOL_SIZE], _INIT_B, _MULT_B,
-                     2 * _POOL_SIZE)
-    s_hi, s_lo, i_hi, i_lo = state[::2] | state[1::2] << 32
-    inc = (i_hi << 1 | i_lo >> 63, i_lo << 1 | 1)
-    s = _add128(_mul128(_add128(inc, (s_hi, s_lo)), _PCG64_MULT), inc)
-    return np.stack([*s, *inc], axis=1)
+    state, tmp = np.empty((2, 2 * _POOL_SIZE, stop - start), np.uint64)
+    # b < 2^32 is one spawn word, hashed and mixed into every pool word:
+    # MIX_MULT_L pool - MIX_MULT_R hash (mod 2^32)
+    mixed = state[:_POOL_SIZE]
+    mixed[:] = np.arange(start, stop, dtype=np.uint64)
+    _hashmix(mixed, const, _MULT_A, tmp[:_POOL_SIZE])
+    mixed *= _MIX_NEG_R
+    mixed += np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None] * _MIX_L
+    _fold(mixed, tmp[:_POOL_SIZE])
+    # generate_state hashes the mixed pool twice over into 8 words, which pair
+    # up low word first into (s high, s low, i high, i low) on the odd rows
+    state[_POOL_SIZE:] = mixed
+    _hashmix(state, _INIT_B, _MULT_B, tmp)
+    words = state[1::2]
+    words <<= _S32
+    words |= state[::2]
+    # pcg64_set_seed: inc = 2 i + 1, state = (inc + s) MULT + inc
+    s, inc = words[:2], words[2:]
+    np.right_shift(inc[1], _S63, out=tmp[0])
+    inc <<= _ONE
+    inc[0] |= tmp[0]
+    inc[1] |= _ONE
+    _add128(s, inc)
+    _mul128(s, tmp)
+    _add128(s, inc)
+    return words.T
 
 
 def _state_memory(bit_gen):

@@ -26,6 +26,7 @@ methods read draw b's data through ``Dataset.take``.
 
 import csv
 import importlib.resources
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -61,11 +62,20 @@ def _response_resampler(data, fit):
 
 def _ar1_series(phi, e):
     """X_0 = 0 and X_t = phi X_{t-1} + e_t along the last axis of ``e``."""
-    # time-major, so each step updates one contiguous row of every series
+    if e.ndim == 1:
+        # one series steps fastest in Python floats: the same IEEE double
+        # multiply and add, without a ufunc call per step
+        phi = float(phi)
+        return np.fromiter(itertools.accumulate(
+            e.tolist(), lambda prev, e_t: e_t + phi * prev, initial=0.0), float, len(e) + 1)
+    # time-major, so each step updates one contiguous row of every series,
+    # a view of a 2-D reshape; every step's product goes to one reused buffer
     x = np.zeros((e.shape[-1] + 1, *e.shape[:-1]))
     x[1:] = np.moveaxis(e, -1, 0)
-    for t in range(1, len(x)):
-        x[t] += phi * x[t - 1]
+    rows = x.reshape(len(x), -1)
+    step = np.empty_like(rows[0])
+    for prev, cur in zip(rows, rows[1:]):
+        cur += np.multiply(prev, phi, out=step)
     return np.ascontiguousarray(np.moveaxis(x, 0, -1))
 
 

@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -436,6 +437,34 @@ def test_heap_policy_applies_both_mallopt_settings():
         assert block and libc.mallinfo2().hblks == mapped
     finally:
         libc.free(block)
+
+
+def test_cli_builds_its_parser_and_heap_policy_once_per_process(monkeypatch, tmp_path,
+                                                                  capsys):
+    # as in a fresh process, whose first main call parses badly and second runs
+    monkeypatch.setattr(cli, "_PARSER", None)
+    calls = Counter()
+    for name in ("build_parser", "apply_heap_policy"):
+        def counted(original=getattr(cli, name), name=name):
+            calls[name] += 1
+            return original()
+        monkeypatch.setattr(cli, name, counted)
+    with pytest.raises(SystemExit) as parse_error:
+        cli.main([*TINY_RUN, "--boots", "many"])
+    assert parse_error.value.code == 2     # argparse's usage error
+    assert "invalid int value" in capsys.readouterr().err
+    second = tmp_path / "second.csv"
+    assert cli.main([*TINY_RUN, "--out", str(second)]) == cli.EXIT_OK
+    assert calls == {"build_parser": 1, "apply_heap_policy": 1}
+    # a lone call, with a parser of its own, writes the same bytes
+    monkeypatch.setattr(cli, "_PARSER", None)
+    lone = tmp_path / "lone.csv"
+    assert cli.main([*TINY_RUN, "--out", str(lone)]) == cli.EXIT_OK
+    assert calls == {"build_parser": 2, "apply_heap_policy": 2}
+    assert second.read_bytes() == lone.read_bytes()
+    # build_parser itself still returns a fresh parser on every call
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli.build_parser() is not cli._PARSER
 
 
 def test_cli_nls_rejects_sims_other_than_one(tmp_path, capsys):

@@ -59,3 +59,12 @@ def test_solve_digest_plays_one_round():
     assert first == solve_digest.digests(1)
     assert first["reports"][0] == 2 * len(workloads.WORKLOADS)
     assert first["solves"][0] > 0
+
+
+def test_fixed_cost_measures_one_call():
+    # tests/fixed_cost.py, which prints ROADMAP item 11's fixed costs, runs
+    import fixed_cost
+
+    lines = fixed_cost.report(sims=1, boots=(10, 20), repeats=1, samples=1)
+    assert [line.split()[0] for line in lines] == ["resample"] * 3 + ["cli.main:"]
+    assert "boots=10:" in lines[0] and "boots=20:" in lines[1]

@@ -45,6 +45,31 @@ def test_block_streams_equal_numpy_seeding(seed, start, stop):
         assert np.array_equal(rng.multinomial(50, P50), ref.multinomial(50, P50))
 
 
+def test_seeding_constants_are_read_only(monkeypatch):
+    # _pcg64_words works in place beside its cached hash columns and uint64
+    # operands; a write into one would change every later stream
+    cached, used = engine._hash_columns, []
+
+    def recording(*key):
+        used.extend(cached(*key))
+        return cached(*key)
+
+    monkeypatch.setattr(engine, "_hash_columns", recording)
+    for seed in SEEDS:
+        engine._pcg64_words(seed, 0, 1)
+    monkeypatch.undo()
+    operands = [v for v in vars(engine).values() if isinstance(v, np.ndarray)]
+    assert len(operands) >= 10 and len(used) >= 4
+    for constant in (*used, *operands):
+        with pytest.raises(ValueError, match="read-only"):
+            constant += 1
+        with pytest.raises(ValueError, match="read-only"):
+            constant[...] = 0
+    for seed in SEEDS:
+        for b, row in zip(range(300, 304), engine._pcg64_words(seed, 300, 304).tolist()):
+            assert engine._state_dict(row) == oracle(seed, b).bit_generator.state, (seed, b)
+
+
 def test_buffered_uint32_does_not_leak_into_the_next_stream():
     streams = block_streams(child_seed(5, 2), 40, 44)
     for b in range(40, 44):
