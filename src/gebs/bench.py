@@ -226,7 +226,7 @@ def _method_sample(method, scheme, model, data, beta_hat, boots, seed, solve_fn)
         if method == "wb":
             return bmod.wild_bootstrap(model, data, beta_hat, boots, seed), False
         return emod.run_bootstrap(model, data, beta_hat, scheme, boots, seed,
-                                  solve_fn=solve_fn, store_weights=False), False
+                                  solve_fn=solve_fn), False
     except DegenerateRunError as exc:
         return exc.sample, True
 
@@ -431,11 +431,11 @@ def nls_draw_root(model, data, W, anchors):
     return betas, failures, None
 
 
-def nls_roots(model, data, weights, starts=NLS_STARTS):
-    """Distinct fits over the start set with their weighted objective values;
-    a start whose fit does not converge is skipped."""
+def nls_roots(model, data, weights):
+    """Distinct fits from the ``NLS_STARTS`` with their weighted objective
+    values; a start whose fit does not converge is skipped."""
     fits = []
-    for start in starts:
+    for start in NLS_STARTS:
         try:
             th = _nls_fit(model, data, weights, start)
         except NonConvergenceError:
@@ -489,7 +489,7 @@ def _run_nls(config):
     for method in config.methods:
         betas, = per_method[method]
         for j in range(model.p):
-            hist = density_histogram(betas[:, j], bins=HIST_BINS)
+            hist = density_histogram(betas[:, j])
             for b in range(len(hist.masses)):
                 rows.append({"method": method, "param": j, "kind": "bin",
                              "x_lo": float(hist.edges[b]),
@@ -553,8 +553,8 @@ class Histogram:
     mode_heights: list
 
 
-def density_histogram(draws, bins=HIST_BINS):
-    """Normalized histogram with deterministic mode detection.
+def density_histogram(draws):
+    """Normalized ``HIST_BINS``-bin histogram with deterministic mode detection.
 
     Modes are local maxima of the 3-bin moving average that exceed 10% of its
     global maximum; plateau runs count once.
@@ -562,9 +562,7 @@ def density_histogram(draws, bins=HIST_BINS):
     draws = np.asarray(draws, float).ravel()
     if draws.size < MIN_HIST_DRAWS:
         raise ParameterError(f"need >= {MIN_HIST_DRAWS} draws, got {draws.size}")
-    if bins < 10:
-        raise ParameterError("need bins >= 10")
-    counts, edges = np.histogram(draws, bins=bins)
+    counts, edges = np.histogram(draws, bins=HIST_BINS)
     masses = counts / counts.sum()
     half = SMOOTH_WINDOW // 2
     padded = np.concatenate([np.zeros(half), masses, np.zeros(half)])

@@ -205,9 +205,11 @@ def _state_dict(words, buffered=0):
 def _thread_stream():
     """This thread's stream generator, built on its first call: ``(rng, state,
     flags, direct)`` with ``_state_memory``'s views and the layout probe's
-    verdict ``direct``. The probe writes known words, distinct
-    in every limb, over a state with a buffered uint32 and compares the result
-    with ``bit_gen.state``. Threads never share a generator."""
+    verdict ``direct``. The probe writes known words, distinct in every limb,
+    over a state with a buffered uint32 and compares the result with
+    ``bit_gen.state``; where they differ (128-bit words stored high limb
+    first), ``block_streams`` uses the ``bit_gen.state`` setter. Threads never
+    share a generator."""
     stream = getattr(_THREAD, "stream", None)
     if stream is None:
         bit_gen = np.random.PCG64(0)
@@ -226,7 +228,8 @@ def block_streams(seed, start, stop):
     Every stream is this thread's one ``Generator``, given draw b's whole state
     and an empty uint32 buffer just before it is yielded, so a consumer must
     be done with it before asking for the next one and must not keep it.
-    README's engine section describes how the states are computed and set.
+    ``_pcg64_words`` computes the states of all of them at once;
+    ``_thread_stream`` decides how they are set.
     """
     seed = operator.index(seed)   # TypeError for floats, None, strings
     if seed < 0:
@@ -290,7 +293,6 @@ class BootstrapSample:
     betas: np.ndarray          # (B, p); a draw that fell back holds beta_hat
     outcomes: np.ndarray       # (B,) error class per draw, "" where it solved
     sigma2: float
-    weight_draws: np.ndarray = None   # (B, n) when retained
     iterations: np.ndarray = None     # (B,) Newton steps per draw, Newton solves only
 
     @property
@@ -359,8 +361,7 @@ class Draws:
     dtype: object = float
 
 
-def resample(beta_hat, n_boot, seed, draw, solve_block, label, sigma2=1.0,
-             store_rows=False):
+def resample(beta_hat, n_boot, seed, draw, solve_block, label, sigma2=1.0):
     """Draw ``n_boot`` resamples, solve them in blocks and collect the sample.
 
     Draw b's row comes from ``draw`` (a ``Draws``) on its own stream, equal to
@@ -372,15 +373,14 @@ def resample(beta_hat, n_boot, seed, draw, solve_block, label, sigma2=1.0,
     Failed draws are pinned to ``beta_hat``. ``sigma2`` is the weight
     variance (1 for the baselines). More than ``MAX_FALLBACK_FRAC`` fallbacks
     raise ``DegenerateRunError`` carrying the (still inspectable) sample.
-    ``store_rows`` keeps the rows as ``weight_draws``.
     """
-    if n_boot < 1:
-        raise ParameterError("need n_boot >= 1")
-    blocks, kept = [], []
+    if wmod._index(n_boot) is None or n_boot < 1:   # bools refused, numpy ints kept
+        raise ParameterError(f"need an integer n_boot >= 1, got {n_boot!r}")
+    blocks = []
     streams = block_streams(seed, 0, n_boot)
     rows = block_rows(draw.width)
     for start in range(0, n_boot, rows):
-        # a fresh block each time: the solver or ``kept`` may hold on to it
+        # a fresh block each time: the solver may hold on to it
         R = np.empty((min(rows, n_boot - start), draw.width), draw.dtype)
         for row, rng in zip(R, streams):   # R first: zip takes exactly len(R) streams
             draw.fill(rng, row)
@@ -394,14 +394,11 @@ def resample(beta_hat, n_boot, seed, draw, solve_block, label, sigma2=1.0,
                 f"{len(beta_hat)}) roots and {len(R)} failures, got shapes "
                 f"{np.shape(block[0])} and {np.shape(block[1])}")
         blocks.append(block)
-        if store_rows:
-            kept.append(R)
     betas, outcomes, iterations = zip(*blocks)
     betas, outcomes = np.concatenate(betas), np.concatenate(outcomes)
     iterations = None if iterations[0] is None else np.concatenate(iterations)
     betas[outcomes != ""] = beta_hat
-    sample = BootstrapSample(beta_hat, betas, outcomes, sigma2,
-                             np.concatenate(kept) if store_rows else None, iterations)
+    sample = BootstrapSample(beta_hat, betas, outcomes, sigma2, iterations)
     if sample.fallback_count > MAX_FALLBACK_FRAC * n_boot:
         raise DegenerateRunError(
             f"{label}: {sample.fallback_count}/{n_boot} resamples fell back to the "
@@ -409,8 +406,7 @@ def resample(beta_hat, n_boot, seed, draw, solve_block, label, sigma2=1.0,
     return sample
 
 
-def run_bootstrap(model, data, beta_hat, scheme, n_boot, seed,
-                  solve_fn=None, store_weights=True):
+def run_bootstrap(model, data, beta_hat, scheme, n_boot, seed, solve_fn=None):
     """Draw ``n_boot`` weight vectors and solve the reweighted equations.
 
     Non-converged draws fall back to ``beta_hat`` and are counted; a run with
@@ -425,7 +421,7 @@ def run_bootstrap(model, data, beta_hat, scheme, n_boot, seed,
     hook = solve_fn or solve_weighted_batch
     return resample(beta_hat, n_boot, seed, Draws(scheme.n, *wmod.sampler(scheme)),
                     lambda W: hook(model, data, W, beta_hat), "generalized bootstrap",
-                    wmod.central_moment(scheme, (2,)), store_weights)
+                    wmod.central_moment(scheme, (2,)))
 
 
 def _estimate(v, mc_stderr=None, **flags):
@@ -486,23 +482,26 @@ def empirical_distribution(model, data, sample, contrast=None):
     """Plug-in normalized bootstrap distribution of the resampled estimates.
 
     For p = 1 the scaling is sqrt(|sum_i phi_1ni(beta_hat)|) / sigma_n; for
-    p > 1 a unit contrast vector projects through the plug-in studentizer.
+    p > 1 a unit (p,) contrast vector projects through the plug-in studentizer.
     """
     beta_hat = sample.beta_hat
     p = len(beta_hat)
     if sample.sigma2 <= 0:
         raise ParameterError("degenerate scheme has no distribution estimate")
+    if p > 1:
+        if contrast is None:
+            raise ParameterError("p > 1 needs a contrast vector")
+        c = np.asarray(contrast, float)
+        if c.shape != (p,):
+            raise ShapeError(f"contrast shape {c.shape} != ({p},) parameters")
+        if abs(np.linalg.norm(c) - 1.0) > 1e-8:
+            raise ParameterError("contrast must have unit norm")
     J_total = np.sum(model.jacobian_all(data, beta_hat), axis=0)
     deltas = sample.deltas()
     if p == 1:
         s = math.sqrt(abs(float(J_total[0, 0])))
         vals = s / math.sqrt(sample.sigma2) * deltas[:, 0]
         return EmpiricalDistribution(vals)
-    if contrast is None:
-        raise ParameterError("p > 1 needs a contrast vector")
-    c = np.asarray(contrast, float)
-    if abs(np.linalg.norm(c) - 1.0) > 1e-8:
-        raise ParameterError("contrast must have unit norm")
     scores = model.score_all(data, beta_hat)
     v = np.linalg.solve(J_total, c)
     s_hat2 = float(v @ (scores.T @ scores) @ v)

@@ -97,8 +97,7 @@ def test_criterion_2_enumeration_vs_monte_carlo():
     ok = True
     for scheme in (W.multinomial(n), W.delete_d_jackknife(n, 2)):
         exact = exact_variance_enumeration(model, data, beta_hat, scheme).v_gbs
-        sample = run_bootstrap(model, data, beta_hat, scheme, 10 ** 5,
-                               seed=4, store_weights=False)
+        sample = run_bootstrap(model, data, beta_hat, scheme, 10 ** 5, seed=4)
         mc = variance_estimate(sample)
         gap = abs(mc.v_gbs - exact)
         ok = ok and gap <= 4 * mc.mc_stderr
@@ -180,8 +179,7 @@ def test_criterion_6_distribution_consistency():
     X, y = data["X"][:, 0], data["y"]
     beta_hat = np.array([np.sum(X * y) / np.sum(X * X)])
     model = M.LinearModel(p=1)
-    sample = run_bootstrap(model, data, beta_hat, W.multinomial(n), B,
-                           seed=7, store_weights=False)
+    sample = run_bootstrap(model, data, beta_hat, W.multinomial(n), B, seed=7)
     dist = empirical_distribution(model, data, sample)
     ks_norm = ks_distance(dist)
 
@@ -206,8 +204,7 @@ def test_criterion_6_contrast_distribution(p):
     data = M.simulate_linear(np.linspace(1.0, -1.0, p), n, rng(50 + p))
     beta_hat = np.linalg.lstsq(data["X"], data["y"], rcond=None)[0]
     model = M.LinearModel(p=p)
-    sample = run_bootstrap(model, data, beta_hat, W.multinomial(n), B,
-                           seed=8, store_weights=False)
+    sample = run_bootstrap(model, data, beta_hat, W.multinomial(n), B, seed=8)
     contrast = np.ones(p) / math.sqrt(p)
     dist = empirical_distribution(model, data, sample, contrast=contrast)
     ks_norm = ks_distance(dist)

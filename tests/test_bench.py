@@ -99,13 +99,11 @@ def test_child_seed_is_stable_and_distinct():
 def test_density_histogram_validation():
     with pytest.raises(ParameterError):
         bench.density_histogram(np.zeros(10))
-    with pytest.raises(ParameterError):
-        bench.density_histogram(np.zeros(100), bins=5)
 
 
 def test_density_histogram_unimodal():
     draws = np.random.default_rng(0).standard_normal(5000)
-    hist = bench.density_histogram(draws, bins=20)
+    hist = bench.density_histogram(draws)
     assert hist.masses.sum() == pytest.approx(1.0)
     assert len(hist.modes) == 1
     assert abs(hist.modes[0]) < 0.5
@@ -114,7 +112,7 @@ def test_density_histogram_unimodal():
 def test_density_histogram_bimodal():
     r = np.random.default_rng(1)
     draws = np.concatenate([r.normal(-4, 0.5, 3000), r.normal(4, 0.5, 3000)])
-    hist = bench.density_histogram(draws, bins=30)
+    hist = bench.density_histogram(draws)
     assert len(hist.modes) == 2
     assert hist.modes[0] == pytest.approx(-4, abs=1.0)
     assert hist.modes[1] == pytest.approx(4, abs=1.0)
@@ -122,16 +120,16 @@ def test_density_histogram_bimodal():
 
 def test_density_histogram_plateau_counts_once():
     # exactly equal masses across all bins form one plateau, not many modes
-    draws = np.tile(np.arange(10), 10).astype(float)
-    hist = bench.density_histogram(draws, bins=10)
-    assert np.allclose(hist.masses, 0.1)
+    draws = np.tile(np.arange(bench.HIST_BINS), 10).astype(float)
+    hist = bench.density_histogram(draws)
+    assert np.allclose(hist.masses, 1 / bench.HIST_BINS)
     assert len(hist.modes) == 1
 
 
 def test_density_histogram_minor_bumps_suppressed():
     r = np.random.default_rng(2)
     draws = np.concatenate([r.normal(0, 1, 5000), np.array([25.0])])
-    hist = bench.density_histogram(draws, bins=30)
+    hist = bench.density_histogram(draws)
     # the lone outlier bin stays below the 10% prominence floor
     assert all(m < 10 for m in hist.modes)
 
@@ -226,11 +224,15 @@ def test_nls_multistart_finds_two_roots():
     assert len(fits) == 2
 
 
-def test_nls_roots_without_starts_is_empty():
+def test_nls_roots_with_no_converged_start_is_empty(monkeypatch):
     from gebs import models as M
+
+    def fit(model, data, weights, start):
+        raise NonConvergenceError("bounded least squares did not converge")
+
+    monkeypatch.setattr(bench, "_nls_fit", fit)
     with pytest.raises(EmptyRootSetError):
-        bench.nls_roots(M.IsomerizationModel(), M.load_isomerization(),
-                        np.ones(24), starts=())
+        bench.nls_roots(M.IsomerizationModel(), M.load_isomerization(), np.ones(24))
 
 
 def test_nls_roots_skips_a_start_that_does_not_converge(monkeypatch):
@@ -245,8 +247,6 @@ def test_nls_roots_skips_a_start_that_does_not_converge(monkeypatch):
     monkeypatch.setattr(bench, "_nls_fit", fit)
     fits = bench.nls_roots(model, data, np.ones(24))
     assert [th.tolist() for th, _ in fits] == [list(bench.NLS_ANCHORS[1])]
-    with pytest.raises(EmptyRootSetError):
-        bench.nls_roots(model, data, np.ones(24), starts=bench.NLS_STARTS[:1])
 
 
 # ---------------------------------------------------------------------------

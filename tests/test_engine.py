@@ -1,6 +1,8 @@
 """Bootstrap engine: resample loop, variance and distribution estimates."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from gebs.engine import (EmpiricalDistribution, draw_rng, empirical_distribution
 from gebs.errors import (DegenerateRunError, InsufficientSampleError,
                          NonConvergenceError, ParameterError, ShapeError)
 from gebs.solver import TOL, solve_weighted, solve_weighted_batch
-from block_sizes import BLOCK_ROWS
+from block_sizes import BLOCK_ROWS, spy_blocks
 from per_draw import per_draw
 
 
@@ -34,22 +36,25 @@ def mean_setup(n=12, seed=0):
 # ---------------------------------------------------------------------------
 # run_bootstrap
 
-def test_run_bootstrap_is_deterministic():
+def test_run_bootstrap_is_deterministic(monkeypatch):
     model, data, beta_hat = mean_setup()
+    blocks = spy_blocks(monkeypatch, engine)
     a = run_bootstrap(model, data, beta_hat, W.multinomial(12), 40, seed=5)
     b = run_bootstrap(model, data, beta_hat, W.multinomial(12), 40, seed=5)
     assert np.array_equal(a.betas, b.betas)
-    assert np.array_equal(a.weight_draws, b.weight_draws)
+    rows = np.concatenate(blocks)
+    assert np.array_equal(rows[:40], rows[40:])
     c = run_bootstrap(model, data, beta_hat, W.multinomial(12), 40, seed=6)
     assert not np.array_equal(a.betas, c.betas)
 
 
-def test_multinomial_mean_draws_are_weighted_means():
+def test_multinomial_mean_draws_are_weighted_means(monkeypatch):
     model, data, beta_hat = mean_setup()
+    blocks = spy_blocks(monkeypatch, engine)
     sample = run_bootstrap(model, data, beta_hat, W.multinomial(12), 30, seed=2)
-    z = data["z"]
+    z, rows = data["z"], np.concatenate(blocks)
     for b in range(30):
-        w = sample.weight_draws[b]
+        w = rows[b]
         assert sample.betas[b, 0] == pytest.approx(np.sum(w * z) / np.sum(w), abs=1e-8)
     assert sample.fallback_count == 0
     assert np.all(sample.outcomes == "")
@@ -109,10 +114,11 @@ def test_too_many_fallbacks_degenerate():
     assert est.degenerate
 
 
-def test_hook_draws_run_in_order_across_blocks():
+def test_hook_draws_run_in_order_across_blocks(monkeypatch):
     # 300 draws span three solve blocks; the hook still sees draw b's weights
     # in order, and they are the weights the default batched path solves
     model, data, beta_hat = mean_setup()
+    blocks = spy_blocks(monkeypatch, engine)
     scheme = W.multinomial(12)
     seen = []
 
@@ -121,12 +127,13 @@ def test_hook_draws_run_in_order_across_blocks():
         return np.array([np.sum(w * dat["z"]) / np.sum(w)])
 
     sample = run_bootstrap(model, data, beta_hat, scheme, 300, seed=7,
-                           solve_fn=per_draw(record), store_weights=True)
+                           solve_fn=per_draw(record))
     expected = np.stack([W.sample(scheme, draw_rng(7, b)) for b in range(300)])
     assert np.array_equal(np.stack(seen), expected)
-    assert np.array_equal(sample.weight_draws, expected)
+    assert np.array_equal(np.concatenate(blocks), expected)
+    blocks.clear()
     default = run_bootstrap(model, data, beta_hat, scheme, 300, seed=7)
-    assert np.array_equal(default.weight_draws, expected)
+    assert np.array_equal(np.concatenate(blocks), expected)
     assert sample.iterations is None and default.iterations.shape == (300,)
 
 
@@ -134,6 +141,50 @@ def test_run_bootstrap_validation():
     model, data, beta_hat = mean_setup()
     with pytest.raises(ParameterError):
         run_bootstrap(model, data, beta_hat, W.multinomial(12), 0, seed=0)
+
+
+@pytest.mark.parametrize("n_boot", [True, False, 10.5, 10.0, "10", None])
+def test_draw_count_must_be_an_integer(monkeypatch, n_boot):
+    # refused before any stream is hashed; bools are not counts
+    def no_hashing(*args):
+        raise AssertionError("streams hashed")
+
+    monkeypatch.setattr(engine, "_pcg64_words", no_hashing)
+    model, data, beta_hat = mean_setup()
+    series = M.simulate_ar1(0.2, 1.0, 9.0, 20, rng(9))
+    with pytest.raises(ParameterError, match="integer n_boot"):
+        run_bootstrap(model, data, beta_hat, W.multinomial(12), n_boot, seed=0)
+    with pytest.raises(ParameterError, match="integer n_boot"):
+        residual_bootstrap(M.Ar1Model(), series, np.array([0.2]), n_boot, seed=0)
+    with pytest.raises(ParameterError, match="integer n_boot"):
+        wild_bootstrap(M.Ar1Model(), series, np.array([0.2]), n_boot, seed=0)
+
+
+@pytest.mark.parametrize("n_boot", [np.int64(20), np.int32(20), np.uint8(20)])
+def test_numpy_integer_draw_counts_are_accepted(n_boot):
+    model, data, beta_hat = mean_setup()
+    sample = run_bootstrap(model, data, beta_hat, W.multinomial(12), n_boot, seed=3)
+    expect = run_bootstrap(model, data, beta_hat, W.multinomial(12), 20, seed=3)
+    assert sample.betas.tobytes() == expect.betas.tobytes()
+
+
+def test_run_memory_does_not_grow_with_the_draws_weight_rows():
+    # four blocks of draws against one: the traced peak grows by less than
+    # the extra draws' (B, n) weight rows would take (6 MiB at n = 50)
+    n = 50
+    model, data, beta_hat = mean_setup(n)
+    rows = engine.block_rows(n)
+
+    def peak(n_boot):
+        tracemalloc.start()
+        try:
+            run_bootstrap(model, data, beta_hat, W.multinomial(n), n_boot, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)   # first-call caches outside the measurement
+    assert peak(4 * rows) - peak(rows) < 3 * rows * n * 8
 
 
 @pytest.mark.parametrize("bad", ["short", "flat", "wide", "failures"])
@@ -284,6 +335,21 @@ def test_empirical_distribution_contrast_required():
     assert len(dist.values) == 30
 
 
+@pytest.mark.parametrize("contrast", [[1.0], [0.6, 0.8, 0.0], [[0.6, 0.8]],
+                                      [[0.6], [0.8]], 1.0])
+def test_empirical_distribution_refuses_a_misshaped_contrast(contrast):
+    # each has unit norm; its shape is refused before the model is evaluated
+    data = M.simulate_linear([1.0, -1.0], 20, rng(13))
+    model = M.LinearModel(p=2)
+    beta_hat = np.linalg.lstsq(data["X"], data["y"], rcond=None)[0]
+    sample = run_bootstrap(model, data, beta_hat, W.multinomial(20), 30, seed=14)
+    no_evaluation = AssertionError("evaluated")
+    with (mock.patch.object(M.LinearModel, "jacobian_all", side_effect=no_evaluation),
+          mock.patch.object(M.LinearModel, "score_all", side_effect=no_evaluation),
+          pytest.raises(ShapeError, match="contrast shape")):
+        empirical_distribution(model, data, sample, contrast=contrast)
+
+
 def test_percentile_ci_order_statistics():
     draws = np.arange(1.0, 100.0)  # B = 99
     lo, hi = percentile_ci(draws, 0.95)
@@ -321,7 +387,7 @@ class PoissonMeanModel(M.IndexModel):
         return np.exp(T)
 
 
-def test_poisson_log_link_roots_are_logs_of_weighted_means():
+def test_poisson_log_link_roots_are_logs_of_weighted_means(monkeypatch):
     # sum_i w_i (z_i - exp(beta)) = 0 has the closed-form root
     # log(sum_i w_i z_i / sum_i w_i); Newton stops within TOL of it
     n = 40
@@ -329,9 +395,10 @@ def test_poisson_log_link_roots_are_logs_of_weighted_means():
     data, model = M.Dataset(n=n, arrays={"z": z}), PoissonMeanModel()
     beta_hat = solve_weighted(model, data, np.ones(n)).beta
     np.testing.assert_allclose(beta_hat, [math.log(z.mean())], rtol=TOL, atol=0)
+    blocks = spy_blocks(monkeypatch, engine)
     sample = run_bootstrap(model, data, beta_hat, W.multinomial(n), 200, seed=20)
     assert sample.fallback_count == 0
-    w = sample.weight_draws
+    w = np.concatenate(blocks)
     np.testing.assert_allclose(sample.betas[:, 0], np.log(w @ z / w.sum(axis=1)),
                                rtol=TOL, atol=0)
 

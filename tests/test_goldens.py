@@ -68,3 +68,28 @@ def test_fixed_cost_measures_one_call():
     lines = fixed_cost.report(sims=1, boots=(10, 20), repeats=1, samples=1)
     assert [line.split()[0] for line in lines] == ["resample"] * 3 + ["cli.main:"]
     assert "boots=10:" in lines[0] and "boots=20:" in lines[1]
+
+
+def test_code_lines_counts_each_module():
+    # tests/code_lines.py, which prints the package size ROADMAP tracks, runs;
+    # a docstring, a comment or a blank line is no code line
+    import code_lines
+
+    lines = code_lines.report()
+    names, sizes = [], []
+    for line in lines:
+        name, file_lines, code = line.split()
+        names.append(name)
+        sizes.append((int(file_lines), int(code)))
+    assert names[-1] == "total" and "engine.py" in names
+    assert sizes[-1] == tuple(map(sum, zip(*sizes[:-1])))
+    assert all(0 < code < file_lines for file_lines, code in sizes)
+    text = ('"""Module."""\n'
+            '\n'
+            'def f(x):\n'
+            '    """Doc,\n'
+            '    two lines."""\n'
+            '    # note\n'
+            '    return (x +\n'
+            '            1)\n')
+    assert code_lines.count(text) == (8, 3)

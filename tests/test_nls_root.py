@@ -42,7 +42,7 @@ def _resample(method, model, data, beta_hat, seed, hook):
     if method == "rb":
         return residual_bootstrap(model, data, beta_hat, 1000, seed, solve_fn=hook)
     return run_bootstrap(model, data, beta_hat, W.parse_scheme(method[4:], data.n),
-                         1000, seed, solve_fn=hook, store_weights=False)
+                         1000, seed, solve_fn=hook)
 
 
 def _picks(betas, anchor):

@@ -31,11 +31,13 @@ import math
 import numpy as np
 import pytest
 
+from gebs import engine
 from gebs import models as M
 from gebs import weights as W
 from gebs.bench import GLM_BETA
 from gebs.engine import exact_variance_enumeration, run_bootstrap, variance_estimate
 from gebs.solver import TOL, solve_weighted, solve_weighted_batch
+from block_sizes import spy_blocks
 from newton_oracle import newton_oracle
 
 N = 240
@@ -79,16 +81,18 @@ def _assert_close(actual, expected, rtol):
 
 
 @pytest.mark.parametrize("name", ["mean", "linear", "ar1", "logistic"])
-def test_dirichlet_one_is_the_exponential_bootstrap_rescaled(name):
+def test_dirichlet_one_is_the_exponential_bootstrap_rescaled(monkeypatch, name):
     model, data = _case(name)
     n = model.weight_count(data)
     beta_hat = _fit(model, data)
+    blocks = spy_blocks(monkeypatch, engine)
     bayes = run_bootstrap(model, data, beta_hat, W.dirichlet(n, 1.0), DRAWS, SEED)
+    D = np.concatenate(blocks)
+    blocks.clear()
     exp = run_bootstrap(model, data, beta_hat, W.iid_exponential(n), DRAWS, SEED)
 
-    E = exp.weight_draws
-    np.testing.assert_allclose(bayes.weight_draws, n * E / E.sum(axis=1, keepdims=True),
-                               rtol=1e-14)
+    E = np.concatenate(blocks)
+    np.testing.assert_allclose(D, n * E / E.sum(axis=1, keepdims=True), rtol=1e-14)
     np.testing.assert_allclose(bayes.betas, exp.betas, rtol=RTOL, atol=0)
     assert np.array_equal(bayes.outcomes, exp.outcomes)
     assert np.array_equal(bayes.iterations, exp.iterations)
@@ -127,19 +131,20 @@ def test_delete_d_jackknife_enumeration_is_the_delete_d_estimator(name, d):
     _assert_close(np.atleast_2d(est.v_gbs), (n - d) / (d * math.comb(n, d)) * acc, rtol)
 
 
-def _multinomial_sample(name):
+def _multinomial_sample(monkeypatch, name):
+    """A multinomial run of ``name``'s case and its (B, n) weight rows."""
     model, data = _case(name)
     n = model.weight_count(data)
     beta_hat = _fit(model, data)
+    blocks = spy_blocks(monkeypatch, engine)
     sample = run_bootstrap(model, data, beta_hat, W.multinomial(n), DRAWS, SEED)
     assert sample.fallback_count == 0
-    return model, data, sample
+    return model, data, sample, np.concatenate(blocks)
 
 
 @pytest.mark.parametrize("name", ["mean", "linear", "logistic"])
-def test_multinomial_roots_are_refits_on_duplicated_records(name):
-    model, data, sample = _multinomial_sample(name)
-    counts = sample.weight_draws
+def test_multinomial_roots_are_refits_on_duplicated_records(monkeypatch, name):
+    model, data, sample, counts = _multinomial_sample(monkeypatch, name)
     assert np.array_equal(counts, np.rint(counts))
     n = counts.shape[1]
     refits = []
@@ -151,11 +156,11 @@ def test_multinomial_roots_are_refits_on_duplicated_records(name):
 
 
 @pytest.mark.parametrize("name", ["mean", "linear", "logistic"])
-def test_permuting_records_with_their_weights_keeps_the_roots(name):
-    model, data, sample = _multinomial_sample(name)
-    perm = np.random.default_rng(11).permutation(sample.weight_draws.shape[1])
+def test_permuting_records_with_their_weights_keeps_the_roots(monkeypatch, name):
+    model, data, sample, counts = _multinomial_sample(monkeypatch, name)
+    perm = np.random.default_rng(11).permutation(counts.shape[1])
     betas, failures, iterations = solve_weighted_batch(
-        model, _records(name, data, perm), sample.weight_draws[:, perm], sample.beta_hat)
+        model, _records(name, data, perm), counts[:, perm], sample.beta_hat)
     _assert_close(betas, sample.betas, RTOL)
     assert np.array_equal(failures, sample.outcomes)
     assert np.array_equal(iterations, sample.iterations)

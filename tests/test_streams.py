@@ -21,6 +21,7 @@ from gebs.baselines import residual_bootstrap
 from gebs.engine import block_streams, draw_rng, run_bootstrap
 from gebs.errors import ParameterError
 from gebs.solver import solve_weighted_batch
+from block_sizes import spy_blocks
 
 # 1-, 2-, 3-, 5- and 9-word seeds (past four words SeedSequence's third
 # mixing loop takes seed words too, and the spawn word's hash constant
@@ -181,17 +182,19 @@ def test_inner_bootstrap_between_blocks_leaves_the_outer_sample_exact(monkeypatc
     model, beta_hat, scheme = M.MeanModel(), np.array([z.mean()]), W.multinomial(30)
     # roots depend on the block size in the last bits: compare like blocks
     monkeypatch.setattr(engine, "block_rows", lambda width: 7)
+    spied = spy_blocks(monkeypatch, engine)
     expect = run_bootstrap(model, data, beta_hat, scheme, 50, 12)
+    expect_rows = np.concatenate(spied)
     blocks = []
 
     def nested(mdl, dat, W_block, init):
         # the inner run re-seeds this thread's generator before the outer
         # loop draws its next block
         run_bootstrap(mdl, dat, init, scheme, 9, 99)
-        blocks.append(len(W_block))
+        blocks.append(W_block)
         return solve_weighted_batch(mdl, dat, W_block, init)
 
     got = run_bootstrap(model, data, beta_hat, scheme, 50, 12, solve_fn=nested)
-    assert blocks == [7] * 7 + [1]
+    assert [len(R) for R in blocks] == [7] * 7 + [1]
     assert got.betas.tobytes() == expect.betas.tobytes()
-    assert got.weight_draws.tobytes() == expect.weight_draws.tobytes()
+    assert np.concatenate(blocks).tobytes() == expect_rows.tobytes()
