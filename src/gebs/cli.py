@@ -102,16 +102,12 @@ def main(argv=None):
             boots=args.boots, methods=_methods_from(args.methods), seed=args.seed,
             scale=args.scale, out=args.out, format=args.format)
         report = run_experiment(config)
+        text = emit_report(report, config.format, config.out)
     except DegenerateRunError as exc:
         print(f"gebs: degenerate run: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except (ConfigError, ParameterError, ParseError, UnsupportedModelError,
-            OSError) as exc:
-        print(f"gebs: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        text = emit_report(report, config.format, config.out)
-    except OSError as exc:
+            OSError) as exc:   # OSError: also writing the report
         print(f"gebs: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if config.out is None:

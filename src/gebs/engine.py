@@ -293,15 +293,12 @@ class BootstrapSample:
     betas: np.ndarray          # (B, p); a draw that fell back holds beta_hat
     outcomes: np.ndarray       # (B,) error class per draw, "" where it solved
     sigma2: float
+    fallback_count: int        # draws that fell back, counted once by ``resample``
     iterations: np.ndarray = None     # (B,) Newton steps per draw, Newton solves only
 
     @property
     def n_draws(self):
         return self.betas.shape[0]
-
-    @property
-    def fallback_count(self):
-        return int(np.count_nonzero(self.outcomes != ""))
 
     @property
     def failures(self):
@@ -397,8 +394,10 @@ def resample(beta_hat, n_boot, seed, draw, solve_block, label, sigma2=1.0):
     betas, outcomes, iterations = zip(*blocks)
     betas, outcomes = np.concatenate(betas), np.concatenate(outcomes)
     iterations = None if iterations[0] is None else np.concatenate(iterations)
-    betas[outcomes != ""] = beta_hat
-    sample = BootstrapSample(beta_hat, betas, outcomes, sigma2, iterations)
+    failed = outcomes != ""
+    betas[failed] = beta_hat
+    sample = BootstrapSample(beta_hat, betas, outcomes, sigma2,
+                             int(np.count_nonzero(failed)), iterations)
     if sample.fallback_count > MAX_FALLBACK_FRAC * n_boot:
         raise DegenerateRunError(
             f"{label}: {sample.fallback_count}/{n_boot} resamples fell back to the "
@@ -452,7 +451,7 @@ def variance_estimate(sample, scale=1.0):
                      degenerate=fallback == B, fallback_frac=fallback / B)
 
 
-def exact_variance_enumeration(model, data, beta_hat, scheme, scale=1.0):
+def exact_variance_enumeration(model, data, beta_hat, scheme):
     """Resampling variance as an exact expectation over the scheme's support.
 
     Atoms are solved ``block_rows(n)`` at a time. Atoms whose solve fails
@@ -475,7 +474,7 @@ def exact_variance_enumeration(model, data, beta_hat, scheme, scale=1.0):
         d = betas[ok] - beta_hat
         acc += (probs[ok, None] * d).T @ d
         failed_mass += float(np.sum(probs[~ok]))
-    return _estimate(scale / sigma2 * acc, fallback_frac=failed_mass)
+    return _estimate(1.0 / sigma2 * acc, fallback_frac=failed_mass)
 
 
 def empirical_distribution(model, data, sample, contrast=None):

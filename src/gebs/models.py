@@ -109,7 +109,13 @@ def _weighted_outer(V, D):
 
 @dataclass
 class Dataset:
-    """Model-specific observation records plus provenance."""
+    """Model-specific observation records plus provenance.
+
+    On a rebuilt block of the residual bootstrap, ``drawn`` names the arrays
+    that differ from draw to draw, each with a leading draw axis (a (B, n)
+    response ``y``, or a (B, n + 1) AR(1) series ``x``); every other array
+    is shared by all draws.
+    """
 
     n: int
     meta: str = "synthetic"
@@ -120,7 +126,9 @@ class Dataset:
         return self.arrays[key]
 
     def take(self, rows):
-        """Draws ``rows`` of a rebuilt block; one int row gives a plain dataset."""
+        """Draws ``rows`` of a rebuilt block; one int row gives a plain dataset.
+        Shared data is returned as is, so the solver calls this wherever it
+        slices the weights, and row b of the data stays beside row b of W."""
         if not self.drawn:
             return self   # shared by every draw
         arrays = {**self.arrays, **{k: self.arrays[k][rows] for k in self.drawn}}
@@ -128,7 +136,13 @@ class Dataset:
 
 
 class Model:
-    """Base estimating-equation model."""
+    """Base estimating-equation model.
+
+    ``score_all(data, beta)`` gives the (n, p) scores phi_i(beta) of the
+    weight slots and ``jacobian_all(data, beta)`` their (n, p, p) Jacobians.
+    The batch methods evaluate B reweighted systems from these two, row by
+    row, so any model that gives them runs through the batched solver.
+    """
 
     p = 1
 
@@ -182,8 +196,17 @@ class IndexModel(Model):
     ``factor(data, T)`` is m_i at the linear index T, by default least squares
     on ``response(data)``, and ``slope(data, T)`` is -dm_i/dT. Each returns a
     new array of T's shape, which the batch evaluations multiply by the
-    weights in place, or a scalar. The design is shared (n, p), or (B, n, p)
-    on a rebuilt block.
+    weights in place (a fresh (B, n) temporary that the allocator hands back
+    to the OS is faulted in again on the next call, which costs more than
+    the arithmetic on a large block), or a scalar (a slope of 1 is the weight
+    matrix itself). The design is shared (n, p), or (B, n, p) on a rebuilt block.
+
+    From ``design``, ``response``, ``factor`` and ``slope`` this class writes
+    ``weight_count``, ``score_all``, ``jacobian_all`` and both batch methods,
+    as array algebra that never builds a (B, n, p, p) tensor. A new
+    single-index model, such as a Poisson log link with ``factor = y -
+    exp(T)`` and ``slope = exp(T)``, needs nothing else (``tests/test_engine.py``
+    checks its roots against ``log(sum_i w_i z_i / sum_i w_i)``).
     """
 
     def design(self, data):

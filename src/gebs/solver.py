@@ -41,8 +41,10 @@ def weighted_jacobian(model, data, weights, beta):
 
 def solve_weighted(model, data, weights, init=None):
     """Damped Newton iteration on one weight vector from ``init`` (zeros if
-    omitted): the one-row case of ``solve_weighted_batch``, raising the
-    failure recorded for the row."""
+    omitted): the one-row case of ``solve_weighted_batch``. Raises the
+    failure class recorded for the row (a ``NonConvergenceError`` carries the
+    last iterate and its residual), else returns ``Solution(beta,
+    iterations)`` and evaluates nothing more at the root."""
     init = np.zeros(model.p) if init is None else init
     betas, failures, iterations = solve_weighted_batch(
         model, data, np.asarray(weights, float)[None], init)
@@ -60,13 +62,16 @@ def solve_weighted(model, data, weights, init=None):
 
 def well_conditioned(J):
     """``np.linalg.cond(J) <= COND_LIMIT`` for a (B, p, p) stack, False for
-    every matrix that is not finite, with no SVD for p <= 2. The 2-norm
-    condition number c = sigma_1 / sigma_2 of a 2 x 2 matrix has ||J||_F^2 /
-    |det J| = c + 1/c, so ``||J||_F^2 < COND_LIMIT |det J|`` decides it except
-    within 1 / COND_LIMIT of the limit, and a zero determinant fails. Each
-    matrix is first divided by its largest |entry|, which leaves c as it is,
-    so that no square overflows; an inf or NaN entry makes that quotient or
-    the determinant NaN, and the comparison fails."""
+    every matrix that is not finite, with no SVD for p <= 2, so the solver
+    makes no finite pass of its own. For p = 1 it is that J is finite and
+    non-zero. The 2-norm condition number c = sigma_1 / sigma_2 of a 2 x 2
+    matrix has ||J||_F^2 / |det J| = c + 1/c, so ``||J||_F^2 < COND_LIMIT
+    |det J|`` decides it except within 1 / COND_LIMIT of the limit, and a zero
+    determinant fails. Each matrix is first divided by its largest |entry|,
+    which leaves c as it is, so that no square overflows; an inf or NaN entry
+    makes that quotient or the determinant NaN, and the comparison fails. For
+    p > 2 it is ``np.linalg.cond`` on the finite matrices only, so LAPACK
+    never sees an inf or NaN."""
     p = J.shape[-1]
     if p == 1:
         a = np.abs(J[:, 0, 0])
@@ -107,8 +112,20 @@ def solve_weighted_batch(model, data, W, init):
     keeps its last iterate), each draw's error class ("" if it converged) and
     its accepted Newton steps. Shared data is first reduced by
     ``model.slots``; on a rebuilt block (``data.drawn``) data row b belongs to
-    draw b. Each model evaluation receives exactly the rows of the draws it
-    serves, in draw order.
+    draw b.
+
+    The draws still iterating form a working set, compacted in draw order;
+    a draw's iterate, steps and failure class are written back only when it
+    leaves it. Each iteration tries the full Newton step on the whole set
+    first, and only the draws that reject it enter the step-halving loop.
+    Each model evaluation receives exactly the rows of the draws it serves,
+    in draw order: a block's BLAS sums can differ in the last bits when its
+    row set changes, so this fixes the roots' bits. With p = 1 the Newton
+    step is the division -F / J, LAPACK's 1 x 1 solve bit for bit; from
+    p = 2 it is ``np.linalg.solve``. The solver has no settings besides
+    ``init``: ``TOL`` (relative to 1 + the largest score component at
+    ``init``), ``MAX_ITER``, ``MAX_HALVINGS`` and the ``well_conditioned``
+    guard's ``COND_LIMIT`` are module constants.
     """
     W = np.asarray(W, float)
     width = model.weight_count(data)

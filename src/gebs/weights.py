@@ -61,9 +61,19 @@ def _real(value):
         return math.inf
 
 
+# each kind's parameters, in the order its specification string gives them,
+# with their type: an int parameter takes any integral value but bool, a float
+# parameter any real one
+_KIND_PARAMETERS = {
+    MULTINOMIAL: (), M_OUT_OF_N: (("m", int),), DELETE_D_JACKKNIFE: (("d", int),),
+    DOWNWEIGHT_D_JACKKNIFE: (("d", int),), DIRICHLET: (("alpha", float),),
+    IID_UNIFORM: (("lo", float), ("hi", float)), IID_EXPONENTIAL: (), CONSTANT: ()}
+
+
 @dataclass(frozen=True)
 class WeightScheme:
-    """A named exchangeable weight law of length ``n``."""
+    """A named exchangeable weight law of length ``n``. ``params`` holds
+    exactly the parameters its kind takes; any other key is refused."""
 
     kind: str
     n: int
@@ -74,38 +84,31 @@ class WeightScheme:
         if n is None or n < 1:
             raise ParameterError(f"weight-vector length must be an integer >= 1, got {self.n!r}")
         object.__setattr__(self, "n", n)
-        p = self.params
+        if not isinstance(self.kind, str) or self.kind not in _KIND_PARAMETERS:
+            raise ParameterError(f"unknown weight scheme kind {self.kind!r}")
+        p, spec = self.params, _KIND_PARAMETERS[self.kind]
+        if unknown := set(p) - {key for key, _ in spec}:
+            raise ParameterError(f"{self.kind} takes no parameter {sorted(map(str, unknown))}")
+        v = {key: (_index if cast is int else _real)(p.get(key)) for key, cast in spec}
+        object.__setattr__(self, "params", v)
         if self.kind in (DELETE_D_JACKKNIFE, DOWNWEIGHT_D_JACKKNIFE):
-            d = self._param("d", _index)
-            if d is None or not 1 <= d < self.n:
-                raise ParameterError(f"need 1 <= d < n, got d={p.get('d')}, n={self.n}")
+            if v["d"] is None or not 1 <= v["d"] < n:
+                raise ParameterError(f"need 1 <= d < n, got d={p.get('d')}, n={n}")
         elif self.kind == M_OUT_OF_N:
-            m = self._param("m", _index)
-            if m is None or m < 1:
+            if v["m"] is None or v["m"] < 1:
                 raise ParameterError(f"m-out-of-n needs integer m >= 1, got {p.get('m')}")
         elif self.kind == DIRICHLET:
-            alpha = self._param("alpha", _real)
-            if not (math.isfinite(alpha) and alpha > 0):
+            if not (math.isfinite(v["alpha"]) and v["alpha"] > 0):
                 raise ParameterError(
                     f"Dirichlet alpha must be finite and > 0, got {p.get('alpha')!r}")
         elif self.kind == IID_UNIFORM:
-            lo, hi = self._param("lo", _real), self._param("hi", _real)
+            lo, hi = v["lo"], v["hi"]
             if not (math.isfinite(lo) and math.isfinite(hi) and 0 <= lo < hi):
                 raise ParameterError(f"uniform needs finite 0 <= lo < hi, "
                                      f"got lo={p.get('lo')!r}, hi={p.get('hi')!r}")
             if abs(lo + hi - 2.0) > 1e-12:
                 raise ParameterError(
                     f"uniform weights must have mean 1 (lo + hi = 2), got lo={lo}, hi={hi}")
-        elif self.kind not in (MULTINOMIAL, IID_EXPONENTIAL, CONSTANT):
-            raise ParameterError(f"unknown weight scheme kind {self.kind!r}")
-
-    def _param(self, key, convert):
-        """Parameter ``key`` stored as ``convert(value)``, which is returned;
-        nothing is stored if that is None."""
-        value = convert(self.params.get(key))
-        if value is not None:
-            object.__setattr__(self, "params", {**self.params, key: value})
-        return value
 
     def label(self):
         if self.params:
@@ -146,11 +149,6 @@ def constant(n):
     return WeightScheme(CONSTANT, n)
 
 
-# the one parameter a kind's specification names, and its type
-_PARAMETER = {DELETE_D_JACKKNIFE: ("d", int), DOWNWEIGHT_D_JACKKNIFE: ("d", int),
-              M_OUT_OF_N: ("m", int), DIRICHLET: ("alpha", float)}
-
-
 def parse_scheme(spec, n):
     """Build a scheme from a CLI specification string.
 
@@ -160,22 +158,20 @@ def parse_scheme(spec, n):
     """
     head, _, tail = spec.partition(":")
     head = head.strip().lower()
-    if tail and head in (MULTINOMIAL, IID_EXPONENTIAL, CONSTANT):
+    if head not in _KIND_PARAMETERS:
+        raise ParseError(f"unknown weight scheme {spec!r}")
+    params = _KIND_PARAMETERS[head]
+    if tail and not params:
         raise ParseError(f"bad scheme specification {spec!r}: {head} takes no parameters")
     try:
-        if head in (MULTINOMIAL, IID_EXPONENTIAL, CONSTANT):
-            return WeightScheme(head, n)
-        if head in _PARAMETER:
-            key, cast = _PARAMETER[head]
-            return WeightScheme(head, n, {key: cast(_kv(tail, key))})
-        if head == IID_UNIFORM:
-            lo, hi = (tail or "0.5,1.5").split(",")
-            return iid_uniform(n, float(lo), float(hi))
-    except ParameterError:
-        raise
+        if head == IID_UNIFORM:   # lo,hi by position
+            texts = (tail or "0.5,1.5").split(",")
+        else:
+            texts = [_kv(tail, key) for key, _ in params]
+        values = {key: cast(text) for (key, cast), text in zip(params, texts, strict=True)}
     except ValueError as exc:
         raise ParseError(f"bad scheme specification {spec!r}: {exc}") from exc
-    raise ParseError(f"unknown weight scheme {spec!r}")
+    return WeightScheme(head, n, values)
 
 
 def _kv(tail, key):
@@ -403,7 +399,8 @@ def empirical_moments(draws, probs=None):
     """Plug-in moment estimates from weight draws, averaged over index tuples.
 
     ``draws`` is a (B, n) array (or list of equal-length vectors); ``probs``
-    optionally weights the draws (as with the atoms of :func:`iter_support`).
+    optionally weights the draws (as with the atoms of :func:`iter_support`):
+    finite, nonnegative and with a positive sum, else ``ParameterError``.
     Uses the scheme invariant E[w] = 1 for centering.
     """
     if not isinstance(draws, np.ndarray):
@@ -423,7 +420,10 @@ def empirical_moments(draws, probs=None):
         probs = np.asarray(probs, dtype=float)
         if probs.shape != (B,):
             raise ShapeError("probs length must match number of draws")
-        probs = probs / probs.sum()
+        total = probs.sum()
+        if not (np.all(probs >= 0) and 0 < total < math.inf):   # NaN fails both
+            raise ParameterError("probs must be finite and >= 0 with a positive sum")
+        probs = probs / total
 
     centered = draws - 1.0
     sigma2 = float(probs @ np.mean(centered ** 2, axis=1))
@@ -570,11 +570,12 @@ def check_conditions(scheme_factory, n_grid, seed=0):
     Asymptotic o(.)/O(.) clauses are decided by log-log regression of the
     moment magnitude on n, compared against the target exponent with a
     +-``SLOPE_TOL`` slope margin. The score-scale a_n^2 is taken proportional
-    to n (the canonical regime for the models in this package).
+    to n (the canonical regime for the models in this package). A grid of
+    fewer than 3 distinct sizes raises ``ParameterError``.
     """
     n_grid = sorted(int(n) for n in n_grid)
-    if len(n_grid) < 3:
-        raise ParameterError("need at least 3 grid points")
+    if len(set(n_grid)) < 3:   # two sizes fit any slope exactly; one fits none
+        raise ParameterError(f"need at least 3 distinct grid sizes, got {n_grid}")
 
     # (2.5): enough weights bounded away from zero, checked by Monte Carlo
     k2, frac_cap = 0.1, 0.05

@@ -9,9 +9,11 @@ Each workload in ``benchmarks/workloads.py`` plays its check round and the
 first R rounds of the benchmark's default seed in-process through
 ``gebs.cli.main``. Every ``solve_weighted_batch`` call is hashed, in call
 order, as its roots, failure classes and step counts; every report text is
-hashed in round order. The script prints one digest over each, with the
-number of solves and reports. Reports go to a temporary directory; nothing
-under ``benchmarks/`` changes. pytest does not collect this file.
+hashed in round order. The default ``weights-check`` report, which no
+workload runs, is played at the same seeds and hashed on its own. The script
+prints one digest over each, with the number of solves or reports. Reports
+go to a temporary directory; nothing under ``benchmarks/`` changes. pytest
+does not collect this file.
 """
 
 import argparse
@@ -36,13 +38,17 @@ def _workloads():
 
 
 def digests(rounds):
-    """``{"solves": (count, hex), "reports": (count, hex)}`` over the check
-    round and the first ``rounds`` rounds of every workload."""
+    """``{"solves": (count, hex), "reports": (count, hex), "weights-check":
+    (count, hex)}`` over the check round and the first ``rounds`` rounds of
+    every workload, and over the weights-check reports at the same seeds."""
     from gebs import cli, solver
 
     workloads = _workloads()
-    solves, reports = hashlib.sha256(), hashlib.sha256()
-    counts = {"solves": 0, "reports": 0}
+    seeds = [workloads.CHECK_SEED,
+             *(workloads.round_seed(DEFAULT_SEED, r) for r in range(rounds))]
+    hashes = {kind: hashlib.sha256() for kind in ("solves", "reports", "weights-check")}
+    counts = dict.fromkeys(hashes, 0)
+    solves = hashes["solves"]
     original = solver.solve_weighted_batch
 
     def hashed(*args):
@@ -59,22 +65,22 @@ def digests(rounds):
     patches = [mock.patch.object(m, "solve_weighted_batch", hashed) for m in callers]
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.csv"
+        runs = [("reports", w.name, w.argv) for w in workloads.WORKLOADS.values()]
+        runs.append(("weights-check", "weights-check", lambda seed, out: [
+            "run", "--experiment", "weights-check", "--seed", str(seed), "--out", str(out)]))
         for p in patches:
             p.start()
         try:
-            for workload in workloads.WORKLOADS.values():
-                seeds = [workloads.CHECK_SEED,
-                         *(workloads.round_seed(DEFAULT_SEED, r) for r in range(rounds))]
+            for kind, name, argv in runs:
                 for seed in seeds:
-                    if cli.main(workload.argv(seed, out)) != cli.EXIT_OK:
-                        raise RuntimeError(f"{workload.name} at seed {seed} failed")
-                    reports.update(out.read_bytes())
-                    counts["reports"] += 1
+                    if cli.main(argv(seed, out)) != cli.EXIT_OK:
+                        raise RuntimeError(f"{name} at seed {seed} failed")
+                    hashes[kind].update(out.read_bytes())
+                    counts[kind] += 1
         finally:
             for p in patches:
                 p.stop()
-    return {"solves": (counts["solves"], solves.hexdigest()[:16]),
-            "reports": (counts["reports"], reports.hexdigest()[:16])}
+    return {kind: (counts[kind], h.hexdigest()[:16]) for kind, h in hashes.items()}
 
 
 def main(argv=None):

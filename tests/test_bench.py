@@ -557,3 +557,14 @@ def test_cli_degenerate_exit_code(monkeypatch, capsys):
     code = cli.main(["run", "--experiment", "ar1"])
     assert code == cli.EXIT_DEGENERATE
     assert "degenerate" in capsys.readouterr().err
+
+
+def test_cli_report_write_failure_is_a_configuration_error(tmp_path, monkeypatch, capsys):
+    def full_disk(report, fmt, out):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "emit_report", full_disk)
+    code = cli.main(["run", "--experiment", "weights-check", "--methods", "exp",
+                     "--out", str(tmp_path / "report.csv")])
+    assert code == cli.EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err

@@ -375,7 +375,7 @@ def test_percentile_cis_batch_matches_scalar():
 
 
 class PoissonMeanModel(M.IndexModel):
-    """README's Poisson log link on an intercept."""
+    """``IndexModel``'s Poisson log link on an intercept."""
 
     def design(self, data):
         return np.ones((data.n, 1))

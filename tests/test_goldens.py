@@ -59,6 +59,10 @@ def test_solve_digest_plays_one_round():
     assert first == solve_digest.digests(1)
     assert first["reports"][0] == 2 * len(workloads.WORKLOADS)
     assert first["solves"][0] > 0
+    assert first["weights-check"][0] == 2
+    # with no rounds it hashes the check seed's weights-check report alone,
+    # which is the default report
+    assert solve_digest.digests(0)["weights-check"] == (1, WEIGHTS_CHECK_GOLDEN)
 
 
 def test_fixed_cost_measures_one_call():

@@ -93,27 +93,41 @@ def test_scheme_length_accepts_numpy_integers():
 
 
 def test_parse_scheme_grammar():
-    assert W.parse_scheme("multinomial", 7) == W.multinomial(7)
-    assert W.parse_scheme("jackknife:d=2", 7) == W.delete_d_jackknife(7, 2)
-    assert W.parse_scheme("downweight:d=3", 7) == W.downweight_d_jackknife(7, 3)
-    assert W.parse_scheme("dirichlet:alpha=4", 7) == W.dirichlet(7, 4.0)
-    assert W.parse_scheme("uniform:0.5,1.5", 7) == W.iid_uniform(7, 0.5, 1.5)
-    assert W.parse_scheme("uniform", 7) == W.iid_uniform(7, 0.5, 1.5)
-    assert W.parse_scheme("exp", 7) == W.iid_exponential(7)
-    assert W.parse_scheme("moon:m=3", 7) == W.m_out_of_n(7, 3)
-    assert W.parse_scheme("constant", 7) == W.constant(7)
+    cases = {
+        "multinomial": W.multinomial(7), "jackknife:d=2": W.delete_d_jackknife(7, 2),
+        " Jackknife:d= 2": W.delete_d_jackknife(7, 2),
+        "downweight:d=3": W.downweight_d_jackknife(7, 3),
+        "dirichlet:alpha=4": W.dirichlet(7, 4.0),
+        "uniform:0.5,1.5": W.iid_uniform(7, 0.5, 1.5), "uniform": W.iid_uniform(7, 0.5, 1.5),
+        "exp": W.iid_exponential(7), "moon:m=3": W.m_out_of_n(7, 3), "constant": W.constant(7)}
+    for spec, scheme in cases.items():
+        parsed = W.parse_scheme(spec, 7)
+        assert parsed == scheme
+        # the constructor, which refuses any parameter a law does not take,
+        # accepts every scheme the grammar builds
+        assert W.WeightScheme(parsed.kind, parsed.n, parsed.params) == parsed
 
 
 def test_parse_scheme_errors():
     with pytest.raises(ParseError):
         W.parse_scheme("gaussian", 7)
-    with pytest.raises(ParseError):
-        W.parse_scheme("jackknife:k=2", 7)
+    for spec in ("jackknife:k=2", "moon:m=2.5", "uniform:0.5", "uniform:0.5,1.5,2"):
+        with pytest.raises(ParseError):
+            W.parse_scheme(spec, 7)
     with pytest.raises(ParameterError):
         W.parse_scheme("jackknife:d=9", 7)  # d >= n
     for spec in ("exp:1", "multinomial:2", "constant:1"):
         with pytest.raises(ParseError):
             W.parse_scheme(spec, 7)  # these schemes take no parameters
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("multinomial", {"m": 3}), ("exp", {"lo": 0.5}), ("constant", {"d": 1}),
+    ("jackknife", {"d": 2, "alpha": 1.0}), ("uniform", {"lo": 0.5, "hi": 1.5, "m": 2})])
+def test_scheme_refuses_a_parameter_its_law_does_not_take(kind, params):
+    # else multinomial(m=3) would run Efron's n-out-of-n bootstrap under that label
+    with pytest.raises(ParameterError):
+        W.WeightScheme(kind, 5, params)
 
 
 def test_labels():
@@ -305,12 +319,24 @@ def test_empirical_moments_input_validation():
         W.empirical_moments(np.ones((4, 3)), probs=np.ones(5))
 
 
+@pytest.mark.parametrize("probs", [[1.0, -1.0, 0.5], [0.0, 0.0, 0.0], [1.0, np.nan, 1.0],
+                                   [1.0, np.inf, 1.0]])
+def test_empirical_moments_refuse_probs_that_are_no_law(probs):
+    # else [1, -1, 0.5] would give sigma2 = 0.0 without a word, and all zeros NaN
+    draws = np.array([[0.0, 2.0], [2.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(ParameterError):
+        W.empirical_moments(draws, probs=probs)
+
+
 # ---------------------------------------------------------------------------
 # Condition checking
 
 def test_check_conditions_needs_grid():
     with pytest.raises(ParameterError):
         W.check_conditions(W.multinomial, [10, 20])
+    for grid in ([40, 40, 40], [10, 20, 20]):   # a slope through one or two sizes
+        with pytest.raises(ParameterError):
+            W.check_conditions(W.multinomial, grid)
 
 
 def test_constant_scheme_fails_basic_condition():
