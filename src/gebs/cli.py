@@ -17,8 +17,7 @@ import sys
 
 from .bench import (EXPERIMENTS, FORMATS, SCALES, ExperimentConfig,
                     emit_report, run_experiment)
-from .errors import (ConfigError, DegenerateRunError, ParameterError, ParseError,
-                     UnsupportedModelError)
+from .errors import ConfigError, ParameterError, ParseError, UnsupportedModelError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -103,9 +102,6 @@ def main(argv=None):
             scale=args.scale, out=args.out, format=args.format)
         report = run_experiment(config)
         text = emit_report(report, config.format, config.out)
-    except DegenerateRunError as exc:
-        print(f"gebs: degenerate run: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
     except (ConfigError, ParameterError, ParseError, UnsupportedModelError,
             OSError) as exc:   # OSError: also writing the report
         print(f"gebs: configuration error: {exc}", file=sys.stderr)

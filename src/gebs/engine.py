@@ -87,58 +87,40 @@ def _hash_columns(const, mult, m):
     return tuple(_u64(c)[:, None] for c in (consts[:-1], consts[1:]))
 
 
-def _fold(value, tmp):
-    """``value`` mod 2^32, xored with itself shifted right by 16, in place:
-    the last step of SeedSequence's hash and mix. ``tmp`` is scratch of
-    value's shape."""
-    value &= _M32
-    np.right_shift(value, _S16, out=tmp)
-    value ^= tmp
+def _fold(value):
+    """``value`` mod 2^32, xored with itself shifted right by 16: the last
+    step of SeedSequence's hash and mix."""
+    value = value & _M32
+    return value ^ value >> _S16
 
 
-def _hashmix(value, const, mult, tmp):
-    """SeedSequence's ``hashmix``, in place, of the m rows of ``value``, uint64
-    arrays of 32-bit words, from the running hash constant ``const``: row j
-    xors in the constant, steps it and is multiplied by the new one. A product
-    of two 32-bit words stays below 2^64."""
-    xor, times = _hash_columns(const, mult, len(value))
-    value ^= xor
-    value *= times
-    _fold(value, tmp)
+def _hashmix(words, const, mult, m):
+    """SeedSequence's ``hashmix`` of m words in turn, from the running hash
+    constant ``const``: row j xors in the constant, steps it and is
+    multiplied by the new one. ``words`` is a uint64 array of 32-bit values
+    that broadcasts to m rows; a product of two 32-bit words stays below
+    2^64."""
+    xor, times = _hash_columns(const, mult, m)
+    return _fold((words ^ xor) * times)
 
 
 def _add128(a, b):
-    """``a += b`` (mod 2^128) in place on (2, k) uint64 (high, low) limbs;
-    unsigned arrays wrap mod 2^64."""
-    a += b
-    a[0] += a[1] < b[1]
+    """Sum mod 2^128 of (high, low) uint64 pairs; unsigned arrays wrap mod
+    2^64."""
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < b[1]), lo
 
 
-def _mul128(a, tmp):
-    """``a *= MULT`` (mod 2^128) in place on (2, k) uint64 (high, low) limbs:
-    the low limb is the low limbs' wrapped product; the high limb adds the
-    cross terms and that product's high word, from 32-bit halves (Hacker's
-    Delight's mulhu). ``tmp`` holds 6 rows of scratch."""
+def _mul128(a):
+    """Product mod 2^128 of a (high, low) uint64 pair and MULT: the low limbs'
+    wrapped product, and a high limb that adds the cross terms and that
+    product's high word, from 32-bit halves (Hacker's Delight's mulhu)."""
     hi, lo = a
-    halves, by_y0, by_y1 = tmp[:2], tmp[2:4], tmp[4:6]
-    np.bitwise_and(lo, _M32, out=halves[0])
-    np.right_shift(lo, _S32, out=halves[1])
-    np.multiply(halves, _MULT_Y0, out=by_y0)
-    np.multiply(halves, _MULT_Y1, out=by_y1)
-    low, mid = by_y0          # x0 y0, x1 y0
-    cross, high = by_y1       # x0 y1, x1 y1
-    low >>= _S32
-    mid += low                # below 2^64
-    np.bitwise_and(mid, _M32, out=low)
-    low += cross
-    low >>= _S32
-    mid >>= _S32
-    high += mid
-    high += low               # the high word of lo MULT_LO
-    np.multiply(lo, _MULT_HI, out=cross)
-    high += cross
-    a *= _MULT_LO
-    hi += high
+    x0, x1 = lo & _M32, lo >> _S32
+    mid = (x0 * _MULT_Y0 >> _S32) + x1 * _MULT_Y0      # below 2^64
+    carry = ((mid & _M32) + x0 * _MULT_Y1) >> _S32
+    high = x1 * _MULT_Y1 + (mid >> _S32) + carry       # high word of lo MULT_LO
+    return high + lo * _MULT_HI + hi * _MULT_LO, lo * _MULT_LO
 
 
 def _pcg64_words(seed, start, stop):
@@ -149,37 +131,24 @@ def _pcg64_words(seed, start, stop):
     last, into ``SeedSequence(seed).pool``, after the hash constant has
     stepped once per word hashed before: ``_POOL_SIZE`` per seed word padded
     to at least ``_POOL_SIZE`` words, the cross mixes included. That mixing,
-    ``generate_state(4, uint64)`` and ``pcg64_set_seed`` run in place over one
-    (8, k) uint64 block of the b, with another as scratch.
+    ``generate_state(4, uint64)`` and ``pcg64_set_seed``'s ``inc = 2 i + 1``,
+    ``state = (inc + s) MULT + inc`` (mod 2^128) run over uint64 arrays of
+    the b.
     """
     seed_words = max(1, -(-seed.bit_length() // 32))
     const = _INIT_A * pow(_MULT_A, _POOL_SIZE * max(_POOL_SIZE, seed_words), 1 << 32) & _MASK32
-    state, tmp = np.empty((2, 2 * _POOL_SIZE, stop - start), np.uint64)
     # b < 2^32 is one spawn word, hashed and mixed into every pool word:
     # MIX_MULT_L pool - MIX_MULT_R hash (mod 2^32)
-    mixed = state[:_POOL_SIZE]
-    mixed[:] = np.arange(start, stop, dtype=np.uint64)
-    _hashmix(mixed, const, _MULT_A, tmp[:_POOL_SIZE])
-    mixed *= _MIX_NEG_R
-    mixed += np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None] * _MIX_L
-    _fold(mixed, tmp[:_POOL_SIZE])
+    hashed = _hashmix(np.arange(start, stop, dtype=np.uint64), const, _MULT_A, _POOL_SIZE)
+    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None]
+    mixed = _fold(hashed * _MIX_NEG_R + pool * _MIX_L)
     # generate_state hashes the mixed pool twice over into 8 words, which pair
-    # up low word first into (s high, s low, i high, i low) on the odd rows
-    state[_POOL_SIZE:] = mixed
-    _hashmix(state, _INIT_B, _MULT_B, tmp)
-    words = state[1::2]
-    words <<= _S32
-    words |= state[::2]
-    # pcg64_set_seed: inc = 2 i + 1, state = (inc + s) MULT + inc
-    s, inc = words[:2], words[2:]
-    np.right_shift(inc[1], _S63, out=tmp[0])
-    inc <<= _ONE
-    inc[0] |= tmp[0]
-    inc[1] |= _ONE
-    _add128(s, inc)
-    _mul128(s, tmp)
-    _add128(s, inc)
-    return words.T
+    # up low word first into (s high, s low, i high, i low)
+    state = _hashmix(np.concatenate((mixed, mixed)), _INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    s_hi, s_lo, i_hi, i_lo = state[1::2] << _S32 | state[::2]
+    inc = i_hi << _ONE | i_lo >> _S63, i_lo << _ONE | _ONE
+    s = _add128(_mul128(_add128((s_hi, s_lo), inc)), inc)
+    return np.stack((*s, *inc), axis=1)
 
 
 def _state_memory(bit_gen):

@@ -17,8 +17,10 @@ import itertools
 import math
 import numbers
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -73,11 +75,12 @@ _KIND_PARAMETERS = {
 @dataclass(frozen=True)
 class WeightScheme:
     """A named exchangeable weight law of length ``n``. ``params`` holds
-    exactly the parameters its kind takes; any other key is refused."""
+    exactly the parameters its kind takes, read-only, so that no scheme
+    changes after its checks ran; any other key is refused."""
 
     kind: str
     n: int
-    params: dict = field(default_factory=dict)
+    params: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         n = _index(self.n)
@@ -90,7 +93,7 @@ class WeightScheme:
         if unknown := set(p) - {key for key, _ in spec}:
             raise ParameterError(f"{self.kind} takes no parameter {sorted(map(str, unknown))}")
         v = {key: (_index if cast is int else _real)(p.get(key)) for key, cast in spec}
-        object.__setattr__(self, "params", v)
+        object.__setattr__(self, "params", MappingProxyType(v))
         if self.kind in (DELETE_D_JACKKNIFE, DOWNWEIGHT_D_JACKKNIFE):
             if v["d"] is None or not 1 <= v["d"] < n:
                 raise ParameterError(f"need 1 <= d < n, got d={p.get('d')}, n={n}")

@@ -18,6 +18,11 @@ played alternately through ``cli.main`` and through ``ExperimentConfig``,
 after one warm-up of each. The difference of the medians is what ``main``
 itself costs per call: parsing, and whatever else it does per call.
 
+Seeding: ``engine._pcg64_words`` computes the PCG64 states of a block's
+per-draw streams. Its line gives the hot median time per call at 10, 300
+and 1000 draws, each the median of ``--samples`` timings of 20 calls, for a
+64-bit child seed like those of bench's runs.
+
 Reports go to a temporary directory; nothing in the repository changes.
 pytest does not collect this file.
 """
@@ -26,12 +31,15 @@ import argparse
 import statistics
 import sys
 import tempfile
+import timeit
 from pathlib import Path
 from time import perf_counter
 
-from gebs import bench, cli
+from gebs import bench, cli, engine
 
 CALL_RUN = dict(experiment="ar1", sims=1, boots=10, methods=("gbs-multinomial",))
+SEED_DRAWS = (10, 300, 1000)
+SEED_CALLS = 20
 
 
 def resample_costs(sims, boots, repeats):
@@ -76,6 +84,17 @@ def main_cost(samples):
     return statistics.median(times[through_main]), statistics.median(times[direct])
 
 
+def seeding_costs(samples):
+    """``{draws: median seconds per _pcg64_words call}`` over ``SEED_DRAWS``."""
+    seed = bench.child_seed(0, 0, 1)
+    costs = {}
+    for k in SEED_DRAWS:
+        runs = timeit.repeat(lambda: engine._pcg64_words(seed, 0, k),
+                             number=SEED_CALLS, repeat=samples)
+        costs[k] = statistics.median(runs) / SEED_CALLS
+    return costs
+
+
 def report(sims, boots, repeats, samples):
     """The printed lines."""
     costs = resample_costs(sims, boots, repeats)
@@ -92,6 +111,9 @@ def report(sims, boots, repeats, samples):
     lines.append(f"cli.main: {1e3 * through:.3f} ms per one-call run, "
                  f"{1e3 * direct:.3f} ms without it; main's own cost "
                  f"{1e3 * (through - direct):.3f} ms per call")
+    seeding = seeding_costs(samples)
+    lines.append("_pcg64_words hot median per call: " + ", ".join(
+        f"{k} draws {1e6 * t:.1f} us" for k, t in seeding.items()))
     return lines
 
 

@@ -547,16 +547,15 @@ def test_cli_writes_to_dev_null(capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_cli_degenerate_exit_code(monkeypatch, capsys):
-    from gebs.errors import DegenerateRunError
-
-    def boom(config):
-        raise DegenerateRunError("synthetic")
-
-    monkeypatch.setattr(cli, "run_experiment", boom)
-    code = cli.main(["run", "--experiment", "ar1"])
+def test_cli_degenerate_exit_code(tmp_path, capsys):
+    # one-out-of-n weights put all the weight on one observation, so each
+    # draw's two-parameter logistic system is singular and falls back
+    out = tmp_path / "report.csv"
+    code = cli.main(["run", "--experiment", "glm", "--sims", "1", "--boots", "20",
+                     "--methods", "gbs-moon:m=1", "--out", str(out)])
     assert code == cli.EXIT_DEGENERATE
-    assert "degenerate" in capsys.readouterr().err
+    assert "one or more methods degenerated" in capsys.readouterr().err
+    assert "# flag degenerate:gbs-moon:m=1=1" in out.read_text().splitlines()
 
 
 def test_cli_report_write_failure_is_a_configuration_error(tmp_path, monkeypatch, capsys):

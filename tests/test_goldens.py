@@ -70,8 +70,10 @@ def test_fixed_cost_measures_one_call():
     import fixed_cost
 
     lines = fixed_cost.report(sims=1, boots=(10, 20), repeats=1, samples=1)
-    assert [line.split()[0] for line in lines] == ["resample"] * 3 + ["cli.main:"]
+    assert [line.split()[0] for line in lines] == (["resample"] * 3
+                                                   + ["cli.main:", "_pcg64_words"])
     assert "boots=10:" in lines[0] and "boots=20:" in lines[1]
+    assert all(f" {k} draws " in lines[-1] for k in fixed_cost.SEED_DRAWS)
 
 
 def test_code_lines_counts_each_module():

@@ -12,6 +12,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gebs import engine
 from gebs import models as M
@@ -47,8 +49,8 @@ def test_block_streams_equal_numpy_seeding(seed, start, stop):
 
 
 def test_seeding_constants_are_read_only(monkeypatch):
-    # _pcg64_words works in place beside its cached hash columns and uint64
-    # operands; a write into one would change every later stream
+    # _pcg64_words reads cached hash columns and uint64 operands shared by
+    # every call; a write into one would change every later stream
     cached, used = engine._hash_columns, []
 
     def recording(*key):
@@ -69,6 +71,21 @@ def test_seeding_constants_are_read_only(monkeypatch):
     for seed in SEEDS:
         for b, row in zip(range(300, 304), engine._pcg64_words(seed, 300, 304).tolist()):
             assert engine._state_dict(row) == oracle(seed, b).bit_generator.state, (seed, b)
+
+
+# a seed of exactly k 32-bit words, for k = 1 .. 10
+SEED_OF_WORDS = st.integers(1, 10).flatmap(
+    lambda k: st.integers(2 ** (32 * (k - 1)) if k > 1 else 0, 2 ** (32 * k) - 1))
+
+
+@given(seed=SEED_OF_WORDS, start=st.integers(0, 2**32 - 1), size=st.integers(1, 20))
+@settings(max_examples=200)
+def test_pcg64_words_equal_numpy_seeding_for_any_seed_and_block(seed, start, size):
+    stop = min(start + size, 2**32)
+    rows = engine._pcg64_words(seed, start, stop).tolist()
+    assert len(rows) == stop - start
+    for b, row in zip(range(start, stop), rows):
+        assert engine._state_dict(row) == oracle(seed, b).bit_generator.state, (seed, b)
 
 
 def test_buffered_uint32_does_not_leak_into_the_next_stream():

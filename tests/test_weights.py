@@ -60,6 +60,19 @@ def test_integer_parameters_reject_bool_and_non_integers(make, value):
         make(10, value)
 
 
+def test_parameters_cannot_change_after_the_checks_ran():
+    passed = {"d": 2}
+    scheme = W.WeightScheme(W.DELETE_D_JACKKNIFE, 5, passed)
+    passed["d"] = 0   # the caller's dict is not the scheme's
+    with pytest.raises(TypeError):
+        scheme.params["d"] = 0   # d = 0 would sample all-ones weights
+    with pytest.raises(TypeError):
+        del scheme.params["d"]
+    assert scheme.params == {"d": 2} and scheme.label() == "jackknife(d=2)"
+    assert W.central_moment(scheme, (2,)) > 0
+    assert scheme == W.delete_d_jackknife(5, 2)
+
+
 @pytest.mark.parametrize("kind, params", [
     ("dirichlet", {"alpha": "x"}), ("dirichlet", {"alpha": True}),
     ("dirichlet", {"alpha": np.bool_(True)}), ("dirichlet", {}),
